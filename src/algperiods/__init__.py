@@ -51,32 +51,26 @@ from .exactmat import (
     transpose,
 )
 from .lefschetz import (
+    Analysis,
     FormViolation,
     HomologyModel,
     PeriodicPointGuarantee,
     SurfaceKind,
-    WrongKind,
     algebraic_periods,
+    analyze,
     ap_odd,
     euler_characteristic,
-    lefschetz_number,
-    lefschetz_numbers,
     lefschetz_numbers_from_charpoly,
-    mper_l,
-    odd_vanishing_check,
     periodic_point_certificate,
 )
 from .polycyc import (
-    ExactnessError,
     IntPolynomial,
     NonMonicInput,
     NotQuasiUnipotent,
     cyclotomic,
     cyclotomic_factorization,
     cyclotomic_root_sum,
-    poly_add,
     poly_divmod,
-    poly_mul,
     trace_sequence_from_charpoly,
     x_pow_minus_one,
 )

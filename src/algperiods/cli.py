@@ -28,22 +28,15 @@ from typing import Any, Dict, Optional
 
 from .arith import DoldClass
 from .census import census
-from .exactmat import (
-    DimensionMismatch,
-    IntMatrix,
-    charpoly,
-    is_antisymplectic,
-    is_symplectic,
-)
+from .exactmat import DimensionMismatch, IntMatrix
 from .lefschetz import (
+    Analysis,
     FormViolation,
     HomologyModel,
     SurfaceKind,
-    algebraic_periods,
-    lefschetz_numbers_from_charpoly,
+    analyze,
     periodic_point_certificate,
 )
-from .polycyc import NotQuasiUnipotent, cyclotomic_factorization
 from .realize import Mode, SurfaceModel, OddTargetUnrealizable, realize_target
 from .zeta import (
     ZetaFactorization,
@@ -160,17 +153,25 @@ def _load_matrix(path: str) -> IntMatrix:
 
 
 def _load_dold(source: str) -> DoldClass:
-    """Accept either a path to a JSON map or an inline JSON object."""
-    if Path(source).exists():
-        data = _load_json(source)
-    else:
-        stripped = source.strip()
-        if not stripped.startswith("{"):
-            raise _InputError(f"{source!r} is neither a file nor an inline JSON object")
+    """Accept either an inline JSON object or a path to a JSON map.
+
+    Input starting with "{" is inline JSON and is never probed as a path:
+    a long inline map would make the probe fail with ENAMETOOLONG.
+    """
+    stripped = source.strip()
+    if stripped.startswith("{"):
         try:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise _InputError(f"inline Dold map is not valid JSON: {exc}") from exc
+    else:
+        try:
+            is_file = Path(source).exists()
+        except OSError as exc:
+            raise _InputError(f"cannot read {source!r}: {exc}") from exc
+        if not is_file:
+            raise _InputError(f"{source!r} is neither a file nor an inline JSON object")
+        data = _load_json(source)
     if not isinstance(data, dict):
         raise _InputError("a Dold class must be a JSON object of period -> coefficient")
     coeffs = {}
@@ -202,36 +203,24 @@ def _certificates_payload(d: DoldClass) -> list[Dict[str, Any]]:
     ]
 
 
-def _form_checks_payload(model: HomologyModel) -> Optional[Dict[str, bool]]:
-    if model.kind is SurfaceKind.NONORIENTABLE:
-        return None
-    return {
-        "symplectic": is_symplectic(model.matrix),
-        "antisymplectic": is_antisymplectic(model.matrix),
-    }
-
-
-def _analysis_payload(model: HomologyModel, bound: Optional[int]) -> tuple[Dict[str, Any], bool]:
-    """Shared report body for realize/analyze; returns (payload, quasi_unipotent)."""
-    cp = charpoly(model.matrix)
+def _analysis_payload(analysis: Analysis, bound: Optional[int]) -> Dict[str, Any]:
+    """Shared report body for realize/analyze."""
+    model = analysis.model
     report: Dict[str, Any] = {
         "kind": model.kind.value,
         "genus": model.genus,
         "matrix": _matrix_payload(model.matrix),
-        "charpoly": list(cp.coeffs),
-        "form_checks": _form_checks_payload(model),
+        "charpoly": list(analysis.charpoly.coeffs),
+        "form_checks": analysis.form_checks,
     }
-    try:
-        mults = cyclotomic_factorization(cp)
-    except NotQuasiUnipotent as exc:
+    if not analysis.quasi_unipotent:
         n_max = bound if bound is not None else 12
-        lefschetz = lefschetz_numbers_from_charpoly(model.kind, cp, n_max)
         report.update(
             {
                 "quasi_unipotent": False,
-                "residual_factor": list(exc.residual.coeffs),
+                "residual_factor": list(analysis.residual.coeffs),
                 "cyclotomic_factorization": None,
-                "lefschetz": lefschetz,
+                "lefschetz": analysis.lefschetz(n_max),
                 "dold": None,
                 "algebraic_periods": None,
                 "ap_odd": None,
@@ -240,10 +229,11 @@ def _analysis_payload(model: HomologyModel, bound: Optional[int]) -> tuple[Dict[
                 "certificates": [],
             }
         )
-        return report, False
+        return report
+    mults = analysis.factorization
     n_max = bound if bound is not None else 2 * math.lcm(1, *mults)
-    lefschetz = lefschetz_numbers_from_charpoly(model.kind, cp, n_max)
-    dold = algebraic_periods(model)
+    lefschetz = analysis.lefschetz(n_max)
+    dold = analysis.dold
     odd_periods = [n for n in dold.support() if n % 2]
     report.update(
         {
@@ -263,16 +253,15 @@ def _analysis_payload(model: HomologyModel, bound: Optional[int]) -> tuple[Dict[
         )
     else:
         report["odd_lefschetz_vanish"] = None
-    return report, True
+    return report
 
 
 def _model_report(sm: SurfaceModel) -> Dict[str, Any]:
-    report, _ = _analysis_payload(sm.model, bound=None)
+    report = _analysis_payload(sm.analysis, bound=None)
     report.update(
         {
             "mode": sm.mode.value if sm.mode is not None else None,
             "target": list(sm.target),
-            # recomputed by _analysis_payload; nothing cached crosses here
             "achieved": report["algebraic_periods"],
             "pieces": [
                 {"n": p.n, "tau": p.tau, "copies": p.copies} for p in sm.pieces
@@ -327,9 +316,9 @@ def _cmd_analyze(args) -> int:
     model = _build_model(matrix, kind, args.genus, strict=not args.no_strict)
     if model is None:
         return EXIT_MODEL
-    report, quasi_unipotent = _analysis_payload(model, bound=args.max_iter)
-    _emit(report, args.format)
-    return EXIT_OK if quasi_unipotent else EXIT_NOT_QUASI_UNIPOTENT
+    analysis = analyze(model)
+    _emit(_analysis_payload(analysis, bound=args.max_iter), args.format)
+    return EXIT_OK if analysis.quasi_unipotent else EXIT_NOT_QUASI_UNIPOTENT
 
 
 def _cmd_zeta(args) -> int:
@@ -397,11 +386,11 @@ def _cmd_certify(args) -> int:
         model = _build_model(matrix, SurfaceKind(args.kind), args.genus, strict=not args.no_strict)
         if model is None:
             return EXIT_MODEL
-        try:
-            dold = algebraic_periods(model)
-        except NotQuasiUnipotent as exc:
-            print(f"error: not quasi-unipotent: residual {exc.residual}", file=sys.stderr)
+        analysis = analyze(model)
+        if not analysis.quasi_unipotent:
+            print(f"error: not quasi-unipotent: residual {analysis.residual}", file=sys.stderr)
             return EXIT_NOT_QUASI_UNIPOTENT
+        dold = analysis.dold
         report = {
             "kind": model.kind.value,
             "genus": model.genus,
@@ -501,7 +490,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    Python 3.11+ refuses to convert integers of more than 4300 digits to or
+    from strings; the limit is lifted for the duration of the call (it is
+    process-wide) so that big integers stay bit-exact in input and output.
+    """
     parser = build_parser()
+    saved_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if saved_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
@@ -511,6 +509,9 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if saved_limit is not None:
+            sys.set_int_max_str_digits(saved_limit)
 
 
 if __name__ == "__main__":

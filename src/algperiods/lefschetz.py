@@ -11,7 +11,7 @@ In the non-orientable case the trace lives on rational first homology
 (rank genus - 1); the torsion Z/2 part never contributes and is never
 represented.
 
-``algebraic_periods`` is total and exact on quasi-unipotent models: the
+The Dold class built by ``analyze`` is exact on quasi-unipotent models: the
 support of the Dold class is contained in the divisors of the cyclotomic
 orders of the characteristic polynomial together with {1, 2} (the reg_1
 and reg_2 terms contributed by degrees 0 and 2), so computing the
@@ -24,39 +24,31 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Optional
 
 from .arith import DoldClass, LefschetzSequence, divisors, dold_coefficients
-from .exactmat import (
-    DimensionMismatch,
-    IntMatrix,
-    charpoly,
-    is_antisymplectic,
-    is_symplectic,
-    mat_mul,
+from .exactmat import DimensionMismatch, IntMatrix, charpoly, is_antisymplectic, is_symplectic
+from .polycyc import (
+    IntPolynomial,
+    NotQuasiUnipotent,
+    cyclotomic_factorization,
+    trace_sequence_from_charpoly,
 )
-from .exactmat import trace as mat_trace
-from .polycyc import cyclotomic_factorization, trace_sequence_from_charpoly
 
 __all__ = [
-    "WrongKind",
     "FormViolation",
     "SurfaceKind",
     "HomologyModel",
+    "Analysis",
     "PeriodicPointGuarantee",
     "euler_characteristic",
-    "lefschetz_number",
-    "lefschetz_numbers",
     "lefschetz_numbers_from_charpoly",
+    "analyze",
     "algebraic_periods",
     "ap_odd",
-    "mper_l",
-    "odd_vanishing_check",
     "periodic_point_certificate",
 ]
-
-
-class WrongKind(Exception):
-    """The operation applies to a different surface kind."""
 
 
 class FormViolation(Exception):
@@ -84,10 +76,11 @@ class HomologyModel:
     torsion-free rank genus - 1.  With ``strict=True`` the constructor
     additionally enforces the form predicate of the kind (symplectic for
     preserving, antisymplectic for reversing); analysis of arbitrary
-    matrices should leave it off.
+    matrices should leave it off.  ``strict`` records that the check passed,
+    so an :class:`Analysis` of the model does not run it again.
     """
 
-    __slots__ = ("kind", "matrix", "genus")
+    __slots__ = ("kind", "matrix", "genus", "strict")
 
     def __init__(self, kind: SurfaceKind, matrix: IntMatrix, genus: int, strict: bool = False):
         genus = int(genus)
@@ -115,6 +108,7 @@ class HomologyModel:
         self.kind = kind
         self.matrix = matrix
         self.genus = genus
+        self.strict = strict
 
     def __eq__(self, other: object):
         if isinstance(other, HomologyModel):
@@ -136,86 +130,92 @@ def euler_characteristic(m: HomologyModel) -> int:
     return 2 - 2 * m.genus
 
 
-def lefschetz_number(m: HomologyModel, l: int) -> int:
-    """L_l of the model, from the l-th matrix power."""
-    if l < 1:
-        raise ValueError("iteration index must be positive")
-    power = IntMatrix.identity(m.matrix.dim)
-    base = m.matrix
-    e = l
-    while e:
-        if e & 1:
-            power = mat_mul(power, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return 1 - mat_trace(power) + _degree_two_term(m.kind, l)
-
-
-def lefschetz_numbers(m: HomologyModel, n_max: int) -> list[int]:
-    """[L_1, ..., L_{n_max}] via incremental matrix powers."""
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    out = []
-    power = IntMatrix.identity(m.matrix.dim)
-    for l in range(1, n_max + 1):
-        power = mat_mul(power, m.matrix)
-        out.append(1 - mat_trace(power) + _degree_two_term(m.kind, l))
-    return out
-
-
 def lefschetz_numbers_from_charpoly(kind: SurfaceKind, cp, n_max: int) -> list[int]:
-    """Same sequence, but with traces taken from the characteristic polynomial.
+    """[L_1, ..., L_{n_max}] with traces taken from the characteristic polynomial.
 
-    Newton power sums make this cheap for large matrices; it must agree
-    with ``lefschetz_numbers`` and the test suite holds it to that.
+    Newton power sums make this cheap for large matrices; the test suite
+    holds it to the matrix-power route.
     """
     traces = trace_sequence_from_charpoly(cp, n_max)
     return [1 - traces[l - 1] + _degree_two_term(kind, l) for l in range(1, n_max + 1)]
 
 
-def algebraic_periods(m: HomologyModel) -> DoldClass:
-    """The Dold class of the model; its support is the set of algebraic periods.
+@dataclass(frozen=True)
+class Analysis:
+    """The analysis pass of one model, built by :func:`analyze`.
 
-    Requires the matrix to be quasi-unipotent (NotQuasiUnipotent
-    propagates from the cyclotomic factorization otherwise).
+    Holds the characteristic polynomial, then either its cyclotomic
+    factorization (order -> multiplicity) or the non-cyclotomic residual,
+    then the Dold class (None when the model is not quasi-unipotent).  The
+    Lefschetz window and the form checks are computed only when asked for.
+    """
+
+    model: HomologyModel
+    charpoly: IntPolynomial
+    factorization: Optional[Dict[int, int]]
+    residual: Optional[IntPolynomial]
+    dold: Optional[DoldClass]
+
+    @property
+    def quasi_unipotent(self) -> bool:
+        return self.residual is None
+
+    def lefschetz(self, n_max: int) -> list[int]:
+        """[L_1, ..., L_{n_max}] from the stored characteristic polynomial."""
+        return lefschetz_numbers_from_charpoly(self.model.kind, self.charpoly, n_max)
+
+    @cached_property
+    def form_checks(self) -> Optional[Dict[str, bool]]:
+        """Symplectic and antisymplectic predicates; None for non-orientable models.
+
+        A strict model already passed the predicate of its kind, which is
+        therefore not run again.
+        """
+        m = self.model
+        if m.kind is SurfaceKind.NONORIENTABLE:
+            return None
+        return {
+            "symplectic": (m.strict and m.kind is SurfaceKind.PRESERVING)
+            or is_symplectic(m.matrix),
+            "antisymplectic": (m.strict and m.kind is SurfaceKind.REVERSING)
+            or is_antisymplectic(m.matrix),
+        }
+
+
+def analyze(m: HomologyModel) -> Analysis:
+    """Characteristic polynomial, cyclotomic factorization and Dold class, once each.
+
+    The Dold class is expanded on the divisor-closed candidate set only
+    (see the module docstring), never on a window sized by an lcm.
     """
     cp = charpoly(m.matrix)
-    mults = cyclotomic_factorization(cp)
+    try:
+        mults = cyclotomic_factorization(cp)
+    except NotQuasiUnipotent as exc:
+        return Analysis(m, cp, None, exc.residual, None)
     candidates = {1, 2}
     for d in mults:
         candidates.update(divisors(d))
-    n_max = max(candidates)
-    lefschetz = lefschetz_numbers_from_charpoly(m.kind, cp, n_max)
-    values = {l: lefschetz[l - 1] for l in candidates}
-    return dold_coefficients(LefschetzSequence(values))
+    lefschetz = lefschetz_numbers_from_charpoly(m.kind, cp, max(candidates))
+    dold = dold_coefficients(LefschetzSequence({l: lefschetz[l - 1] for l in candidates}))
+    return Analysis(m, cp, mults, None, dold)
+
+
+def algebraic_periods(m: HomologyModel) -> DoldClass:
+    """The Dold class of the model; its support is the set of algebraic periods.
+
+    Requires the matrix to be quasi-unipotent (raises NotQuasiUnipotent
+    with the residual factor otherwise).
+    """
+    analysis = analyze(m)
+    if analysis.dold is None:
+        raise NotQuasiUnipotent(analysis.residual)
+    return analysis.dold
 
 
 def ap_odd(m: HomologyModel) -> set[int]:
-    """The odd algebraic periods of the model."""
+    """The odd algebraic periods of the model; they form the minimal set of Lefschetz periods."""
     return {n for n in algebraic_periods(m).support() if n % 2}
-
-
-def mper_l(m: HomologyModel) -> set[int]:
-    """Minimal set of Lefschetz periods; coincides with ap_odd."""
-    return ap_odd(m)
-
-
-def odd_vanishing_check(m: HomologyModel, bound: int) -> bool:
-    """Whether L_l = 0 for every odd l <= bound (reversing models only)."""
-    if m.kind is not SurfaceKind.REVERSING:
-        raise WrongKind("odd vanishing is a property of orientation-reversing models")
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    square = mat_mul(m.matrix, m.matrix)
-    power = m.matrix
-    l = 1
-    while l <= bound:
-        if 1 - mat_trace(power) - 1 != 0:
-            return False
-        l += 2
-        if l <= bound:
-            power = mat_mul(power, square)
-    return True
 
 
 @dataclass(frozen=True)

@@ -16,30 +16,22 @@ concurrent reads and whose fill is idempotent.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable
 
 from .arith import divisors
 
 __all__ = [
-    "ExactnessError",
     "NonMonicInput",
     "NotQuasiUnipotent",
     "IntPolynomial",
     "x_pow_minus_one",
-    "poly_add",
-    "poly_mul",
     "poly_divmod",
     "cyclotomic",
     "cyclotomic_factorization",
     "cyclotomic_root_sum",
     "trace_sequence_from_charpoly",
 ]
-
-
-class ExactnessError(Exception):
-    """A division that had to be integral produced fractional coefficients."""
 
 
 class NonMonicInput(Exception):
@@ -159,55 +151,30 @@ def x_pow_minus_one(n: int) -> IntPolynomial:
     return IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
 
 
-def poly_add(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return p + q
-
-
-def poly_mul(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    return p * q
-
-
 def poly_divmod(p: IntPolynomial, q: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-    """Quotient and remainder of p by q, both with integer coefficients.
+    """Quotient and remainder of p by q, whose leading coefficient must be +-1.
 
-    The division is carried out over the rationals; if quotient or
-    remainder ends up with a fractional coefficient, ExactnessError is
-    raised (the callers of this library always want integral results).
+    Such a divisor keeps the division in the integers; any other raises
+    NonMonicInput (the library only ever divides by cyclotomics).
     """
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
+    lead = q.coeffs[-1]
+    if lead not in (1, -1):
+        raise NonMonicInput(f"divisor {q} does not have leading coefficient +-1")
     dq = q.degree
     if p.degree < dq:
         return IntPolynomial(), p
-    lead = q.coeffs[-1]
-    if lead in (1, -1):
-        # Monic (up to sign) divisor: stay in the integers.
-        rem = list(p.coeffs)
-        quo = [0] * (len(rem) - dq)
-        for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem[i]
-            if c:
-                c = c * lead  # lead is +-1, so c/lead == c*lead
-                quo[i - dq] = c
-                for j in range(dq + 1):
-                    rem[i - dq + j] -= c * q.coeffs[j]
-        return IntPolynomial(quo), IntPolynomial(rem[:dq])
-    rem_f = [Fraction(c) for c in p.coeffs]
-    quo_f = [Fraction(0)] * (len(rem_f) - dq)
-    lead_f = Fraction(lead)
-    for i in range(len(rem_f) - 1, dq - 1, -1):
-        c = rem_f[i]
+    rem = list(p.coeffs)
+    quo = [0] * (len(rem) - dq)
+    for i in range(len(rem) - 1, dq - 1, -1):
+        c = rem[i]
         if c:
-            c = c / lead_f
-            quo_f[i - dq] = c
+            c = c * lead  # lead is +-1, so c/lead == c*lead
+            quo[i - dq] = c
             for j in range(dq + 1):
-                rem_f[i - dq + j] -= c * q.coeffs[j]
-    for c in quo_f + rem_f[:dq]:
-        if c.denominator != 1:
-            raise ExactnessError(f"division of {p} by {q} is not integral")
-    quo = IntPolynomial(c.numerator for c in quo_f)
-    rem = IntPolynomial(c.numerator for c in rem_f[:dq])
-    return quo, rem
+                rem[i - dq + j] -= c * q.coeffs[j]
+    return IntPolynomial(quo), IntPolynomial(rem[:dq])
 
 
 @lru_cache(maxsize=None)

@@ -36,7 +36,7 @@ identity piece.
 
 All constructions are deterministic: targets are sorted, pieces are
 emitted in increasing label order, and the achieved Dold class is always
-recomputed from the assembled matrix, never trusted.
+read from the analysis of the assembled matrix, never trusted.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .exactmat import (
     cyclic_permutation,
     mat_scale,
 )
-from .lefschetz import HomologyModel, SurfaceKind, algebraic_periods
+from .lefschetz import Analysis, HomologyModel, SurfaceKind, analyze
 
 __all__ = [
     "EmptyTarget",
@@ -82,7 +82,7 @@ class OddTargetUnrealizable(Exception):
 
 
 class TargetMismatch(Exception):
-    """Strict mode: the achieved period set differs from the target."""
+    """The achieved period set differs from the target (postcondition or strict mode)."""
 
 
 class Mode(enum.Enum):
@@ -101,16 +101,23 @@ class PieceSpec:
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """A realization result; ``achieved`` is recomputed from the matrix."""
+    """A realization result; ``achieved`` is read from the model's analysis."""
 
     target: tuple[int, ...]
     kind: SurfaceKind
     mode: Optional[Mode]
     genus: int
     pieces: tuple[PieceSpec, ...]
-    model: HomologyModel
-    achieved: DoldClass
+    analysis: Analysis
     flags: tuple[str, ...] = ()
+
+    @property
+    def model(self) -> HomologyModel:
+        return self.analysis.model
+
+    @property
+    def achieved(self) -> DoldClass:
+        return self.analysis.dold
 
 
 def _normalized_target(a: Iterable[int]) -> tuple[int, ...]:
@@ -120,6 +127,18 @@ def _normalized_target(a: Iterable[int]) -> tuple[int, ...]:
     if elements[0] < 1:
         raise ValueError("target elements must be positive integers")
     return tuple(elements)
+
+
+def _analyze_construction(model: HomologyModel, target_set: set[int]) -> Analysis:
+    """Analysis of a construction's model; TargetMismatch if it misses the target."""
+    analysis = analyze(model)
+    achieved = set(analysis.dold.support())
+    if achieved != target_set:
+        raise TargetMismatch(
+            f"{model.kind.value} construction missed its target: achieved periods"
+            f" {sorted(achieved)}, target {sorted(target_set)}"
+        )
+    return analysis
 
 
 def preserving_model_from_multiplicities(multiplicities: Mapping[int, int]) -> HomologyModel:
@@ -151,16 +170,14 @@ def realize_orientable_preserving(a: Iterable[int]) -> SurfaceModel:
     else:
         working = sorted(target_set | {1})
     model = preserving_model_from_multiplicities({n: 1 for n in working})
-    achieved = algebraic_periods(model)
-    assert set(achieved.support()) == target_set, "preserving construction missed its target"
+    analysis = _analyze_construction(model, target_set)
     return SurfaceModel(
         target=target,
         kind=SurfaceKind.PRESERVING,
         mode=None,
         genus=model.genus,
         pieces=tuple(PieceSpec(n, n, 1) for n in working),
-        model=model,
-        achieved=achieved,
+        analysis=analysis,
     )
 
 
@@ -214,7 +231,8 @@ def realize_orientable_reversing(
     matrix = _reversing_matrix(working, extra_block)
     genus = matrix.dim // 2
     model = HomologyModel(SurfaceKind.REVERSING, matrix, genus, strict=True)
-    achieved = algebraic_periods(model)
+    analysis = analyze(model)
+    achieved = analysis.dold
     flags: tuple[str, ...] = ()
     if set(achieved.support()) != target_set:
         flags = (DEVIATION_FLAG,)
@@ -233,8 +251,7 @@ def realize_orientable_reversing(
         mode=mode,
         genus=genus,
         pieces=tuple(pieces),
-        model=model,
-        achieved=achieved,
+        analysis=analysis,
         flags=flags,
     )
 
@@ -246,16 +263,13 @@ def realize_nonorientable(a: Iterable[int]) -> SurfaceModel:
     if target_set == {1}:
         # Identity on the projective plane: genus 1, empty matrix, L == 1.
         model = HomologyModel(SurfaceKind.NONORIENTABLE, IntMatrix(()), 1)
-        achieved = algebraic_periods(model)
-        assert set(achieved.support()) == {1}
         return SurfaceModel(
             target=target,
             kind=SurfaceKind.NONORIENTABLE,
             mode=None,
             genus=1,
             pieces=(),
-            model=model,
-            achieved=achieved,
+            analysis=_analyze_construction(model, target_set),
         )
     if 1 in target_set:
         working = sorted(target_set - {1})
@@ -270,8 +284,7 @@ def realize_nonorientable(a: Iterable[int]) -> SurfaceModel:
         genus = 2 + sum(target_set)
     matrix = block_diag(blocks)
     model = HomologyModel(SurfaceKind.NONORIENTABLE, matrix, genus)
-    achieved = algebraic_periods(model)
-    assert set(achieved.support()) == target_set, "non-orientable construction missed its target"
+    analysis = _analyze_construction(model, target_set)
     pieces = tuple(PieceSpec(n, 2 if n == 1 else n, 1) for n in sorted(working))
     return SurfaceModel(
         target=target,
@@ -279,8 +292,7 @@ def realize_nonorientable(a: Iterable[int]) -> SurfaceModel:
         mode=None,
         genus=genus,
         pieces=pieces,
-        model=model,
-        achieved=achieved,
+        analysis=analysis,
     )
 
 

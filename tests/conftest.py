@@ -3,7 +3,8 @@
 Every randomized test owns a seeded ``random.Random`` so runs are
 reproducible; nothing here depends on the code paths it is used to
 check (the cofactor determinant below is the independent oracle for the
-Faddeev-LeVerrier characteristic polynomial).
+Faddeev-LeVerrier characteristic polynomial, and the matrix-power
+Lefschetz loop below is the oracle for the Newton-trace route).
 """
 
 from __future__ import annotations
@@ -11,14 +12,17 @@ from __future__ import annotations
 import random
 
 from algperiods import (
+    HomologyModel,
     IntMatrix,
     IntPolynomial,
     Mode,
+    SurfaceKind,
     block_diag,
     mat_mul,
     mat_scale,
     realize_orientable_reversing,
     symplectic_transvection,
+    trace,
 )
 
 
@@ -54,6 +58,37 @@ def charpoly_cofactor(a: IntMatrix) -> IntPolynomial:
         return total
 
     return det(entries)
+
+
+def lefschetz_by_powers(m: HomologyModel, n_max: int) -> list[int]:
+    """[L_1, ..., L_{n_max}] of the model from successive matrix powers."""
+    out = []
+    power = IntMatrix.identity(m.matrix.dim)
+    for l in range(1, n_max + 1):
+        power = mat_mul(power, m.matrix)
+        if m.kind is SurfaceKind.PRESERVING:
+            degree_two = 1
+        elif m.kind is SurfaceKind.REVERSING:
+            degree_two = (-1) ** l
+        else:
+            degree_two = 0
+        out.append(1 - trace(power) + degree_two)
+    return out
+
+
+def odd_lefschetz_vanish_by_powers(m: HomologyModel, bound: int) -> bool:
+    """Whether a reversing model has L_l = 1 - tr(A^l) - 1 = 0 at every odd l <= bound.
+
+    Steps through the odd powers by multiplying with A^2.
+    """
+    square = mat_mul(m.matrix, m.matrix)
+    power = m.matrix
+    for l in range(1, bound + 1, 2):
+        if l > 1:
+            power = mat_mul(power, square)
+        if trace(power) != 0:
+            return False
+    return True
 
 
 def plus_minus_identity(g: int) -> IntMatrix:

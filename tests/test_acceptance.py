@@ -30,10 +30,8 @@ from algperiods import (
     hardy_ramanujan_estimate,
     is_antisymplectic,
     lefschetz_from_zeta,
-    lefschetz_numbers,
     mat_mul,
     mper_from_factorization,
-    odd_vanishing_check,
     partition_count,
     partition_to_dold_nonorientable,
     partition_to_dold_orientable,
@@ -46,7 +44,13 @@ from algperiods import (
     zeta_from_dold,
 )
 
-from conftest import charpoly_cofactor, random_antisymplectic_quasiunipotent, random_matrix
+from conftest import (
+    charpoly_cofactor,
+    lefschetz_by_powers,
+    odd_lefschetz_vanish_by_powers,
+    random_antisymplectic_quasiunipotent,
+    random_matrix,
+)
 
 PRESERVING_CASES = {
     frozenset({1}): 0,
@@ -156,7 +160,7 @@ def test_criterion_04_odd_vanishing(realization_outputs, antisymplectic_instance
             if sm.kind is not SurfaceKind.REVERSING:
                 continue
             bound = order_bound(sm.model.matrix)
-            assert odd_vanishing_check(sm.model, bound)
+            assert odd_lefschetz_vanish_by_powers(sm.model, bound)
             mults = cyclotomic_factorization(charpoly(sm.model.matrix))
             for l in range(1, max(mults, default=1) + 1, 2):
                 assert mults.get(l, 0) == mults.get(2 * l, 0)
@@ -206,7 +210,7 @@ def test_criterion_07_zeta_round_trip(realization_outputs):
     with criterion(7, "zeta function round trip"):
         for sm in realization_outputs:
             f = zeta_from_dold(sm.achieved)
-            assert lefschetz_from_zeta(f, 40) == lefschetz_numbers(sm.model, 40)
+            assert lefschetz_from_zeta(f, 40) == lefschetz_by_powers(sm.model, 40)
 
 
 def test_criterion_08_canonicalization():

@@ -246,3 +246,69 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["exact_count"] == 7
+
+
+def test_certify_long_inline_dold(capsys):
+    # An inline map longer than any file name must not be probed as a path.
+    digits = "7" * 5000
+    code, out, err = run(capsys, ["certify", "--dold", '{"1": ' + digits + "}"])
+    assert code == 0, err
+    assert f'"1": "{digits}"' in out
+    code, _, err = run(capsys, ["certify", "--dold", "x" * 5000])
+    assert code == 1 and "cannot read" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string limit to lift"
+)
+def test_big_integers_beyond_str_digit_limit(capsys, tmp_path):
+    path = write_matrix(tmp_path, "anosov.json", [[2, 1], [1, 1]])
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(
+        capsys,
+        ["analyze", "--matrix", path, "--kind", "preserving", "--genus", "1", "--max-iter", "12000"],
+    )
+    assert code == 4
+    assert sys.get_int_max_str_digits() == limit  # restored after the call
+    # tr(A^l) = Lucas(2l) for A = [[2, 1], [1, 1]], so L_l = 2 - Lucas(2l).
+    lucas = [2, 1]
+    while len(lucas) <= 24000:
+        lucas.append(lucas[-1] + lucas[-2])
+    last = json.loads(out)["lefschetz"][-1]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(last) == 2 - lucas[24000]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
+    """charpoly, factorization and each form predicate run at most once per model."""
+    import algperiods.lefschetz as lefschetz
+
+    calls = {}
+    for name in ("charpoly", "cyclotomic_factorization", "is_symplectic", "is_antisymplectic"):
+        def counted(*args, _name=name, _fn=getattr(lefschetz, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(lefschetz, name, counted)
+
+    rev = write_matrix(tmp_path, "rev2.json", [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
+    anosov = write_matrix(tmp_path, "anosov.json", [[2, 1], [1, 1]])
+    cases = [
+        (["realize", "--set", "2,3", "--kind", "preserving"], 0, (1, 1, 1, 1)),
+        (["realize", "--set", "4", "--kind", "reversing"], 0, (1, 1, 1, 1)),
+        (["realize", "--set", "2,3", "--kind", "nonorientable"], 0, (1, 1, 0, 0)),
+        (["analyze", "--matrix", rev, "--kind", "reversing", "--genus", "2"], 0, (1, 1, 1, 1)),
+        (["analyze", "--matrix", anosov, "--kind", "preserving", "--genus", "1"], 4, (1, 1, 1, 1)),
+        (["certify", "--matrix", rev, "--kind", "reversing", "--genus", "2"], 0, (1, 1, 0, 1)),
+    ]
+    for argv, exit_code, expected in cases:
+        calls.clear()
+        assert run(capsys, argv)[0] == exit_code
+        got = tuple(
+            calls.get(n, 0)
+            for n in ("charpoly", "cyclotomic_factorization", "is_symplectic", "is_antisymplectic")
+        )
+        assert got == expected, argv

@@ -9,30 +9,35 @@ from algperiods import (
     FormViolation,
     HomologyModel,
     IntMatrix,
+    LefschetzSequence,
     NotQuasiUnipotent,
     SurfaceKind,
-    WrongKind,
     algebraic_periods,
+    analyze,
     ap_odd,
     block_diag,
     charpoly,
     companion_cycle_quotient,
     cyclic_permutation,
     cyclotomic_factorization,
+    dold_coefficients,
     euler_characteristic,
     lefschetz_from_dold,
-    lefschetz_number,
-    lefschetz_numbers,
     lefschetz_numbers_from_charpoly,
-    mper_l,
-    odd_vanishing_check,
+    mat_mul,
     periodic_point_certificate,
     realize_nonorientable,
     realize_orientable_preserving,
     realize_orientable_reversing,
 )
 
-from conftest import random_matrix
+from conftest import (
+    lefschetz_by_powers,
+    odd_lefschetz_vanish_by_powers,
+    random_antisymplectic_quasiunipotent,
+    random_matrix,
+    random_symplectic_pair,
+)
 
 
 def identity_model(genus: int) -> HomologyModel:
@@ -62,21 +67,24 @@ def test_lefschetz_number_identity_surface():
     for g in range(0, 5):
         m = identity_model(g)
         for l in (1, 2, 5):
-            assert lefschetz_number(m, l) == 2 - 2 * g
+            assert lefschetz_by_powers(m, l)[l - 1] == 2 - 2 * g
+            assert analyze(m).lefschetz(l)[l - 1] == 2 - 2 * g
         assert euler_characteristic(m) == 2 - 2 * g
 
 
 def test_lefschetz_number_reversing_sphere():
     m = HomologyModel(SurfaceKind.REVERSING, IntMatrix(()), 0)
-    assert lefschetz_number(m, 1) == 0
-    assert lefschetz_number(m, 2) == 2
-    assert lefschetz_numbers(m, 6) == [0, 2, 0, 2, 0, 2]
+    assert lefschetz_by_powers(m, 1) == [0]
+    assert lefschetz_by_powers(m, 2)[1] == 2
+    assert lefschetz_by_powers(m, 6) == [0, 2, 0, 2, 0, 2]
+    assert analyze(m).lefschetz(6) == [0, 2, 0, 2, 0, 2]
 
 
 def test_lefschetz_sequence_of_two_period_model():
     sm = realize_orientable_preserving({1, 2})
-    got = lefschetz_numbers(sm.model, 8)
-    assert got == [2 - 2 * (2 if l % 2 == 0 else 0) for l in range(1, 9)]
+    expected = [2 - 2 * (2 if l % 2 == 0 else 0) for l in range(1, 9)]
+    assert lefschetz_by_powers(sm.model, 8) == expected
+    assert sm.analysis.lefschetz(8) == expected
 
 
 def test_algebraic_periods_examples():
@@ -94,7 +102,6 @@ def test_algebraic_periods_examples():
 def test_ap_odd_and_mper():
     sm = realize_orientable_preserving({1, 2, 3})
     assert ap_odd(sm.model) == {1, 3}
-    assert mper_l(sm.model) == {1, 3}
     rev = realize_orientable_reversing({2, 4})
     assert ap_odd(rev.model) == set()
     non = realize_nonorientable({5})
@@ -103,11 +110,11 @@ def test_ap_odd_and_mper():
 
 def test_odd_vanishing_check():
     rev = realize_orientable_reversing({4})
-    assert odd_vanishing_check(rev.model, 25)
+    assert odd_lefschetz_vanish_by_powers(rev.model, 25)
+    assert all(x == 0 for x in rev.analysis.lefschetz(25)[::2])
     sphere = HomologyModel(SurfaceKind.REVERSING, IntMatrix(()), 0)
-    assert odd_vanishing_check(sphere, 25)
-    with pytest.raises(WrongKind):
-        odd_vanishing_check(identity_model(2), 10)
+    assert odd_lefschetz_vanish_by_powers(sphere, 25)
+    assert all(x == 0 for x in analyze(sphere).lefschetz(25)[::2])
 
 
 def test_certificates():
@@ -128,18 +135,49 @@ def test_dold_reproduces_lefschetz_sequence():
         bound = 2 * math.lcm(1, *orders)
         d = algebraic_periods(sm.model)
         got = [lefschetz_from_dold(d, l) for l in range(1, bound + 1)]
-        assert got == lefschetz_numbers(sm.model, bound)
+        assert got == lefschetz_by_powers(sm.model, bound)
+
+
+def random_quasiunipotent_matrix(rng, kind: SurfaceKind) -> IntMatrix:
+    """A dense quasi-unipotent matrix of the kind: a realization matrix, conjugated."""
+    if kind is SurfaceKind.REVERSING:
+        return random_antisymplectic_quasiunipotent(rng)
+    target = set(rng.sample(range(2, 7), k=rng.randint(1, 2)))
+    if kind is SurfaceKind.PRESERVING:
+        base = realize_orientable_preserving(target).model.matrix
+    else:
+        base = realize_nonorientable(target).model.matrix
+    s, s_inv = random_symplectic_pair(rng, base.dim // 2)
+    if base.dim % 2:
+        s = block_diag([s, IntMatrix.identity(1)])
+        s_inv = block_diag([s_inv, IntMatrix.identity(1)])
+    return mat_mul(mat_mul(s_inv, base), s)
 
 
 def test_charpoly_route_matches_power_route():
     rng = random.Random(37)
-    for _ in range(20):
-        a = random_matrix(rng, rng.randint(1, 4), -2, 2)
-        genus = a.dim  # treat as non-orientable rank genus - 1
-        m = HomologyModel(SurfaceKind.NONORIENTABLE, a, genus + 1)
-        assert lefschetz_numbers(m, 10) == lefschetz_numbers_from_charpoly(
-            m.kind, charpoly(a), 10
-        )
+    for kind in SurfaceKind:
+        orientable = kind is not SurfaceKind.NONORIENTABLE
+        dims = [2 * rng.randint(1, 2) if orientable else rng.randint(1, 4) for _ in range(20)]
+        matrices = [random_matrix(rng, dim, -2, 2) for dim in dims]
+        matrices += [random_quasiunipotent_matrix(rng, kind) for _ in range(10)]
+        dold_checked = 0
+        for a in matrices:
+            genus = a.dim // 2 if orientable else a.dim + 1
+            m = HomologyModel(kind, a, genus)
+            powers = lefschetz_by_powers(m, 10)
+            assert powers == lefschetz_numbers_from_charpoly(m.kind, charpoly(a), 10)
+            analysis = analyze(m)
+            assert analysis.lefschetz(10) == powers
+            if analysis.quasi_unipotent:
+                bound = 2 * math.lcm(1, *analysis.factorization)
+                powers = lefschetz_by_powers(m, bound)
+                expected = dold_coefficients(LefschetzSequence(dict(enumerate(powers, 1))))
+                assert analysis.dold == expected
+                dold_checked += 1
+            else:
+                assert analysis.dold is None
+        assert dold_checked >= 10
 
 
 def test_nonorientable_companion_model():

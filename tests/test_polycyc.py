@@ -3,7 +3,6 @@ import random
 import pytest
 
 from algperiods import (
-    ExactnessError,
     IntPolynomial,
     NonMonicInput,
     NotQuasiUnipotent,
@@ -11,9 +10,7 @@ from algperiods import (
     cyclotomic_factorization,
     cyclotomic_root_sum,
     moebius,
-    poly_add,
     poly_divmod,
-    poly_mul,
     reg,
     trace_sequence_from_charpoly,
     x_pow_minus_one,
@@ -30,8 +27,8 @@ def test_normalization_strips_trailing_zeros():
 
 
 def test_ring_ops():
-    assert poly_mul(IntPolynomial([-1, 1]), IntPolynomial([1, 1])) == IntPolynomial([-1, 0, 1])
-    assert poly_add(X, X) == IntPolynomial([0, 2])
+    assert IntPolynomial([-1, 1]) * IntPolynomial([1, 1]) == IntPolynomial([-1, 0, 1])
+    assert X + X == IntPolynomial([0, 2])
     assert (X - X).is_zero()
     assert X ** 3 == IntPolynomial([0, 0, 0, 1])
     assert str(IntPolynomial([1, -1, 1])) == "x^2 - x + 1"
@@ -47,11 +44,15 @@ def test_divmod_examples():
 def test_divmod_errors():
     with pytest.raises(ZeroDivisionError):
         poly_divmod(X, IntPolynomial())
-    with pytest.raises(ExactnessError):
+    with pytest.raises(NonMonicInput):
         poly_divmod(IntPolynomial([0, 0, 1]), IntPolynomial([0, 2]))  # x^2 / 2x
-    # Non-monic divisor with an integral quotient is fine.
-    q, r = poly_divmod(IntPolynomial([-2, 0, 2]), IntPolynomial([-2, 2]))
-    assert q == IntPolynomial([1, 1]) and r.is_zero()
+    # A divisor with leading coefficient other than +-1 is refused even when
+    # the quotient would be integral.
+    with pytest.raises(NonMonicInput):
+        poly_divmod(IntPolynomial([-2, 0, 2]), IntPolynomial([-2, 2]))
+    # Leading coefficient -1 stays in the integers.
+    q, r = poly_divmod(IntPolynomial([-1, 0, 1]), IntPolynomial([1, -1]))
+    assert q == IntPolynomial([-1, -1]) and r.is_zero()
 
 
 def test_divmod_random_reconstruction():

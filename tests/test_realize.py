@@ -1,5 +1,8 @@
 import math
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -21,7 +24,6 @@ from algperiods import (
     is_antisymplectic,
     is_symplectic,
     mat_pow,
-    odd_vanishing_check,
     preserving_model_from_multiplicities,
     realize_nonorientable,
     realize_orientable_preserving,
@@ -30,6 +32,8 @@ from algperiods import (
     trace,
     x_pow_minus_one,
 )
+
+from conftest import odd_lefschetz_vanish_by_powers
 
 
 def preserving_genus_formula(a: set[int]) -> int:
@@ -152,7 +156,7 @@ def test_reversing_models_are_antisymplectic_with_vanishing_odd_traces():
             assert is_antisymplectic(sm.model.matrix)
             orders = cyclotomic_factorization(charpoly(sm.model.matrix))
             bound = 2 * math.lcm(1, *orders)
-            assert odd_vanishing_check(sm.model, bound)
+            assert odd_lefschetz_vanish_by_powers(sm.model, bound)
             for l in sorted(orders):
                 if l % 2:
                     assert orders.get(l, 0) == orders.get(2 * l, 0)
@@ -250,3 +254,42 @@ def test_realize_target_dispatch():
     assert realize_target({2}, SurfaceKind.PRESERVING).kind is SurfaceKind.PRESERVING
     assert realize_target({2}, SurfaceKind.REVERSING).kind is SurfaceKind.REVERSING
     assert realize_target({2}, SurfaceKind.NONORIENTABLE).kind is SurfaceKind.NONORIENTABLE
+
+
+def test_large_lcm_realization_builds_no_lefschetz_window():
+    # lcm 13,956,975: a 2*lcm Lefschetz window would not fit in memory.
+    target = {23, 25, 27, 29, 31}
+    sm = realize_target(target, SurfaceKind.NONORIENTABLE)
+    assert sm.model.matrix.dim == 136
+    assert set(sm.achieved.support()) == target
+
+
+def test_postconditions_survive_optimized_mode():
+    # Under python -O bare asserts vanish; a construction that misses its
+    # target must still raise TargetMismatch.
+    script = textwrap.dedent(
+        """
+        import algperiods.realize as realize
+        from algperiods import HomologyModel, SurfaceKind, TargetMismatch, cyclic_permutation
+
+        if __debug__:
+            raise SystemExit("not running under -O")
+        # Achieved periods {1, 2}, whatever the construction was asked for.
+        wrong = realize.analyze(HomologyModel(SurfaceKind.NONORIENTABLE, cyclic_permutation(2), 3))
+        realize.analyze = lambda model: wrong
+        for build, target in [
+            (realize.realize_orientable_preserving, {3}),
+            (realize.realize_nonorientable, {1}),
+            (realize.realize_nonorientable, {2, 3}),
+        ]:
+            try:
+                build(target)
+            except TargetMismatch:
+                continue
+            raise SystemExit(f"{build.__name__}({target}) did not raise TargetMismatch")
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
