@@ -5,9 +5,21 @@ high powers never overflow.  Dimension 0 is a first-class citizen (trace
 0, characteristic polynomial 1); the genus-0 models need it.
 
 Multiplication walks the nonzero entries of the left factor row by row,
-which makes powers and characteristic polynomials of the permutation-like
-matrices built by the realization constructions cheap without a separate
-sparse type.
+which makes powers of the permutation-like matrices built by the
+realization constructions cheap without a separate sparse type.
+
+The characteristic polynomial splits the index set into the strongly
+connected components of the directed nonzero pattern (i -> j when
+A[i][j] != 0).  Ordered as Tarjan's algorithm emits them, the components
+put A in block-triangular form, so det(xI - A) is the product of the
+components' characteristic polynomials.  The cost is one O(n^2) scan of
+the pattern plus Faddeev-LeVerrier (O(k^4) integer operations) on each
+k-dimensional block.  The realization matrices are direct sums of cycles,
+swap-shift and companion blocks, so their blocks stay small.
+
+Matrices built here from validated matrices or literal integers go
+through the trusted ``IntMatrix._raw``; ``IntMatrix(...)`` validates every
+entry of a caller-supplied matrix.
 
 Basis convention for the symplectic machinery: a genus-g surface carries
 coordinates (a_1..a_g, b_1..b_g) and the intersection form
@@ -19,7 +31,9 @@ Every predicate below is relative to this one convention.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .polycyc import IntPolynomial
@@ -73,7 +87,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls._raw([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def _raw(cls, rows) -> "IntMatrix":
@@ -99,11 +113,13 @@ class IntMatrix:
 
 
 def transpose(a: IntMatrix) -> IntMatrix:
-    return IntMatrix(zip(*a.rows)) if a.dim else IntMatrix(())
+    return IntMatrix._raw(zip(*a.rows))
 
 
 def mat_scale(a: IntMatrix, c: int) -> IntMatrix:
-    return IntMatrix(tuple(tuple(c * x for x in row) for row in a.rows))
+    """c * A for an integer scalar c; a non-integer c raises TypeError."""
+    c = operator.index(c)
+    return IntMatrix._raw([[c * x for x in row] for row in a.rows])
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -114,22 +130,23 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     out = []
     for arow in a.rows:
         acc = None
-        for j, v in enumerate(arow):
-            if v:
-                brow = brows[j]
-                if acc is None:
-                    if v == 1:
-                        acc = list(brow)
-                    elif v == -1:
-                        acc = [-y for y in brow]
-                    else:
-                        acc = [v * y for y in brow]
-                elif v == 1:
-                    acc = [x + y for x, y in zip(acc, brow)]
+        # compress() skips the zero entries of the row at C speed.
+        for j in compress(range(n), arow):
+            v = arow[j]
+            brow = brows[j]
+            if acc is None:
+                if v == 1:
+                    acc = list(brow)
                 elif v == -1:
-                    acc = [x - y for x, y in zip(acc, brow)]
+                    acc = [-y for y in brow]
                 else:
-                    acc = [x + v * y for x, y in zip(acc, brow)]
+                    acc = [v * y for y in brow]
+            elif v == 1:
+                acc = [x + y for x, y in zip(acc, brow)]
+            elif v == -1:
+                acc = [x - y for x, y in zip(acc, brow)]
+            else:
+                acc = [x + v * y for x, y in zip(acc, brow)]
         out.append([0] * n if acc is None else acc)
     return IntMatrix._raw(out)
 
@@ -159,15 +176,67 @@ def _plus_diagonal(a: IntMatrix, c: int) -> IntMatrix:
     return IntMatrix._raw(rows)
 
 
-def charpoly(a: IntMatrix) -> IntPolynomial:
-    """det(xI - A), monic of degree dim, by the Faddeev-LeVerrier recurrence.
+def _strong_components(rows) -> list[list[int]]:
+    """Strongly connected components of the graph i -> j for rows[i][j] != 0.
+
+    Iterative Tarjan, so a long chain cannot exhaust the recursion limit.
+    Components come out in reverse topological order, each as a sorted
+    index list.
+    """
+    n = len(rows)
+    succ = [[j for j in compress(range(n), row) if j != i] for i, row in enumerate(rows)]
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    components = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    component.sort()
+                    components.append(component)
+    return components
+
+
+def _faddeev_leverrier(a: IntMatrix) -> IntPolynomial:
+    """det(xI - A) of a nonempty matrix by the Faddeev-LeVerrier recurrence.
 
     The scalar division in each step is provably exact for integer input;
     the check below guards against implementation bugs, not bad data.
     """
     n = a.dim
-    if n == 0:
-        return IntPolynomial((1,))
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     m = IntMatrix.identity(n)
@@ -182,6 +251,25 @@ def charpoly(a: IntMatrix) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
+def charpoly(a: IntMatrix) -> IntPolynomial:
+    """det(xI - A), monic of degree dim; the empty matrix gives 1.
+
+    The strongly connected components of the nonzero pattern of A put it
+    in block-triangular form, and det(xI - A) is the product of the
+    diagonal blocks' characteristic polynomials.  Each block's principal
+    submatrix runs the Faddeev-LeVerrier recurrence, so the cost is one
+    O(n^2) pattern scan plus O(k^4) integer operations per k-dim block.
+    An irreducible matrix is a single block.
+    """
+    rows = a.rows
+    result = IntPolynomial((1,))
+    for component in _strong_components(rows):
+        block = IntMatrix._raw([[rows[i][j] for j in component] for i in component])
+        # Outer loop over the block's few coefficients, not the product's.
+        result = _faddeev_leverrier(block) * result
+    return result
+
+
 def cyclic_permutation(n: int) -> IntMatrix:
     """Permutation matrix of the n-cycle e_i -> e_(i+1 mod n); charpoly x^n - 1."""
     if n < 1:
@@ -189,7 +277,7 @@ def cyclic_permutation(n: int) -> IntMatrix:
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[(i + 1) % n][i] = 1
-    return IntMatrix(rows)
+    return IntMatrix._raw(rows)
 
 
 def companion_cycle_quotient(n: int) -> IntMatrix:
@@ -206,7 +294,7 @@ def companion_cycle_quotient(n: int) -> IntMatrix:
         rows[i][size - 1] = -1
     for i in range(size - 1):
         rows[i + 1][i] = 1
-    return IntMatrix(rows)
+    return IntMatrix._raw(rows)
 
 
 def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
@@ -216,10 +304,9 @@ def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
     offset = 0
     for b in blocks:
         for i, row in enumerate(b.rows):
-            for j, v in enumerate(row):
-                rows[offset + i][offset + j] = v
+            rows[offset + i][offset : offset + b.dim] = row
         offset += b.dim
-    return IntMatrix(rows)
+    return IntMatrix._raw(rows)
 
 
 @dataclass(frozen=True)
@@ -239,11 +326,10 @@ def standard_symplectic_form(g: int) -> SymplecticForm:
     for i in range(g):
         rows[i][g + i] = 1
         rows[g + i][i] = -1
-    return SymplecticForm(g, IntMatrix(rows))
+    return SymplecticForm(g, IntMatrix._raw(rows))
 
 
-def _form_transform(a: IntMatrix) -> IntMatrix:
-    omega = standard_symplectic_form(a.dim // 2).matrix
+def _form_transform(a: IntMatrix, omega: IntMatrix) -> IntMatrix:
     return mat_mul(mat_mul(transpose(a), omega), a)
 
 
@@ -253,7 +339,8 @@ def is_symplectic(a: IntMatrix) -> bool:
         raise OddDimension("symplectic predicates need an even dimension")
     if a.dim == 0:
         return True
-    return _form_transform(a) == standard_symplectic_form(a.dim // 2).matrix
+    omega = standard_symplectic_form(a.dim // 2).matrix
+    return _form_transform(a, omega) == omega
 
 
 def is_antisymplectic(a: IntMatrix) -> bool:
@@ -262,7 +349,8 @@ def is_antisymplectic(a: IntMatrix) -> bool:
         raise OddDimension("symplectic predicates need an even dimension")
     if a.dim == 0:
         return True
-    return _form_transform(a) == mat_scale(standard_symplectic_form(a.dim // 2).matrix, -1)
+    omega = standard_symplectic_form(a.dim // 2).matrix
+    return _form_transform(a, omega) == mat_scale(omega, -1)
 
 
 def antisymplectic_charpoly_identity_check(a: IntMatrix) -> bool:

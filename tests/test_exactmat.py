@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -83,6 +84,11 @@ def test_charpoly_examples():
     assert charpoly(IntMatrix(())) == IntPolynomial([1])
     doubled = block_diag([cyclic_permutation(2), cyclic_permutation(2)])
     assert charpoly(doubled) == x_pow_minus_one(2) ** 2
+    # A 2000-long chain of singleton components: a recursive component
+    # search would exceed the interpreter's recursion limit.
+    n = 2000
+    shift = IntMatrix([[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)])
+    assert charpoly(shift) == IntPolynomial([0] * n + [1])
 
 
 def test_block_diag():
@@ -94,10 +100,40 @@ def test_block_diag():
     assert block_diag([p2]) == p2
 
 
+def random_sparse_matrix(rng: random.Random, dim: int) -> IntMatrix:
+    density = rng.uniform(0.15, 0.4)
+    return IntMatrix(
+        [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(dim)] for _ in range(dim)]
+    )
+
+
+def permuted_block_triangular(rng: random.Random) -> IntMatrix:
+    """P^T B P for block-upper-triangular B (blocks of size 1-3) and a permutation P."""
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            for j in range(start, n):
+                if j < start + size or rng.random() < 0.5:
+                    rows[i][j] = rng.randint(-3, 3)
+        start += size
+    perm = rng.sample(range(n), n)
+    return IntMatrix([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+
+
 def test_charpoly_against_cofactor_oracle():
     rng = random.Random(7)
-    for _ in range(60):
-        a = random_matrix(rng, rng.randint(0, 5), -4, 4)
+    cases = [random_matrix(rng, rng.randint(0, 5), -4, 4) for _ in range(60)]
+    cases += [random_sparse_matrix(rng, rng.randint(0, 8)) for _ in range(60)]
+    cases += [permuted_block_triangular(rng) for _ in range(60)]
+    # Every component a singleton: the zero matrix and one off-diagonal entry.
+    cases += [IntMatrix([[0] * n for _ in range(n)]) for n in range(4)]
+    cases += [IntMatrix([[0, 0, 0], [0, 0, 5], [0, 0, 0]]), IntMatrix([[2, 0], [-7, 3]])]
+    # Irreducible: no zero entry, so one component.
+    cases.append(IntMatrix([[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(6)] for _ in range(6)]))
+    for a in cases:
         assert charpoly(a) == charpoly_cofactor(a)
 
 
@@ -110,6 +146,17 @@ def test_matrix_power_traces_match_newton():
         for l in range(1, 13):
             power = mat_mul(power, a)
             assert trace(power) == newton[l - 1]
+
+
+def test_mat_scale_rejects_non_integer_scalars():
+    a = IntMatrix([[1, 3], [2, 5]])
+    assert mat_scale(a, -2) == IntMatrix([[-2, -6], [-4, -10]])
+    for c in (0.5, 1.0, Fraction(1, 2), "2"):
+        with pytest.raises(TypeError):
+            mat_scale(a, c)
+    # 1.0 * (10**17 + 1) rounds to an even float and would lose the + 1.
+    with pytest.raises(TypeError):
+        mat_scale(IntMatrix([[10**17 + 1]]), 1.0)
 
 
 def test_standard_symplectic_form():

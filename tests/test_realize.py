@@ -6,6 +6,7 @@ import textwrap
 
 import pytest
 
+import algperiods.exactmat as exactmat
 from algperiods import (
     EmptyTarget,
     IntMatrix,
@@ -262,6 +263,30 @@ def test_large_lcm_realization_builds_no_lefschetz_window():
     sm = realize_target(target, SurfaceKind.NONORIENTABLE)
     assert sm.model.matrix.dim == 136
     assert set(sm.achieved.support()) == target
+
+
+def test_charpoly_of_realizations_splits_into_pieces(monkeypatch):
+    # Faddeev-LeVerrier multiplies matrices of its block's size only, so the
+    # largest mat_mul operand is the largest piece, not the whole matrix.
+    cases = [
+        (realize_target(range(2, 20), SurfaceKind.PRESERVING), 380, 19,
+         math.prod(x_pow_minus_one(n) ** 2 for n in range(1, 20))),
+        # Swap-shift block of 60 (tau = 60): two 60-cycles, in both halves.
+        (realize_target({60}, SurfaceKind.REVERSING), 242, 60,
+         x_pow_minus_one(60) ** 4 * x_pow_minus_one(2)),
+    ]
+    original = exactmat.mat_mul
+    for sm, dim, largest, expected in cases:
+        dims = []
+
+        def recording(a, b):
+            dims.append(a.dim)
+            return original(a, b)
+
+        monkeypatch.setattr(exactmat, "mat_mul", recording)
+        assert sm.model.matrix.dim == dim
+        assert charpoly(sm.model.matrix) == expected
+        assert max(dims) == largest
 
 
 def test_postconditions_survive_optimized_mode():
