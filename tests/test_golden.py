@@ -61,6 +61,13 @@ CASES = [
         ]
         for fmt in ("json", "text")
     ),
+    # zeta series and census at sizes past the README examples; the last zeta
+    # case has an exponent far beyond the truncation order
+    ("zeta_series_1450_canonical_mper",
+     ["zeta", "--factors=+,1,-2;-,2,-2;+,3,1", "--series", "1450", "--canonicalize", "--mper"], 0),
+    ("zeta_dold_series_610", ["zeta", "--dold", '{"1": 2, "2": 2, "4": -1}', "--series", "610"], 0),
+    ("zeta_huge_exponent_series_40", ["zeta", "--factors=+,1,-1000000000", "--series", "40"], 0),
+    ("census_genus_3000", ["census", "--genus", "3000"], 0),
     # failure exits
     ("realize_strict_mismatch",
      ["realize", "--set", "4", "--kind", "reversing", "--mode", "faithful", "--strict"], 3),
