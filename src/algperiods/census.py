@@ -8,9 +8,10 @@ containing Morse-Smale diffeomorphisms.  The correspondences:
     orientable:       a_n = -2 p_n (n != 1),   a_1 = -2 (p_1 - 1)
     non-orientable:   a_n = -p_n  (n != 1),    a_1 = 2 - p_1
 
-where p_n is the multiplicity of the part n.  Exact counting is integer
-dynamic programming; the Hardy-Ramanujan asymptotic is a float-valued
-diagnostic and never feeds exact outputs.
+where p_n is the multiplicity of the part n.  Exact counting uses Euler's
+pentagonal-number recurrence, O(n^(3/2)) big-integer additions for P(n);
+the Hardy-Ramanujan asymptotic is a float-valued diagnostic and never
+feeds exact outputs.
 """
 
 from __future__ import annotations
@@ -86,13 +87,33 @@ class Partition:
 
 
 def partition_count(n: int) -> int:
-    """Exact P(n) by dynamic programming over parts; P(0) = 1."""
+    """Exact P(n) by Euler's pentagonal-number recurrence; P(0) = 1.
+
+    P(m) = sum_{k >= 1} (-1)^(k+1) [P(m - k(3k-1)/2) + P(m - k(3k+1)/2)],
+    with P of a negative argument zero (Andrews, The Theory of Partitions,
+    Cor. 1.8).  Each P(m) sums the O(sqrt(m)) generalized pentagonal numbers
+    up to m, so P(n) costs O(n^(3/2)) big-integer additions and O(n) memory.
+    """
     if n < 0:
         raise ValueError("partition counts are defined for nonnegative integers")
+    # Generalized pentagonal numbers in increasing order, each with its sign.
+    offsets = []
+    k = 1
+    while k * (3 * k - 1) // 2 <= n:
+        sign = 1 if k % 2 else -1
+        offsets += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
+        k += 1
     ways = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            ways[total] += ways[total - part]
+    for m in range(1, n + 1):
+        total = 0
+        for g, sign in offsets:
+            if g > m:
+                break
+            if sign > 0:
+                total += ways[m - g]
+            else:
+                total -= ways[m - g]
+        ways[m] = total
     return ways[n]
 
 

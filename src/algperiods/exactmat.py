@@ -79,7 +79,8 @@ class IntMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        """Validate a caller-supplied matrix; a non-integer entry raises TypeError."""
+        rows = tuple(tuple(map(operator.index, row)) for row in rows)
         for row in rows:
             if len(row) != len(rows):
                 raise DimensionMismatch("matrix must be square")
@@ -374,12 +375,13 @@ def symplectic_transvection(v: Sequence[int], multiplier: int = 1) -> IntMatrix:
     is symplectic for every integer vector v and multiplier.  Products of
     these conjugate the library's antisymplectic blocks into dense test
     instances while preserving antisymplecticity and the characteristic
-    polynomial.
+    polynomial.  A non-integer entry of v or multiplier raises TypeError.
     """
     n = len(v)
     if n % 2:
         raise OddDimension("transvections live in even dimension")
-    v = [int(x) for x in v]
+    v = [operator.index(x) for x in v]
+    multiplier = operator.index(multiplier)
     omega = standard_symplectic_form(n // 2).matrix
     w = [sum(omega.rows[i][j] * v[j] for j in range(n)) for i in range(n)]
     rows = [

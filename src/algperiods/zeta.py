@@ -27,7 +27,8 @@ terms merge by adding exponents.
 
 from __future__ import annotations
 
-from math import comb
+from itertools import accumulate
+from operator import add, sub
 from typing import Dict, Iterable, NamedTuple
 
 from .arith import DoldClass
@@ -92,36 +93,72 @@ def zeta_from_dold(d: DoldClass) -> ZetaFactorization:
     return ZetaFactorization((-1, k, -a) for k, a in d.items())
 
 
-def _binomial(m: int, j: int) -> int:
-    """comb(m, j) extended to negative m: (-1)^j comb(-m+j-1, j)."""
-    if j < 0:
-        return 0
-    if m >= 0:
-        return comb(m, j)
-    return (-1) ** j * comb(-m + j - 1, j)
+def _times_one_plus(s: list[int], delta: int, r: int) -> None:
+    """s *= (1 + delta*z^r) in place, truncated to len(s)."""
+    s[r:] = list(map(add if delta == 1 else sub, s[r:], s))
 
 
-def _mul_trunc(a: list[int], b: list[int], n_max: int) -> list[int]:
+def _over_one_minus(s: list[int], q: int) -> None:
+    """s /= (1 - z^q) in place: prefix sums along each residue class mod q."""
+    for c in range(min(q, len(s))):
+        s[c::q] = list(accumulate(s[c::q]))
+
+
+def _times_binomial_series(s: list[int], delta: int, r: int, m: int) -> list[int]:
+    """s * (1 + delta*z^r)^m, truncated, from the closed-form coefficients.
+
+    The coefficient of z^(tr) is C(m, t) delta^t, with C extended to negative
+    m; successive ones follow C(m, t) = C(m, t-1) (m - t + 1) / t exactly,
+    and vanish for t > m >= 0.  Each nonzero entry of s adds one multiple of
+    them, so the cost is at most nnz(s) * (n_max // r + 1) multiplications.
+    """
+    n_max = len(s) - 1
+    terms = n_max // r if m < 0 else min(n_max // r, m)
+    coeffs = [1]
+    for t in range(1, terms + 1):
+        coeffs.append(coeffs[-1] * (m - t + 1) // t * delta)
+    span = r * len(coeffs)
     out = [0] * (n_max + 1)
-    for i, c in enumerate(a):
-        if c:
-            top = n_max - i
-            for j, d in enumerate(b[: top + 1]):
-                if d:
-                    out[i + j] += c * d
+    for i, a in enumerate(s):
+        if a:
+            out[i : i + span : r] = list(map(add, out[i : i + span : r], map(a.__mul__, coeffs)))
     return out
 
 
 def series_expand(f: ZetaFactorization, n_max: int) -> list[int]:
-    """Integer power-series coefficients of the product through degree n_max."""
+    """Integer power-series coefficients of the product through degree n_max.
+
+    The factors (1 + delta*z^r)^m are applied to the running series s one
+    by one, each by the cheaper of two routes:
+
+    - |m| passes of n_max + 1 additions and no multiplication: multiplying
+      by (1 + delta*z^r) adds the shifted series, dividing by (1 - z^q)
+      takes prefix sums along each residue class mod q, and
+      1 / (1 + z^r) = (1 - z^r) / (1 - z^(2r));
+    - the closed-form truncated binomial series, one multiply-add sweep of
+      n_max // r + 1 terms per nonzero entry of s.
+
+    Passes run when |m| * (n_max + 1) <= nnz(s) * (n_max // r + 1), so a
+    factor costs O(n_max * min(|m|, n_max // r + 1)) big-integer operations,
+    and never more than the closed form alone.
+    """
     if n_max < 1:
         raise ValueError("truncation order must be positive")
     series = [1] + [0] * n_max
     for delta, r, m in f.factors:
-        factor = [0] * (n_max + 1)
-        for t in range(n_max // r + 1):
-            factor[t * r] = _binomial(m, t) * (delta ** t)
-        series = _mul_trunc(series, factor, n_max)
+        nonzero = n_max + 1 - series.count(0)
+        if abs(m) * (n_max + 1) > nonzero * (n_max // r + 1):
+            series = _times_binomial_series(series, delta, r, m)
+        elif m > 0:
+            for _ in range(m):
+                _times_one_plus(series, delta, r)
+        else:
+            for _ in range(-m):
+                if delta == 1:
+                    _times_one_plus(series, -1, r)
+                    _over_one_minus(series, 2 * r)
+                else:
+                    _over_one_minus(series, r)
     return series
 
 

@@ -3,13 +3,17 @@
 Every randomized test owns a seeded ``random.Random`` so runs are
 reproducible; nothing here depends on the code paths it is used to
 check (the cofactor determinant below is the independent oracle for the
-Faddeev-LeVerrier characteristic polynomial, and the matrix-power
-Lefschetz loop below is the oracle for the Newton-trace route).
+Faddeev-LeVerrier characteristic polynomial, the matrix-power
+Lefschetz loop below is the oracle for the Newton-trace route, the
+dynamic programme over parts is the oracle for the pentagonal-number
+partition count, and the dense binomial product is the oracle for the
+zeta series passes).
 """
 
 from __future__ import annotations
 
 import random
+from math import comb
 
 from algperiods import (
     HomologyModel,
@@ -17,6 +21,7 @@ from algperiods import (
     IntPolynomial,
     Mode,
     SurfaceKind,
+    ZetaFactorization,
     block_diag,
     mat_mul,
     mat_scale,
@@ -128,3 +133,36 @@ def random_antisymplectic_quasiunipotent(rng: random.Random) -> IntMatrix:
             base = plus_minus_identity(rng.randint(1, 3))
     s, s_inv = random_symplectic_pair(rng, base.dim // 2, count=rng.randint(2, 4))
     return mat_mul(mat_mul(s_inv, base), s)
+
+
+def partition_counts_by_dp(n_max: int) -> list[int]:
+    """[P(0), ..., P(n_max)] by dynamic programming over parts, O(n_max^2) additions."""
+    ways = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        for total in range(part, n_max + 1):
+            ways[total] += ways[total - part]
+    return ways
+
+
+def series_by_dense_product(f: ZetaFactorization, n_max: int) -> list[int]:
+    """Series of the product through degree n_max, multiplying out each factor's
+    dense truncated binomial series sum_t C(m, t) delta^t z^(tr)."""
+
+    def binomial(m: int, j: int) -> int:
+        if m >= 0:
+            return comb(m, j)
+        return (-1) ** j * comb(-m + j - 1, j)
+
+    series = [1] + [0] * n_max
+    for delta, r, m in f.factors:
+        factor = [0] * (n_max + 1)
+        for t in range(n_max // r + 1):
+            factor[t * r] = binomial(m, t) * delta**t
+        out = [0] * (n_max + 1)
+        for i, c in enumerate(series):
+            if c:
+                for j, d in enumerate(factor[: n_max - i + 1]):
+                    if d:
+                        out[i + j] += c * d
+        series = out
+    return series

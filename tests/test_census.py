@@ -12,6 +12,8 @@ from algperiods import (
     preserving_model_from_multiplicities,
 )
 
+from conftest import partition_counts_by_dp
+
 
 def test_partition_type():
     p = Partition({3: 1, 1: 2})
@@ -28,6 +30,10 @@ def test_partition_count_values():
     assert partition_count(5) == 7
     assert partition_count(10) == 42
     assert partition_count(100) == 190569292
+    assert partition_count(1000) == 24061467864032622473692149727991
+    assert [partition_count(n) for n in range(601)] == partition_counts_by_dp(600)
+    with pytest.raises(ValueError):
+        partition_count(-1)
 
 
 def test_count_matches_enumeration():

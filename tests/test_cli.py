@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from algperiods.cli import main
+from algperiods.cli import MAX_GENUS, MAX_LISTED_PARTITIONS, MAX_SERIES, main
 
 
 def run(capsys, argv):
@@ -168,6 +168,15 @@ def test_zeta_command(capsys):
     assert run(capsys, ["zeta", "--factors", "+,2,5", "--dold", "{}"])[0] == 1
     assert run(capsys, ["zeta", "--canonicalize"])[0] == 1
     assert run(capsys, ["zeta", "--factors", "garbage"])[0] == 1
+    for argv in (
+        ["zeta", "--factors=--"],
+        ["zeta", "--factors", "+,1,1", "--series=--"],
+        ["census", "--genus=--"],
+        ["realize", "--set=--", "--kind", "preserving"],
+        ["realize", "--set", "2", "--kind=--"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "" and err.startswith("usage error"), argv
 
 
 def test_zeta_dold_from_file(capsys, tmp_path):
@@ -197,6 +206,29 @@ def test_census_command(capsys):
     assert rep["partitions"][0] == {"partition": [3], "dold": {"1": 2, "3": -2}}
 
     assert run(capsys, ["census", "--genus", "0"])[0] == 1
+
+
+def test_size_caps(capsys):
+    over_cap = [
+        ["census", "--genus", str(MAX_GENUS + 1)],
+        ["zeta", "--factors", "+,1,1", "--series", str(MAX_SERIES + 1)],
+        # P(42) = 53,174 is the first partition count above the listing cap
+        ["census", "--genus", "42", "--list-partitions"],
+        ["census", "--genus", "42", "--list-partitions", "--limit", str(MAX_LISTED_PARTITIONS + 1)],
+    ]
+    for argv in over_cap:
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert err.count("\n") == 1 and "cap" in err, argv
+
+    code, rep, _ = run_json(capsys, ["zeta", "--factors", "+,1,1", "--series", str(MAX_SERIES)])
+    assert code == 0 and rep["series"][:3] == [1, 1, 0] and len(rep["series"]) == MAX_SERIES + 1
+    code, rep, _ = run_json(
+        capsys, ["census", "--genus", "5", "--list-partitions", "--limit", str(MAX_LISTED_PARTITIONS + 1)]
+    )
+    assert code == 0 and len(rep["partitions"]) == 7
+    code, rep, _ = run_json(capsys, ["census", "--genus", "42", "--list-partitions", "--limit", "2"])
+    assert code == 0 and rep["exact_count"] == 53174 and len(rep["partitions"]) == 2
 
 
 def test_certify_command(capsys, tmp_path):

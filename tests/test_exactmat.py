@@ -159,6 +159,17 @@ def test_mat_scale_rejects_non_integer_scalars():
         mat_scale(IntMatrix([[10**17 + 1]]), 1.0)
 
 
+def test_constructors_reject_non_integer_entries():
+    assert IntMatrix([[2, True], [-1, 10**30]]).rows == ((2, 1), (-1, 10**30))
+    for bad in (0.5, 1.9, 2.0, Fraction(1, 2), Fraction(4, 2), "3"):
+        with pytest.raises(TypeError):
+            IntMatrix([[1, bad], [0, 1]])
+        with pytest.raises(TypeError):
+            symplectic_transvection([1, 0], bad)
+        with pytest.raises(TypeError):
+            symplectic_transvection([bad, 0])
+
+
 def test_standard_symplectic_form():
     assert standard_symplectic_form(1).matrix == IntMatrix([[0, 1], [-1, 0]])
     for g in range(0, 9):

@@ -15,6 +15,8 @@ from algperiods import (
     zeta_from_dold,
 )
 
+from conftest import series_by_dense_product
+
 
 def random_factorization(rng: random.Random, max_factors: int = 6) -> ZetaFactorization:
     factors = []
@@ -48,6 +50,23 @@ def test_series_examples():
     assert series_expand(ZetaFactorization([(1, 1, 2)]), 3) == [1, 2, 1, 0]
     assert series_expand(ZetaFactorization([(-1, 2, -1), (-1, 1, -1)]), 4) == [1, 1, 2, 2, 3]
     assert series_expand(ZetaFactorization([]), 3) == [1, 0, 0, 0]
+
+
+def test_series_matches_dense_product_oracle():
+    # On a dense running series the route changes near |m| = n_max // r, which
+    # the exponents straddle; 10^9 always takes the closed-form binomial
+    # route, and r runs past n_max.
+    rng = random.Random(97)
+    for _ in range(400):
+        n_max = rng.randint(1, 80)
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            r = rng.randint(1, n_max + 2)
+            edge = n_max // r
+            size = rng.choice([max(edge - 1, 1), max(edge, 1), edge + 1, 10**9])
+            factors.append((rng.choice([1, -1]), r, rng.choice([1, -1]) * size))
+        f = ZetaFactorization(factors)
+        assert series_expand(f, n_max) == series_by_dense_product(f, n_max), (f, n_max)
 
 
 def test_series_constant_term_is_one():
