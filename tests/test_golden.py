@@ -68,11 +68,23 @@ CASES = [
     ("zeta_dold_series_610", ["zeta", "--dold", '{"1": 2, "2": 2, "4": -1}', "--series", "610"], 0),
     ("zeta_huge_exponent_series_40", ["zeta", "--factors=+,1,-1000000000", "--series", "40"], 0),
     ("census_genus_3000", ["census", "--genus", "3000"], 0),
+    ("census_genus_12_list_nonorientable",
+     ["census", "--genus", "12", "--list-partitions", "--correspondence", "nonorientable"], 0),
+    # a Lefschetz window of 2 * lcm(11, 13, 18) = 5148 entries
+    *(
+        (f"realize_wide_window_{fmt}",
+         ["realize", "--set", "11,13,18", "--kind", "preserving", "--format", fmt], 0)
+        for fmt in ("json", "text")
+    ),
     # failure exits
     ("realize_strict_mismatch",
      ["realize", "--set", "4", "--kind", "reversing", "--mode", "faithful", "--strict"], 3),
     ("analyze_not_quasi_unipotent",
      ["analyze", "--matrix", "{golden}/anosov_g1.json", "--kind", "preserving", "--genus", "1"], 4),
+    # Lefschetz numbers past 2^53, printed as strings
+    ("analyze_not_quasi_unipotent_60",
+     ["analyze", "--matrix", "{golden}/anosov_g1.json", "--kind", "preserving", "--genus", "1",
+      "--max-iter", "60"], 4),
     ("analyze_not_quasi_unipotent_text",
      ["analyze", "--matrix", "{golden}/anosov_g1.json", "--kind", "preserving", "--genus", "1",
       "--max-iter", "5", "--format", "text"], 4),
