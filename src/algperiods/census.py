@@ -118,27 +118,35 @@ def partition_count(n: int) -> int:
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of n, each exactly once, in decreasing lexicographic order."""
+    """All partitions of n, each exactly once, in decreasing lexicographic order,
+    from one loop over a stack of (part, multiplicity) pairs, largest part first."""
     if n < 1:
         raise ValueError("enumeration needs a positive integer")
-
-    def descend(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield Partition.from_parts(prefix)
+    stack = [(n, 1)]
+    while True:
+        p = Partition.__new__(Partition)  # the stack is valid and its parts decrease
+        p._parts = dict(reversed(stack))
+        yield p
+        freed = stack.pop()[1] if stack[-1][0] == 1 else 0
+        if not stack:
             return
-        for part in range(min(remaining, cap), 0, -1):
-            prefix.append(part)
-            yield from descend(remaining - part, part, prefix)
-            prefix.pop()
-
-    yield from descend(n, n, [])
+        part, count = stack[-1]
+        stack[-1:] = [(part, count - 1)] if count > 1 else []
+        # give back the ones and one part p as parts p - 1 and one remainder
+        copies, rest = divmod(freed + part, part - 1)
+        stack.append((part - 1, copies))
+        if rest:
+            stack.append((rest, 1))
 
 
 def hardy_ramanujan_estimate(n: int) -> float:
-    """The asymptotic exp(pi sqrt(2n/3)) / (4 n sqrt(3))."""
+    """The asymptotic exp(pi sqrt(2n/3)) / (4 n sqrt(3)); ValueError for n > 76,567."""
     if n < 1:
         raise ValueError("the estimate needs a positive integer")
-    return math.exp(math.pi * math.sqrt(2 * n / 3)) / (4 * n * math.sqrt(3))
+    try:
+        return math.exp(math.pi * math.sqrt(2 * n / 3)) / (4 * n * math.sqrt(3))
+    except OverflowError:
+        raise ValueError(f"the estimate at {n} is beyond the float range (n <= 76,567)") from None
 
 
 def partition_to_dold_orientable(p: Partition) -> DoldClass:
@@ -175,12 +183,13 @@ def census(
     """The partition census at a given genus.
 
     ``correspondence`` ("orientable" or "nonorientable") requests sample
-    Dold classes, one per partition, truncated to ``limit`` entries.
+    Dold classes, one per partition, truncated to ``limit`` entries.  A genus
+    above 76,567 is refused with ValueError before P(genus) is counted.
     """
     if genus < 1:
         raise ValueError("the census needs genus at least 1")
-    exact = partition_count(genus)
     estimate = hardy_ramanujan_estimate(genus)
+    exact = partition_count(genus)
     samples = None
     if correspondence is not None:
         if correspondence == "orientable":

@@ -17,7 +17,11 @@ orders of the characteristic polynomial together with {1, 2} (the reg_1
 and reg_2 terms contributed by degrees 0 and 2), so computing the
 expansion on that divisor-closed candidate set captures every nonzero
 coefficient.  Non-quasi-unipotent models have unbounded Lefschetz
-sequences and potentially infinite period sets, hence the error.
+sequences and potentially infinite period sets, hence the error.  A
+quasi-unipotent window [L_1, ..., L_n] is summed from the Dold class,
+L_l = sum_{k | l} k * a_k, in O(sum_k n / k) small-integer additions; Newton's
+recurrence (O(n * degree) big-integer steps) runs only on the candidate set
+of ``analyze`` and on windows of non-quasi-unipotent models.
 """
 
 from __future__ import annotations
@@ -161,8 +165,15 @@ class Analysis:
         return self.residual is None
 
     def lefschetz(self, n_max: int) -> list[int]:
-        """[L_1, ..., L_{n_max}] from the stored characteristic polynomial."""
-        return lefschetz_numbers_from_charpoly(self.model.kind, self.charpoly, n_max)
+        """[L_1, ..., L_{n_max}]: k * a_k added at each multiple of each Dold support
+        element k, O(sum_k n_max / k) additions, or O(n_max * degree) Newton steps
+        on the characteristic polynomial when the model is not quasi-unipotent."""
+        if self.dold is None:
+            return lefschetz_numbers_from_charpoly(self.model.kind, self.charpoly, n_max)
+        window = [0] * n_max
+        for k, a in self.dold.items():
+            window[k - 1 :: k] = map((k * a).__add__, window[k - 1 :: k])
+        return window
 
     @cached_property
     def form_checks(self) -> Optional[Dict[str, bool]]:

@@ -6,12 +6,15 @@ check (the cofactor determinant below is the independent oracle for the
 Faddeev-LeVerrier characteristic polynomial, the matrix-power
 Lefschetz loop below is the oracle for the Newton-trace route, the
 dynamic programme over parts is the oracle for the pentagonal-number
-partition count, and the dense binomial product is the oracle for the
-zeta series passes).
+partition count, the dense binomial product is the oracle for the zeta
+series passes, the recursive descent is the oracle for the partition
+enumeration loop, and ``json.dumps`` with indent over a converted copy is
+the oracle for the one-pass JSON writer of the CLI).
 """
 
 from __future__ import annotations
 
+import json
 import random
 from math import comb
 
@@ -20,6 +23,7 @@ from algperiods import (
     IntMatrix,
     IntPolynomial,
     Mode,
+    Partition,
     SurfaceKind,
     ZetaFactorization,
     block_diag,
@@ -166,3 +170,41 @@ def series_by_dense_product(f: ZetaFactorization, n_max: int) -> list[int]:
                         out[i + j] += c * d
         series = out
     return series
+
+
+def partitions_by_recursion(n: int) -> list[Partition]:
+    """All partitions of n in decreasing lexicographic order, one generator frame per part."""
+
+    def descend(remaining: int, cap: int, prefix: list[int]):
+        if remaining == 0:
+            yield Partition.from_parts(prefix)
+            return
+        for part in range(min(remaining, cap), 0, -1):
+            prefix.append(part)
+            yield from descend(remaining - part, part, prefix)
+            prefix.pop()
+
+    return list(descend(n, n, []))
+
+
+JSON_INT_LIMIT = 2**53
+
+
+def jsonable(value):
+    """A copy of a report with string keys and integers beyond 2^53 as decimal strings."""
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
+        return value if -JSON_INT_LIMIT <= value <= JSON_INT_LIMIT else str(value)
+    if isinstance(value, float):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [jsonable(x) for x in value]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    return value
+
+
+def json_by_dumps(report) -> str:
+    """The report as sorted, two-space indented JSON through the standard encoder."""
+    return json.dumps(jsonable(report), sort_keys=True, indent=2)

@@ -1,3 +1,7 @@
+import importlib
+import math
+import time
+
 import pytest
 
 from algperiods import (
@@ -12,7 +16,7 @@ from algperiods import (
     preserving_model_from_multiplicities,
 )
 
-from conftest import partition_counts_by_dp
+from conftest import partition_counts_by_dp, partitions_by_recursion
 
 
 def test_partition_type():
@@ -52,6 +56,31 @@ def test_enumeration_order():
     listing = [p.as_list() for p in enumerate_partitions(6)]
     assert listing[0] == [6] and listing[-1] == [1] * 6
     assert listing == sorted(listing, reverse=True)
+
+
+def test_enumeration_matches_recursive_oracle():
+    for n in range(1, 26):
+        got = list(enumerate_partitions(n))
+        expected = partitions_by_recursion(n)
+        assert [p.as_list() for p in got] == [p.as_list() for p in expected], n
+        assert [(p.parts(), hash(p)) for p in got] == [(p.parts(), hash(p)) for p in expected], n
+
+
+def test_census_refuses_beyond_float_range(monkeypatch):
+    assert math.isfinite(hardy_ramanujan_estimate(76_567))
+    with pytest.raises(ValueError, match="float range"):
+        hardy_ramanujan_estimate(76_568)
+
+    def never(n):
+        raise AssertionError(f"P({n}) was counted before the refusal")
+
+    # the package exports the function census under the module's name
+    monkeypatch.setattr(importlib.import_module("algperiods.census"), "partition_count", never)
+    start = time.perf_counter()
+    for genus in (76_568, 10**6):
+        with pytest.raises(ValueError, match="float range"):
+            census(genus, correspondence="orientable")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_hardy_ramanujan():

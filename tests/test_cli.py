@@ -1,10 +1,13 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from algperiods.cli import MAX_GENUS, MAX_LISTED_PARTITIONS, MAX_SERIES, main
+from algperiods.cli import MAX_GENUS, MAX_LISTED_PARTITIONS, MAX_SERIES, MAX_WINDOW, main
+
+from conftest import json_by_dumps
 
 
 def run(capsys, argv):
@@ -208,8 +211,13 @@ def test_census_command(capsys):
     assert run(capsys, ["census", "--genus", "0"])[0] == 1
 
 
-def test_size_caps(capsys):
+def test_size_caps(capsys, tmp_path):
+    identity = write_matrix(tmp_path, "identity.json", [[1, 0], [0, 1]])
+    analyze = ["analyze", "--matrix", identity, "--kind", "preserving", "--genus", "1"]
     over_cap = [
+        # default window 2 * lcm(2, ..., 19) = 465,585,120
+        ["realize", "--set", ",".join(map(str, range(2, 20))), "--kind", "preserving"],
+        analyze + ["--max-iter", str(MAX_WINDOW + 1)],
         ["census", "--genus", str(MAX_GENUS + 1)],
         ["zeta", "--factors", "+,1,1", "--series", str(MAX_SERIES + 1)],
         # P(42) = 53,174 is the first partition count above the listing cap
@@ -229,6 +237,8 @@ def test_size_caps(capsys):
     assert code == 0 and len(rep["partitions"]) == 7
     code, rep, _ = run_json(capsys, ["census", "--genus", "42", "--list-partitions", "--limit", "2"])
     assert code == 0 and rep["exact_count"] == 53174 and len(rep["partitions"]) == 2
+    code, rep, _ = run_json(capsys, analyze + ["--max-iter", str(MAX_WINDOW)])
+    assert code == 0 and len(rep["lefschetz"]) == MAX_WINDOW and set(rep["lefschetz"]) == {0}
 
 
 def test_certify_command(capsys, tmp_path):
@@ -344,3 +354,96 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
             for n in ("charpoly", "cyclotomic_factorization", "is_symplectic", "is_antisymplectic")
         )
         assert got == expected, argv
+
+
+def test_quasi_unipotent_realize_keeps_newton_to_candidate_window(capsys, monkeypatch):
+    """Newton runs only on analyze's candidate window, never on the printed 2*lcm window."""
+    import algperiods.lefschetz as lefschetz
+
+    windows = []
+
+    def recorded(cp, n_max, _fn=lefschetz.trace_sequence_from_charpoly):
+        windows.append(n_max)
+        return _fn(cp, n_max)
+
+    monkeypatch.setattr(lefschetz, "trace_sequence_from_charpoly", recorded)
+    for argv in (
+        ["realize", "--set", "11,13,18", "--kind", "preserving"],
+        ["realize", "--set", "2,3,5", "--kind", "nonorientable"],
+        ["realize", "--set", "4,6", "--kind", "reversing", "--mode", "faithful"],
+        ["realize", "--set", "1", "--kind", "preserving"],
+    ):
+        windows.clear()
+        code, rep, _ = run_json(capsys, argv)
+        assert code == 0 and len(rep["lefschetz"]) >= 2
+        # the candidate set holds 2 for the degree-two term besides the divisors of the orders
+        largest = max([2, *map(int, rep["cyclotomic_factorization"])])
+        assert windows and max(windows) <= largest, argv
+
+
+def test_parser_state_does_not_leak_between_calls(capsys, tmp_path):
+    from algperiods.cli import build_parser
+
+    assert build_parser() is build_parser()
+    anosov = write_matrix(tmp_path, "anosov.json", [[2, 1], [1, 1]])
+    analyze = ["analyze", "--matrix", anosov, "--kind", "preserving", "--genus", "1"]
+    realize = ["realize", "--set", "2,4", "--kind", "reversing"]
+    census = ["census", "--genus", "4", "--list-partitions"]
+    sequence = [
+        realize, realize + ["--format", "text"], analyze + ["--max-iter", "3"], census,
+        realize + ["--mode", "faithful", "--strict"], analyze, census + ["--format", "text"],
+        realize, analyze + ["--format", "text"], census + ["--limit", "2"], analyze, census,
+    ]
+    outputs = {}
+    for argv in sequence:
+        code, out, _ = run(capsys, argv)
+        outputs.setdefault(tuple(argv), set()).add((code, out))
+    assert all(len(seen) == 1 for seen in outputs.values())
+    (code, out), = outputs[tuple(analyze)]
+    assert code == 4 and len(json.loads(out)["lefschetz"]) == 12
+    (code, out), = outputs[tuple(realize)]
+    assert code == 0 and json.loads(out)["mode"] == "corrected"
+    (code, out), = outputs[tuple(census)]
+    rep = json.loads(out)
+    assert rep["correspondence"] == "orientable" and len(rep["partitions"]) == 5
+
+
+def random_payload(rng, depth=0):
+    """A report-shaped value: nested containers over the scalars the JSON writer meets."""
+    limit = 2**53
+    scalars = [
+        lambda: rng.randint(-1000, 1000),
+        lambda: rng.choice([limit, -limit, limit + 1, -limit - 1, 0, -1, True, False, None]),
+        lambda: rng.randint(-(10**30), 10**30),
+        lambda: rng.choice([0.0, -0.0, 1.5, 1e300, -2.5e-8, 0.1, float("inf"), float("nan")]),
+        lambda: rng.uniform(-1e6, 1e6),
+        lambda: "".join(rng.choice('ab"\\\n\t\x00\x1f/é€😀 ') for _ in range(rng.randint(0, 6))),
+    ]
+    if depth >= 3 or rng.random() < 0.3:
+        return rng.choice(scalars)()
+    shape = rng.randrange(4)
+    size = rng.choice([0, 1, rng.randint(2, 6)])
+    if shape == 0:
+        edges = [limit, -limit, limit + 1, -limit - 1]
+        return [rng.choice(edges) if rng.random() < 0.2 else rng.randint(-9, 9)
+                for _ in range(size)]
+    if shape == 1:
+        items = [random_payload(rng, depth + 1) for _ in range(size)]
+        return items if rng.random() < 0.5 else tuple(items)
+    keys = [rng.choice([2, 10, 1, -3, 2**60, "2", "b", "aé", "€", "x\"y"]) for _ in range(size)]
+    return {k: random_payload(rng, depth + 1) for k in keys}
+
+
+def test_json_writer_matches_standard_encoder():
+    from algperiods.cli import _json_text
+
+    rng = random.Random(71)
+    for _ in range(400):
+        payload = {str(i): random_payload(rng) for i in range(rng.randint(0, 4))}
+        assert _json_text(payload) == json_by_dumps(payload), payload
+    assert _json_text({2: "two", 10: "ten"}) == '{\n  "10": "ten",\n  "2": "two"\n}'
+    assert _json_text([2**53, -(2**53), 2**53 + 1]) == (
+        '[\n  9007199254740992,\n  -9007199254740992,\n  "9007199254740993"\n]'
+    )
+    with pytest.raises(TypeError):
+        _json_text({"a": object()})

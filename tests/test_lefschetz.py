@@ -10,6 +10,7 @@ from algperiods import (
     HomologyModel,
     IntMatrix,
     LefschetzSequence,
+    Mode,
     NotQuasiUnipotent,
     SurfaceKind,
     algebraic_periods,
@@ -29,6 +30,7 @@ from algperiods import (
     realize_nonorientable,
     realize_orientable_preserving,
     realize_orientable_reversing,
+    realize_target,
 )
 
 from conftest import (
@@ -178,6 +180,30 @@ def test_charpoly_route_matches_power_route():
             else:
                 assert analysis.dold is None
         assert dold_checked >= 10
+
+
+def test_dold_window_matches_newton_window():
+    rng = random.Random(53)
+    analyses = []
+    for kind in SurfaceKind:
+        for _ in range(12):
+            if kind is SurfaceKind.REVERSING:
+                target = rng.sample(range(2, 11, 2), k=rng.randint(1, 3))
+                sm = realize_target(target, kind, mode=rng.choice(list(Mode)))
+            else:
+                sm = realize_target(rng.sample(range(1, 11), k=rng.randint(1, 3)), kind)
+            analyses.append(sm.analysis)
+        for _ in range(3):
+            a = random_quasiunipotent_matrix(rng, kind)
+            genus = a.dim + 1 if kind is SurfaceKind.NONORIENTABLE else a.dim // 2
+            analyses.append(analyze(HomologyModel(kind, a, genus)))
+    for analysis in analyses:
+        assert analysis.quasi_unipotent
+        top = max(analysis.dold.support(), default=1)
+        wide = 2 * math.lcm(1, *analysis.factorization) + 3
+        for n_max in {1, top - 1, wide} - {0}:
+            newton = lefschetz_numbers_from_charpoly(analysis.model.kind, analysis.charpoly, n_max)
+            assert analysis.lefschetz(n_max) == newton, (analysis.model, n_max)
 
 
 def test_nonorientable_companion_model():
