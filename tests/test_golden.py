@@ -93,6 +93,11 @@ CASES = [
     ("analyze_form_violation",
      ["analyze", "--matrix", "{golden}/not_symplectic_g1.json", "--kind", "preserving",
       "--genus", "1"], 5),
+    # a dense non-quasi-unipotent matrix with entries up to 10^6: charpoly
+    # coefficients of up to 242 bits, of both signs
+    ("analyze_dense_large_entries",
+     ["analyze", "--matrix", "{golden}/dense_large_g6.json", "--kind", "preserving",
+      "--genus", "6", "--no-strict"], 4),
     ("analyze_reversing_text",
      ["analyze", "--matrix", "{golden}/reversing_g9.json", "--kind", "reversing", "--genus", "9",
       "--format", "text"], 0),
