@@ -40,6 +40,7 @@ from .exactmat import (
     charpoly,
     companion_cycle_quotient,
     cyclic_permutation,
+    form_predicates,
     is_antisymplectic,
     is_symplectic,
     mat_mul,

@@ -12,10 +12,23 @@ The characteristic polynomial splits the index set into the strongly
 connected components of the directed nonzero pattern (i -> j when
 A[i][j] != 0).  Ordered as Tarjan's algorithm emits them, the components
 put A in block-triangular form, so det(xI - A) is the product of the
-components' characteristic polynomials.  The cost is one O(n^2) scan of
-the pattern plus Faddeev-LeVerrier (O(k^4) integer operations) on each
-k-dimensional block.  The realization matrices are direct sums of cycles,
-swap-shift and companion blocks, so their blocks stay small.
+components' characteristic polynomials.  Each k-dimensional block is
+reduced to upper Hessenberg form by similarity modulo primes p of about
+2^128, O(k^3) operations mod p each, and its characteristic polynomial
+mod p is read off the Hessenberg recurrence.  The residues are combined by
+the Chinese remainder theorem until the product of the primes exceeds 2B,
+where B is the block's Hadamard bound on the coefficients, so about
+log2(2B)/128 primes are used and the symmetric lift is exact by proof.  The
+total cost is one O(n^2) scan of the pattern plus O(k^3) per prime on each
+block.  The realization matrices are direct sums of cycles, swap-shift and
+companion blocks, so their blocks stay small.
+
+The primes are p = h * 2^64 + 1 for odd h descending from 2^64 - 1,
+generated on first use and kept for the process.  Each is proven prime by
+Proth's theorem: a^((p-1)/2) = -1 (mod p) for some small a, which is kept
+as its certificate.  As a cheap exact check of the whole route, the
+x^(k-1) coefficient of every block must equal minus its trace; a mismatch
+raises ArithmeticError.
 
 Matrices built here from validated matrices or literal integers go
 through the trusted ``IntMatrix._raw``; ``IntMatrix(...)`` validates every
@@ -32,8 +45,10 @@ Every predicate below is relative to this one convention.
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass
 from itertools import compress
+from math import comb, gcd, isqrt, prod
 from typing import Iterable, Sequence
 
 from .polycyc import IntPolynomial
@@ -54,6 +69,7 @@ __all__ = [
     "companion_cycle_quotient",
     "block_diag",
     "standard_symplectic_form",
+    "form_predicates",
     "is_symplectic",
     "is_antisymplectic",
     "antisymplectic_charpoly_identity_check",
@@ -170,13 +186,6 @@ def trace(a: IntMatrix) -> int:
     return sum(a.rows[i][i] for i in range(a.dim))
 
 
-def _plus_diagonal(a: IntMatrix, c: int) -> IntMatrix:
-    rows = [list(row) for row in a.rows]
-    for i in range(len(rows)):
-        rows[i][i] += c
-    return IntMatrix._raw(rows)
-
-
 def _strong_components(rows) -> list[list[int]]:
     """Strongly connected components of the graph i -> j for rows[i][j] != 0.
 
@@ -231,24 +240,154 @@ def _strong_components(rows) -> list[list[int]]:
     return components
 
 
-def _faddeev_leverrier(a: IntMatrix) -> IntPolynomial:
-    """det(xI - A) of a nonempty matrix by the Faddeev-LeVerrier recurrence.
+_PROTH_SHIFT = 64
+_PROTH_WITNESSES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-    The scalar division in each step is provably exact for integer input;
-    the check below guards against implementation bugs, not bad data.
+
+def _proth_primes():
+    """Yield (p, a) for the primes p = h * 2^64 + 1, odd h from 2^64 - 1 down.
+
+    By Proth's theorem (h odd, h < 2^64) p is prime as soon as some a has
+    a^((p-1)/2) = -1 (mod p), and a is yielded as the certificate.  A prime
+    p gives +-1 for every a, so any other value proves p composite.  A
+    candidate that no listed a certifies is skipped, which keeps the
+    sequence deterministic.  One gcd first skips the candidates with an odd
+    factor below 256, which saves most of the modular powers.
     """
-    n = a.dim
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = IntMatrix.identity(n)
-    for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        c, rem = divmod(-trace(am), k)
-        if rem:
-            raise ArithmeticError("Faddeev-LeVerrier division was not exact")
-        coeffs[n - k] = c
-        if k < n:
-            m = _plus_diagonal(am, c)
+    small_odd = prod(range(3, 256, 2))
+    for h in range((1 << _PROTH_SHIFT) - 1, 0, -2):
+        p = (h << _PROTH_SHIFT) + 1
+        if gcd(p, small_odd) != 1:
+            continue
+        half = p >> 1
+        for a in _PROTH_WITNESSES:
+            r = pow(a, half, p)
+            if r == p - 1:
+                yield p, a
+            if r != 1:
+                break
+
+
+_PRIMES: list[tuple[int, int]] = []  # (prime, witness), grown by _prime on first use
+_PRIME_SOURCE = _proth_primes()
+_PRIME_LOCK = threading.Lock()
+
+
+def _prime(i: int) -> int:
+    """The i-th prime of the Proth sequence, about 2^128.
+
+    The lock keeps two threads from advancing the generator at once, which
+    would raise ValueError; the sequence is the same for every caller.
+    """
+    if i >= len(_PRIMES):
+        with _PRIME_LOCK:
+            while len(_PRIMES) <= i:
+                _PRIMES.append(next(_PRIME_SOURCE))
+    return _PRIMES[i][0]
+
+
+def _hadamard_bound(rows) -> int:
+    """An integer B >= |c_j| for every coefficient c_j of det(xI - A).
+
+    The x^(k-j) coefficient is a signed sum of C(k, j) principal j x j
+    minors, and Hadamard bounds each minor by the product of its column
+    norms, at most the product of the j largest column norms of A.  The
+    square root is an integer ceiling, so no float is involved.
+    """
+    k = len(rows)
+    squares = sorted((sum(map(operator.mul, col, col)) for col in zip(*rows)), reverse=True)
+    bound = product = 1
+    for j, s in enumerate(squares, 1):
+        product *= s
+        if not product:
+            break
+        root = isqrt(product)
+        if root * root < product:
+            root += 1
+        bound = max(bound, comb(k, j) * root)
+    return bound
+
+
+def _charpoly_mod(rows, p: int) -> list[int]:
+    """det(xI - A) mod p, coefficients low to high, in O(k^3) operations mod p.
+
+    A similarity transform mod p brings A to upper Hessenberg form H
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9), and
+    the characteristic polynomials p_m of H's leading m x m submatrices obey
+    p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im (h_(i+1,i) ... h_(m,m-1)) p_(i-1).
+    """
+    n = len(rows)
+    h = [[x % p for x in row] for row in rows]
+    for j in range(n - 2):
+        col = j + 1
+        pivot = next((i for i in range(col, n) if h[i][j]), None)
+        if pivot is None:
+            continue
+        if pivot != col:
+            h[pivot], h[col] = h[col], h[pivot]
+            for row in h:
+                row[pivot], row[col] = row[col], row[pivot]
+        tail = h[col][col:]
+        inverse = pow(h[col][j], -1, p)
+        # Row i -= u_i * row col clears column j below the subdiagonal; the
+        # inverse similarity then adds sum_i u_i * column i to column col.
+        us = [0] * (n - col - 1)
+        for i in range(col + 1, n):
+            row = h[i]
+            if row[j]:
+                u = us[i - col - 1] = row[j] * inverse % p
+                row[col:] = [(x - u * y) % p for x, y in zip(row[col:], tail)]
+                row[j] = 0
+        if any(us):
+            for row in h:
+                s = sum(map(operator.mul, us, row[col + 1 :]))
+                if s:
+                    row[col] = (row[col] + s) % p
+    polys = [[1]]
+    for m in range(1, n + 1):
+        prev = polys[-1]
+        d = h[m - 1][m - 1]
+        new = [0, *prev]
+        new[:m] = [x - d * y for x, y in zip(new, prev)]
+        t = 1
+        for i in range(m - 1, 0, -1):
+            t = t * h[i][i - 1] % p
+            if not t:
+                break
+            c = h[i - 1][m - 1]
+            if c:
+                c = c * t % p
+                new[:i] = [x - c * y for x, y in zip(new, polys[i - 1])]
+        polys.append([x % p for x in new])
+    return polys[n]
+
+
+def _block_charpoly(rows) -> IntPolynomial:
+    """det(xI - A) of a nonempty block, exact by the Chinese remainder theorem.
+
+    Residues mod the primes of ``_prime`` are combined until their product
+    M exceeds 2B for the Hadamard bound B; every coefficient lies in
+    [-B, B], so its symmetric residue mod M is the coefficient itself.
+    """
+    k = len(rows)
+    twice_bound = 2 * _hadamard_bound(rows)
+    coeffs = [0] * (k + 1)
+    modulus = 1
+    i = 0
+    while modulus <= twice_bound:
+        p = _prime(i)
+        inverse = pow(modulus, -1, p)
+        coeffs = [
+            c + modulus * ((r - c) * inverse % p)
+            for c, r in zip(coeffs, _charpoly_mod(rows, p))
+        ]
+        modulus *= p
+        i += 1
+    half = modulus >> 1
+    coeffs = [c - modulus if c > half else c for c in coeffs]
+    # The x^(k-1) coefficient is -trace(A): a cheap exact check of the whole route.
+    if coeffs[k - 1] != -sum(rows[j][j] for j in range(k)):
+        raise ArithmeticError("characteristic polynomial disagrees with the trace")
     return IntPolynomial(coeffs)
 
 
@@ -258,16 +397,18 @@ def charpoly(a: IntMatrix) -> IntPolynomial:
     The strongly connected components of the nonzero pattern of A put it
     in block-triangular form, and det(xI - A) is the product of the
     diagonal blocks' characteristic polynomials.  Each block's principal
-    submatrix runs the Faddeev-LeVerrier recurrence, so the cost is one
-    O(n^2) pattern scan plus O(k^4) integer operations per k-dim block.
-    An irreducible matrix is a single block.
+    submatrix is reduced to Hessenberg form modulo proven primes of about
+    2^128 and the residues are combined by the Chinese remainder theorem,
+    so the cost is one O(n^2) pattern scan plus O(k^3) operations per prime
+    on each k-dim block, with about log2(2B)/128 primes for the block's
+    Hadamard bound B.  An irreducible matrix is a single block.
     """
     rows = a.rows
     result = IntPolynomial((1,))
     for component in _strong_components(rows):
-        block = IntMatrix._raw([[rows[i][j] for j in component] for i in component])
+        block = [[rows[i][j] for j in component] for i in component]
         # Outer loop over the block's few coefficients, not the product's.
-        result = _faddeev_leverrier(block) * result
+        result = _block_charpoly(block) * result
     return result
 
 
@@ -330,28 +471,39 @@ def standard_symplectic_form(g: int) -> SymplecticForm:
     return SymplecticForm(g, IntMatrix._raw(rows))
 
 
-def _form_transform(a: IntMatrix, omega: IntMatrix) -> IntMatrix:
-    return mat_mul(mat_mul(transpose(a), omega), a)
+def _form_transform(a: IntMatrix) -> IntMatrix:
+    """A^T Omega A.  Row i of A^T Omega is column i of A as (-b, a) for its
+    halves (a, b), so only the product with A is a matrix multiplication."""
+    g = a.dim // 2
+    left = [[-x for x in col[g:]] + list(col[:g]) for col in zip(*a.rows)]
+    return mat_mul(IntMatrix._raw(left), a)
+
+
+def form_predicates(a: IntMatrix) -> tuple[bool, bool]:
+    """(A^T Omega A == Omega, A^T Omega A == -Omega) from one matrix product.
+
+    For dim > 0 at most one holds, since Omega != -Omega; the empty matrix
+    counts as both symplectic and antisymplectic.
+    """
+    if a.dim % 2:
+        raise OddDimension("symplectic predicates need an even dimension")
+    if a.dim == 0:
+        return True, True
+    omega = standard_symplectic_form(a.dim // 2).matrix
+    product = _form_transform(a)
+    if product == omega:
+        return True, False
+    return False, product == mat_scale(omega, -1)
 
 
 def is_symplectic(a: IntMatrix) -> bool:
     """A^T Omega A == Omega; the empty matrix counts as symplectic."""
-    if a.dim % 2:
-        raise OddDimension("symplectic predicates need an even dimension")
-    if a.dim == 0:
-        return True
-    omega = standard_symplectic_form(a.dim // 2).matrix
-    return _form_transform(a, omega) == omega
+    return form_predicates(a)[0]
 
 
 def is_antisymplectic(a: IntMatrix) -> bool:
     """A^T Omega A == -Omega; the empty matrix counts as antisymplectic."""
-    if a.dim % 2:
-        raise OddDimension("symplectic predicates need an even dimension")
-    if a.dim == 0:
-        return True
-    omega = standard_symplectic_form(a.dim // 2).matrix
-    return _form_transform(a, omega) == mat_scale(omega, -1)
+    return form_predicates(a)[1]
 
 
 def antisymplectic_charpoly_identity_check(a: IntMatrix) -> bool:

@@ -32,7 +32,14 @@ from functools import cached_property
 from typing import Dict, Optional
 
 from .arith import DoldClass, LefschetzSequence, divisors, dold_coefficients
-from .exactmat import DimensionMismatch, IntMatrix, charpoly, is_antisymplectic, is_symplectic
+from .exactmat import (
+    DimensionMismatch,
+    IntMatrix,
+    charpoly,
+    form_predicates,
+    is_antisymplectic,
+    is_symplectic,
+)
 from .polycyc import (
     IntPolynomial,
     NotQuasiUnipotent,
@@ -179,18 +186,18 @@ class Analysis:
     def form_checks(self) -> Optional[Dict[str, bool]]:
         """Symplectic and antisymplectic predicates; None for non-orientable models.
 
-        A strict model already passed the predicate of its kind, which is
-        therefore not run again.
+        For dim > 0 at most one predicate holds.  A strict model already
+        passed the predicate of its kind, so it needs no matrix product;
+        any other model takes one product for both predicates.
         """
         m = self.model
         if m.kind is SurfaceKind.NONORIENTABLE:
             return None
-        return {
-            "symplectic": (m.strict and m.kind is SurfaceKind.PRESERVING)
-            or is_symplectic(m.matrix),
-            "antisymplectic": (m.strict and m.kind is SurfaceKind.REVERSING)
-            or is_antisymplectic(m.matrix),
-        }
+        if m.strict and m.matrix.dim:
+            symplectic = m.kind is SurfaceKind.PRESERVING
+            return {"symplectic": symplectic, "antisymplectic": not symplectic}
+        symplectic, antisymplectic = form_predicates(m.matrix)
+        return {"symplectic": symplectic, "antisymplectic": antisymplectic}
 
 
 def analyze(m: HomologyModel) -> Analysis:

@@ -2,8 +2,9 @@
 
 Every randomized test owns a seeded ``random.Random`` so runs are
 reproducible; nothing here depends on the code paths it is used to
-check (the cofactor determinant below is the independent oracle for the
-Faddeev-LeVerrier characteristic polynomial, the matrix-power
+check (the cofactor determinant and the Faddeev-LeVerrier recurrence
+below are the independent oracles for the multi-modular Hessenberg
+characteristic polynomial, the matrix-power
 Lefschetz loop below is the oracle for the Newton-trace route, the
 dynamic programme over parts is the oracle for the pentagonal-number
 partition count, the dense binomial product is the oracle for the zeta
@@ -67,6 +68,29 @@ def charpoly_cofactor(a: IntMatrix) -> IntPolynomial:
         return total
 
     return det(entries)
+
+
+def charpoly_by_faddeev_leverrier(a: IntMatrix) -> IntPolynomial:
+    """det(xI - A) by the Faddeev-LeVerrier recurrence, O(k^4) integer operations.
+
+    M_1 = I, c_(n-k) = -tr(A M_k) / k, M_(k+1) = A M_k + c_(n-k) I.  The
+    division is provably exact for integer input; the check guards the
+    oracle itself.
+    """
+    n = a.dim
+    coeffs = [0] * n + [1]
+    m = IntMatrix.identity(n)
+    for k in range(1, n + 1):
+        am = mat_mul(a, m)
+        c, rem = divmod(-trace(am), k)
+        if rem:
+            raise ArithmeticError("Faddeev-LeVerrier division was not exact")
+        coeffs[n - k] = c
+        rows = [list(row) for row in am.rows]
+        for i in range(n):
+            rows[i][i] += c
+        m = IntMatrix(rows)
+    return IntPolynomial(coeffs)
 
 
 def lefschetz_by_powers(m: HomologyModel, n_max: int) -> list[int]:

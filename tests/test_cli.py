@@ -325,33 +325,43 @@ def test_big_integers_beyond_str_digit_limit(capsys, tmp_path):
 
 
 def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
-    """charpoly, factorization and each form predicate run at most once per model."""
+    """charpoly and factorization run once per model, and the form predicates take at
+    most one A^T Omega A product: the strict constructor's, or else form_checks'."""
+    import algperiods.exactmat as exactmat
     import algperiods.lefschetz as lefschetz
 
     calls = {}
-    for name in ("charpoly", "cyclotomic_factorization", "is_symplectic", "is_antisymplectic"):
-        def counted(*args, _name=name, _fn=getattr(lefschetz, name)):
-            calls[_name] = calls.get(_name, 0) + 1
+
+    def counting(module, name):
+        def counted(*args, _fn=getattr(module, name)):
+            calls[name] = calls.get(name, 0) + 1
             return _fn(*args)
 
-        monkeypatch.setattr(lefschetz, name, counted)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(lefschetz, "charpoly")
+    counting(lefschetz, "cyclotomic_factorization")
+    counting(exactmat, "_form_transform")
 
     rev = write_matrix(tmp_path, "rev2.json", [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
     anosov = write_matrix(tmp_path, "anosov.json", [[2, 1], [1, 1]])
     cases = [
-        (["realize", "--set", "2,3", "--kind", "preserving"], 0, (1, 1, 1, 1)),
-        (["realize", "--set", "4", "--kind", "reversing"], 0, (1, 1, 1, 1)),
-        (["realize", "--set", "2,3", "--kind", "nonorientable"], 0, (1, 1, 0, 0)),
-        (["analyze", "--matrix", rev, "--kind", "reversing", "--genus", "2"], 0, (1, 1, 1, 1)),
-        (["analyze", "--matrix", anosov, "--kind", "preserving", "--genus", "1"], 4, (1, 1, 1, 1)),
-        (["certify", "--matrix", rev, "--kind", "reversing", "--genus", "2"], 0, (1, 1, 0, 1)),
+        (["realize", "--set", "2,3", "--kind", "preserving"], 0, (1, 1, 1)),
+        (["realize", "--set", "4", "--kind", "reversing"], 0, (1, 1, 1)),
+        (["realize", "--set", "2,3", "--kind", "nonorientable"], 0, (1, 1, 0)),
+        (["analyze", "--matrix", rev, "--kind", "reversing", "--genus", "2"], 0, (1, 1, 1)),
+        (["analyze", "--matrix", rev, "--kind", "reversing", "--genus", "2", "--no-strict"],
+         0, (1, 1, 1)),
+        (["analyze", "--matrix", anosov, "--kind", "preserving", "--genus", "1"], 4, (1, 1, 1)),
+        (["analyze", "--matrix", anosov, "--kind", "reversing", "--genus", "1", "--no-strict"],
+         4, (1, 1, 1)),
+        (["certify", "--matrix", rev, "--kind", "reversing", "--genus", "2"], 0, (1, 1, 1)),
     ]
     for argv, exit_code, expected in cases:
         calls.clear()
         assert run(capsys, argv)[0] == exit_code
         got = tuple(
-            calls.get(n, 0)
-            for n in ("charpoly", "cyclotomic_factorization", "is_symplectic", "is_antisymplectic")
+            calls.get(n, 0) for n in ("charpoly", "cyclotomic_factorization", "_form_transform")
         )
         assert got == expected, argv
 

@@ -1,8 +1,14 @@
 import random
+import subprocess
+import sys
+import textwrap
+import threading
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+import algperiods.exactmat as exactmat
 from algperiods import (
     DimensionMismatch,
     IntMatrix,
@@ -14,6 +20,7 @@ from algperiods import (
     charpoly,
     companion_cycle_quotient,
     cyclic_permutation,
+    form_predicates,
     is_antisymplectic,
     is_symplectic,
     mat_mul,
@@ -30,6 +37,7 @@ from algperiods import (
 )
 
 from conftest import (
+    charpoly_by_faddeev_leverrier,
     charpoly_cofactor,
     plus_minus_identity,
     random_antisymplectic_quasiunipotent,
@@ -137,6 +145,126 @@ def test_charpoly_against_cofactor_oracle():
         assert charpoly(a) == charpoly_cofactor(a)
 
 
+def test_charpoly_matches_faddeev_leverrier_and_cofactor(monkeypatch):
+    """The multi-modular kernel against both oracles, from one prime up to several."""
+    rng = random.Random(2024)
+    cases = [random_matrix(rng, dim, -9, 9) for dim in range(1, 31)]
+    cases += [random_sparse_matrix(rng, rng.randint(1, 20)) for _ in range(20)]
+    cases += [IntMatrix([[0] * n for _ in range(n)]) for n in (1, 2, 5)]
+    cases += [IntMatrix([[-5]]), IntMatrix([[-(10**40)]])]
+    cases += [cyclic_permutation(60), companion_cycle_quotient(211)]
+    # Entries of size 10^12: the Hadamard bound needs three or more primes.
+    huge = [random_matrix(rng, dim, -(10**12), 10**12) for dim in (8, 10, 12, 14)]
+    cases += huge
+    primes_used = []
+    original = exactmat._charpoly_mod
+
+    def counting(rows, p):
+        primes_used[-1] += 1
+        return original(rows, p)
+
+    monkeypatch.setattr(exactmat, "_charpoly_mod", counting)
+    for a in cases:
+        primes_used.append(0)
+        cp = charpoly(a)
+        assert cp == charpoly_by_faddeev_leverrier(a)
+        if a.dim <= 6:
+            assert cp == charpoly_cofactor(a)
+        bound = exactmat._hadamard_bound([list(row) for row in a.rows])
+        assert all(abs(c) <= bound for c in cp.coeffs)
+    assert charpoly(companion_cycle_quotient(211)) * IntPolynomial([-1, 1]) == x_pow_minus_one(211)
+    assert min(primes_used[-len(huge) :]) >= 3
+    assert max(primes_used[: -len(huge)]) >= 2
+
+
+def test_proth_primes_are_certified_and_deterministic():
+    exactmat._prime(11)
+    primes = exactmat._PRIMES[:12]
+    for p, a in primes:
+        h = (p - 1) >> 64
+        assert p == (h << 64) + 1 and h % 2 == 1 and h < 2**64
+        # Proth's theorem: a^((p-1)/2) = -1 (mod p) proves p prime.
+        assert pow(a, (p - 1) // 2, p) == p - 1
+    assert [p for p, _ in primes] == sorted({p for p, _ in primes}, reverse=True)
+    assert list(islice(exactmat._proth_primes(), 12)) == primes
+    # A fresh process builds no prime at import and the same sequence on use.
+    script = textwrap.dedent(
+        """
+        import algperiods.exactmat as exactmat
+        assert exactmat._PRIMES == []
+        exactmat._prime(11)
+        print(exactmat._PRIMES)
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(primes)
+
+
+def test_prime_sequence_grows_safely_across_threads(monkeypatch):
+    # Threads that need primes at the same time must all get the one sequence;
+    # advancing the shared generator from two threads at once raises ValueError.
+    expected = list(islice(exactmat._proth_primes(), 6))
+    matrix = random_matrix(random.Random(5), 12, -(10**25), 10**25)
+    reference = charpoly(matrix)
+    interval = sys.getswitchinterval()
+    for _ in range(5):
+        monkeypatch.setattr(exactmat, "_PRIMES", [])
+        monkeypatch.setattr(exactmat, "_PRIME_SOURCE", exactmat._proth_primes())
+        results, errors = [], []
+
+        def work():
+            try:
+                exactmat._prime(5)
+                results.append(charpoly(matrix))
+            except Exception as exc:  # recorded and asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert results == [reference] * len(threads)
+        assert exactmat._PRIMES[:6] == expected
+
+
+def test_charpoly_postcondition_survives_optimized_mode():
+    # A wrong residue from one prime must raise ArithmeticError, also under python -O.
+    script = textwrap.dedent(
+        """
+        import algperiods.exactmat as exactmat
+        from algperiods import IntMatrix, charpoly
+
+        if __debug__:
+            raise SystemExit("not running under -O")
+        original = exactmat._charpoly_mod
+
+        def corrupted(rows, p):
+            residues = original(rows, p)
+            residues[-2] = (residues[-2] + 1) % p
+            return residues
+
+        exactmat._charpoly_mod = corrupted
+        try:
+            charpoly(IntMatrix([[2, 1], [1, 1]]))
+        except ArithmeticError:
+            raise SystemExit(0)
+        raise SystemExit("a corrupted residue passed the trace check")
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+
+
 def test_matrix_power_traces_match_newton():
     rng = random.Random(9)
     for _ in range(25):
@@ -187,6 +315,24 @@ def test_symplectic_predicates():
     assert is_symplectic(IntMatrix(())) and is_antisymplectic(IntMatrix(()))
     with pytest.raises(OddDimension):
         is_symplectic(IntMatrix([[1]]))
+
+
+def test_form_predicates_match_the_products():
+    rng = random.Random(23)
+    cases = [plus_minus_identity(2), standard_symplectic_form(3).matrix]
+    cases += [random_symplectic_pair(rng, rng.randint(1, 4))[0] for _ in range(10)]
+    cases += [random_antisymplectic_quasiunipotent(rng) for _ in range(10)]
+    cases += [random_matrix(rng, 2 * rng.randint(1, 4), -2, 2) for _ in range(10)]
+    cases += [IntMatrix([[0] * 4 for _ in range(4)])]
+    for a in cases:
+        omega = standard_symplectic_form(a.dim // 2).matrix
+        product = mat_mul(mat_mul(transpose(a), omega), a)
+        expected = (product == omega, product == mat_scale(omega, -1))
+        assert form_predicates(a) == expected
+        assert (is_symplectic(a), is_antisymplectic(a)) == expected
+    assert form_predicates(IntMatrix(())) == (True, True)
+    with pytest.raises(OddDimension):
+        form_predicates(IntMatrix([[1]]))
 
 
 def test_transvections_are_symplectic_and_invert():

@@ -23,6 +23,7 @@ from algperiods import (
     cyclotomic_factorization,
     dold_coefficients,
     euler_characteristic,
+    form_predicates,
     lefschetz_from_dold,
     lefschetz_numbers_from_charpoly,
     mat_mul,
@@ -63,6 +64,26 @@ def test_model_strict_form_checks():
     HomologyModel(SurfaceKind.PRESERVING, not_symplectic, 1)  # lax constructor
     with pytest.raises(FormViolation):
         HomologyModel(SurfaceKind.REVERSING, IntMatrix.identity(2), 1, strict=True)
+
+
+def test_analysis_form_checks_strict_and_lax_agree():
+    """A strict model's form checks, read off its kind, equal the ones a lax model computes."""
+    rng = random.Random(37)
+    cases = [(SurfaceKind.PRESERVING, random_symplectic_pair(rng, g)[0]) for g in (1, 2, 3)]
+    cases += [(SurfaceKind.REVERSING, random_antisymplectic_quasiunipotent(rng)) for _ in range(4)]
+    cases += [(kind, IntMatrix(())) for kind in (SurfaceKind.PRESERVING, SurfaceKind.REVERSING)]
+    for kind, a in cases:
+        symplectic, antisymplectic = form_predicates(a)
+        expected = {"symplectic": symplectic, "antisymplectic": antisymplectic}
+        for strict in (True, False):
+            assert analyze(HomologyModel(kind, a, a.dim // 2, strict=strict)).form_checks == expected
+    assert analyze(HomologyModel(SurfaceKind.PRESERVING, IntMatrix(()), 0, strict=True)).form_checks == {
+        "symplectic": True,
+        "antisymplectic": True,
+    }
+    lax = HomologyModel(SurfaceKind.PRESERVING, IntMatrix([[2, 0], [0, 1]]), 1)
+    assert analyze(lax).form_checks == {"symplectic": False, "antisymplectic": False}
+    assert analyze(HomologyModel(SurfaceKind.NONORIENTABLE, IntMatrix([[1]]), 2)).form_checks is None
 
 
 def test_lefschetz_number_identity_surface():

@@ -266,8 +266,8 @@ def test_large_lcm_realization_builds_no_lefschetz_window():
 
 
 def test_charpoly_of_realizations_splits_into_pieces(monkeypatch):
-    # Faddeev-LeVerrier multiplies matrices of its block's size only, so the
-    # largest mat_mul operand is the largest piece, not the whole matrix.
+    # The per-block kernel sees blocks of the pieces' sizes only, so the
+    # largest block it is handed is the largest piece, not the whole matrix.
     cases = [
         (realize_target(range(2, 20), SurfaceKind.PRESERVING), 380, 19,
          math.prod(x_pow_minus_one(n) ** 2 for n in range(1, 20))),
@@ -275,18 +275,19 @@ def test_charpoly_of_realizations_splits_into_pieces(monkeypatch):
         (realize_target({60}, SurfaceKind.REVERSING), 242, 60,
          x_pow_minus_one(60) ** 4 * x_pow_minus_one(2)),
     ]
-    original = exactmat.mat_mul
+    original = exactmat._block_charpoly
     for sm, dim, largest, expected in cases:
         dims = []
 
-        def recording(a, b):
-            dims.append(a.dim)
-            return original(a, b)
+        def recording(block):
+            dims.append(len(block))
+            return original(block)
 
-        monkeypatch.setattr(exactmat, "mat_mul", recording)
+        monkeypatch.setattr(exactmat, "_block_charpoly", recording)
         assert sm.model.matrix.dim == dim
         assert charpoly(sm.model.matrix) == expected
         assert max(dims) == largest
+        assert sum(dims) == dim
 
 
 def test_postconditions_survive_optimized_mode():
