@@ -170,7 +170,7 @@ def test_charpoly_matches_faddeev_leverrier_and_cofactor(monkeypatch):
         assert cp == charpoly_by_faddeev_leverrier(a)
         if a.dim <= 6:
             assert cp == charpoly_cofactor(a)
-        bound = exactmat._hadamard_bound([list(row) for row in a.rows])
+        bound = exactmat._hadamard_bound(a.rows)
         assert all(abs(c) <= bound for c in cp.coeffs)
     assert charpoly(companion_cycle_quotient(211)) * IntPolynomial([-1, 1]) == x_pow_minus_one(211)
     assert min(primes_used[-len(huge) :]) >= 3
