@@ -15,9 +15,7 @@ from .arith import (
     divisors,
     dold_coefficients,
     dold_congruence_check,
-    lefschetz_from_dold,
     moebius,
-    reg,
 )
 from .census import (
     CensusReport,
@@ -34,7 +32,6 @@ from .exactmat import (
     IntMatrix,
     NotAntisymplectic,
     OddDimension,
-    SymplecticForm,
     antisymplectic_charpoly_identity_check,
     block_diag,
     charpoly,
@@ -44,12 +41,8 @@ from .exactmat import (
     is_antisymplectic,
     is_symplectic,
     mat_mul,
-    mat_pow,
     mat_scale,
     standard_symplectic_form,
-    symplectic_transvection,
-    trace,
-    transpose,
 )
 from .lefschetz import (
     Analysis,
@@ -60,8 +53,6 @@ from .lefschetz import (
     algebraic_periods,
     analyze,
     ap_odd,
-    euler_characteristic,
-    lefschetz_numbers_from_charpoly,
     periodic_point_certificate,
 )
 from .polycyc import (
@@ -70,7 +61,6 @@ from .polycyc import (
     NotQuasiUnipotent,
     cyclotomic,
     cyclotomic_factorization,
-    cyclotomic_root_sum,
     poly_divmod,
     trace_sequence_from_charpoly,
     x_pow_minus_one,

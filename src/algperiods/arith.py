@@ -19,6 +19,7 @@ pure function.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, Iterator, Mapping
 
 __all__ = [
@@ -27,9 +28,7 @@ __all__ = [
     "LefschetzSequence",
     "moebius",
     "divisors",
-    "reg",
     "dold_coefficients",
-    "lefschetz_from_dold",
     "dold_congruence_check",
 ]
 
@@ -72,16 +71,6 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def reg(k: int, n: int) -> int:
-    """Elementary periodic function: k if k divides n, else 0.
-
-    This is the sum of n-th powers of all k-th roots of unity.
-    """
-    if k < 1 or n < 1:
-        raise ValueError("reg requires positive arguments")
-    return k if n % k == 0 else 0
-
-
 class LefschetzSequence:
     """Integer sequence on a finite, divisor-closed index set.
 
@@ -98,10 +87,10 @@ class LefschetzSequence:
             raise ValueError("domain must be nonempty")
         items: Dict[int, int] = {}
         for n, v in values.items():
-            n = int(n)
+            n = operator.index(n)
             if n < 1:
                 raise ValueError(f"index {n} is not a positive integer")
-            items[n] = int(v)
+            items[n] = operator.index(v)
         for n in items:
             for d in divisors(n):
                 if d not in items:
@@ -146,7 +135,7 @@ class DoldClass:
         coeffs: Dict[int, int] = {}
         if coefficients:
             for n, a in coefficients.items():
-                n, a = int(n), int(a)
+                n, a = operator.index(n), operator.index(a)
                 if n < 1:
                     raise ValueError(f"index {n} is not a positive integer")
                 if a:
@@ -196,13 +185,6 @@ def dold_coefficients(seq: LefschetzSequence) -> DoldClass:
             )
         coeffs[n] = a
     return DoldClass(coeffs)
-
-
-def lefschetz_from_dold(d: DoldClass, n: int) -> int:
-    """L_n = sum_{k | n} k * a_k, the exact inverse of dold_coefficients."""
-    if n < 1:
-        raise ValueError("index must be a positive integer")
-    return sum(k * a for k, a in d.items() if n % k == 0)
 
 
 def dold_congruence_check(seq: LefschetzSequence, n: int) -> bool:

@@ -17,6 +17,7 @@ feeds exact outputs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional
 
@@ -42,7 +43,7 @@ class Partition:
     def __init__(self, parts: Mapping[int, int]):
         cleaned: Dict[int, int] = {}
         for k, p in parts.items():
-            k, p = int(k), int(p)
+            k, p = operator.index(k), operator.index(p)
             if k < 1 or p < 0:
                 raise ValueError("parts must be positive with nonnegative multiplicity")
             if p:

@@ -172,7 +172,8 @@ def _load_matrix(path: str) -> IntMatrix:
     for row in rows:
         if not isinstance(row, list) or len(row) != dim:
             raise _InputError(f"{path}: every row must have {dim} entries")
-        parsed.append([_parse_int(x) for x in row])
+        # JSON integers are exact ints; anything else (bool included) goes through _parse_int.
+        parsed.append([x if type(x) is int else _parse_int(x) for x in row])
     return IntMatrix(parsed)
 
 

@@ -5,7 +5,7 @@ high powers never overflow.  Dimension 0 is a first-class citizen (trace
 0, characteristic polynomial 1); the genus-0 models need it.
 
 Multiplication walks the nonzero entries of the left factor row by row,
-which makes powers of the permutation-like matrices built by the
+which makes products with the permutation-like matrices built by the
 realization constructions cheap without a separate sparse type.
 
 The characteristic polynomial splits the index set into the strongly
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import operator
 import threading
-from dataclasses import dataclass
 from itertools import compress
 from math import comb, gcd, isqrt, prod
 from typing import Iterable, Sequence
@@ -58,12 +57,8 @@ __all__ = [
     "OddDimension",
     "NotAntisymplectic",
     "IntMatrix",
-    "SymplecticForm",
-    "transpose",
     "mat_scale",
     "mat_mul",
-    "mat_pow",
-    "trace",
     "charpoly",
     "cyclic_permutation",
     "companion_cycle_quotient",
@@ -73,7 +68,6 @@ __all__ = [
     "is_symplectic",
     "is_antisymplectic",
     "antisymplectic_charpoly_identity_check",
-    "symplectic_transvection",
 ]
 
 
@@ -129,10 +123,6 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
 
 
-def transpose(a: IntMatrix) -> IntMatrix:
-    return IntMatrix._raw(zip(*a.rows))
-
-
 def mat_scale(a: IntMatrix, c: int) -> IntMatrix:
     """c * A for an integer scalar c; a non-integer c raises TypeError."""
     c = operator.index(c)
@@ -166,24 +156,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
                 acc = [x + v * y for x, y in zip(acc, brow)]
         out.append([0] * n if acc is None else acc)
     return IntMatrix._raw(out)
-
-
-def mat_pow(a: IntMatrix, l: int) -> IntMatrix:
-    """a^l by binary exponentiation; a^0 is the identity."""
-    if l < 0:
-        raise ValueError("negative matrix powers are not defined")
-    result = IntMatrix.identity(a.dim)
-    base = a
-    while l:
-        if l & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        l >>= 1
-    return result
-
-
-def trace(a: IntMatrix) -> int:
-    return sum(a.rows[i][i] for i in range(a.dim))
 
 
 def _strong_components(rows) -> list[list[int]]:
@@ -451,15 +423,7 @@ def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
     return IntMatrix._raw(rows)
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """The standard intersection form of a genus-g surface."""
-
-    g: int
-    matrix: IntMatrix
-
-
-def standard_symplectic_form(g: int) -> SymplecticForm:
+def standard_symplectic_form(g: int) -> IntMatrix:
     """Omega = [[0, I_g], [-I_g, 0]] in the (a_1..a_g, b_1..b_g) basis."""
     if g < 0:
         raise ValueError("genus must be nonnegative")
@@ -468,7 +432,7 @@ def standard_symplectic_form(g: int) -> SymplecticForm:
     for i in range(g):
         rows[i][g + i] = 1
         rows[g + i][i] = -1
-    return SymplecticForm(g, IntMatrix._raw(rows))
+    return IntMatrix._raw(rows)
 
 
 def _form_transform(a: IntMatrix) -> IntMatrix:
@@ -489,7 +453,7 @@ def form_predicates(a: IntMatrix) -> tuple[bool, bool]:
         raise OddDimension("symplectic predicates need an even dimension")
     if a.dim == 0:
         return True, True
-    omega = standard_symplectic_form(a.dim // 2).matrix
+    omega = standard_symplectic_form(a.dim // 2)
     product = _form_transform(a)
     if product == omega:
         return True, False
@@ -519,25 +483,3 @@ def antisymplectic_charpoly_identity_check(a: IntMatrix) -> bool:
     c = list(p.coeffs) + [0] * (a.dim + 1 - len(p.coeffs))
     return all(c[i] == (-1) ** (g + i) * c[a.dim - i] for i in range(a.dim + 1))
 
-
-def symplectic_transvection(v: Sequence[int], multiplier: int = 1) -> IntMatrix:
-    """The transvection x -> x + multiplier * <x, v> v, as a matrix.
-
-    <.,.> is the standard symplectic form, so the result I + m * v (Omega v)^T
-    is symplectic for every integer vector v and multiplier.  Products of
-    these conjugate the library's antisymplectic blocks into dense test
-    instances while preserving antisymplecticity and the characteristic
-    polynomial.  A non-integer entry of v or multiplier raises TypeError.
-    """
-    n = len(v)
-    if n % 2:
-        raise OddDimension("transvections live in even dimension")
-    v = [operator.index(x) for x in v]
-    multiplier = operator.index(multiplier)
-    omega = standard_symplectic_form(n // 2).matrix
-    w = [sum(omega.rows[i][j] * v[j] for j in range(n)) for i in range(n)]
-    rows = [
-        [(1 if i == j else 0) + multiplier * v[i] * w[j] for j in range(n)]
-        for i in range(n)
-    ]
-    return IntMatrix(rows)

@@ -11,27 +11,36 @@ In the non-orientable case the trace lives on rational first homology
 (rank genus - 1); the torsion Z/2 part never contributes and is never
 represented.
 
-The Dold class built by ``analyze`` is exact on quasi-unipotent models: the
-support of the Dold class is contained in the divisors of the cyclotomic
-orders of the characteristic polynomial together with {1, 2} (the reg_1
-and reg_2 terms contributed by degrees 0 and 2), so computing the
-expansion on that divisor-closed candidate set captures every nonzero
-coefficient.  Non-quasi-unipotent models have unbounded Lefschetz
-sequences and potentially infinite period sets, hence the error.  A
-quasi-unipotent window [L_1, ..., L_n] is summed from the Dold class,
-L_l = sum_{k | l} k * a_k, in O(sum_k n / k) small-integer additions; Newton's
-recurrence (O(n * degree) big-integer steps) runs only on the candidate set
-of ``analyze`` and on windows of non-quasi-unipotent models.
+Every sequence here is written in the basis of the periodic functions
+reg_k (reg_k(l) = k if k divides l, else 0), in which L_l = sum_{k | l} k a_k
+for the Dold class (a_k).  The degree-0 and degree-2 terms are the Dold
+class K of the kind: 2 reg_1 preserving, reg_2 reversing, reg_1
+non-orientable.  The power sums of the roots of the cyclotomic polynomial
+Phi_d are the Ramanujan sums c_d(l) = sum_{e | d} mu(d/e) reg_e(l), so a
+quasi-unipotent model with factorization prod_d Phi_d^(m_d) has the Dold
+class
+
+    a_e = K_e - sum_{d : e | d} m_d mu(d/e),
+
+read off the factorization with one Moebius value per divisor of each
+order d (trial division, O(sqrt(d)) steps each), with no power sum and no
+Moebius inversion.  Non-quasi-unipotent models have unbounded Lefschetz
+sequences and potentially infinite period sets, so they have no Dold
+class.  A window [L_1, ..., L_n] sums a Dold class, k a_k at each multiple
+of k, in O(sum_k n / k) additions: the model's own class when it is
+quasi-unipotent, or else K added to the negated Newton power sums of the
+characteristic polynomial (O(n * degree) big-integer steps).
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional
 
-from .arith import DoldClass, LefschetzSequence, divisors, dold_coefficients
+from .arith import DoldClass, divisors, moebius
 from .exactmat import (
     DimensionMismatch,
     IntMatrix,
@@ -53,8 +62,6 @@ __all__ = [
     "HomologyModel",
     "Analysis",
     "PeriodicPointGuarantee",
-    "euler_characteristic",
-    "lefschetz_numbers_from_charpoly",
     "analyze",
     "algebraic_periods",
     "ap_odd",
@@ -72,12 +79,13 @@ class SurfaceKind(enum.Enum):
     NONORIENTABLE = "nonorientable"
 
 
-def _degree_two_term(kind: SurfaceKind, l: int) -> int:
-    if kind is SurfaceKind.PRESERVING:
-        return 1
-    if kind is SurfaceKind.REVERSING:
-        return -1 if l % 2 else 1
-    return 0
+# The degree-0 and degree-2 terms of L_l as a Dold class: 1 + 1 = 2 reg_1(l),
+# 1 + (-1)^l = reg_2(l), and 1 = reg_1(l).
+_KIND_TERMS = {
+    SurfaceKind.PRESERVING: {1: 2},
+    SurfaceKind.REVERSING: {2: 1},
+    SurfaceKind.NONORIENTABLE: {1: 1},
+}
 
 
 class HomologyModel:
@@ -94,7 +102,7 @@ class HomologyModel:
     __slots__ = ("kind", "matrix", "genus", "strict")
 
     def __init__(self, kind: SurfaceKind, matrix: IntMatrix, genus: int, strict: bool = False):
-        genus = int(genus)
+        genus = operator.index(genus)
         if genus < 0:
             raise ValueError("genus must be nonnegative")
         if kind is SurfaceKind.NONORIENTABLE:
@@ -134,23 +142,6 @@ class HomologyModel:
         return f"HomologyModel({self.kind.value!r}, dim={self.matrix.dim}, genus={self.genus})"
 
 
-def euler_characteristic(m: HomologyModel) -> int:
-    """2 - 2*genus for orientable kinds, 2 - genus for non-orientable."""
-    if m.kind is SurfaceKind.NONORIENTABLE:
-        return 2 - m.genus
-    return 2 - 2 * m.genus
-
-
-def lefschetz_numbers_from_charpoly(kind: SurfaceKind, cp, n_max: int) -> list[int]:
-    """[L_1, ..., L_{n_max}] with traces taken from the characteristic polynomial.
-
-    Newton power sums make this cheap for large matrices; the test suite
-    holds it to the matrix-power route.
-    """
-    traces = trace_sequence_from_charpoly(cp, n_max)
-    return [1 - traces[l - 1] + _degree_two_term(kind, l) for l in range(1, n_max + 1)]
-
-
 @dataclass(frozen=True)
 class Analysis:
     """The analysis pass of one model, built by :func:`analyze`.
@@ -172,13 +163,17 @@ class Analysis:
         return self.residual is None
 
     def lefschetz(self, n_max: int) -> list[int]:
-        """[L_1, ..., L_{n_max}]: k * a_k added at each multiple of each Dold support
-        element k, O(sum_k n_max / k) additions, or O(n_max * degree) Newton steps
-        on the characteristic polynomial when the model is not quasi-unipotent."""
-        if self.dold is None:
-            return lefschetz_numbers_from_charpoly(self.model.kind, self.charpoly, n_max)
-        window = [0] * n_max
-        for k, a in self.dold.items():
+        """[L_1, ..., L_{n_max}]: k * a_k added at each multiple of each support element
+        k of the Dold class, O(sum_k n_max / k) additions.  A model that is not
+        quasi-unipotent adds the kind's class K to the negated Newton power sums of
+        its characteristic polynomial, O(n_max * degree) big-integer steps."""
+        dold = self.dold
+        if dold is None:  # an empty Dold class is falsy but is the model's class
+            dold = _KIND_TERMS[self.model.kind]
+            window = [-s for s in trace_sequence_from_charpoly(self.charpoly, n_max)]
+        else:
+            window = [0] * n_max
+        for k, a in dold.items():
             window[k - 1 :: k] = map((k * a).__add__, window[k - 1 :: k])
         return window
 
@@ -203,20 +198,20 @@ class Analysis:
 def analyze(m: HomologyModel) -> Analysis:
     """Characteristic polynomial, cyclotomic factorization and Dold class, once each.
 
-    The Dold class is expanded on the divisor-closed candidate set only
-    (see the module docstring), never on a window sized by an lcm.
+    The Dold class of a quasi-unipotent model is read off the factorization,
+    a_e = K_e - sum_{d : e | d} m_d mu(d/e) (see the module docstring): one
+    Moebius value per divisor of each cyclotomic order, whatever the lcm.
     """
     cp = charpoly(m.matrix)
     try:
         mults = cyclotomic_factorization(cp)
     except NotQuasiUnipotent as exc:
         return Analysis(m, cp, None, exc.residual, None)
-    candidates = {1, 2}
-    for d in mults:
-        candidates.update(divisors(d))
-    lefschetz = lefschetz_numbers_from_charpoly(m.kind, cp, max(candidates))
-    dold = dold_coefficients(LefschetzSequence({l: lefschetz[l - 1] for l in candidates}))
-    return Analysis(m, cp, mults, None, dold)
+    coeffs = dict(_KIND_TERMS[m.kind])
+    for d, mult in mults.items():
+        for e in divisors(d):
+            coeffs[e] = coeffs.get(e, 0) - mult * moebius(d // e)
+    return Analysis(m, cp, mults, None, DoldClass(coeffs))
 
 
 def algebraic_periods(m: HomologyModel) -> DoldClass:

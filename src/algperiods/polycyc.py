@@ -16,6 +16,7 @@ concurrent reads and whose fill is idempotent.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Dict, Iterable
 
@@ -29,7 +30,6 @@ __all__ = [
     "poly_divmod",
     "cyclotomic",
     "cyclotomic_factorization",
-    "cyclotomic_root_sum",
     "trace_sequence_from_charpoly",
 ]
 
@@ -52,7 +52,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(operator.index, coeffs))
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1
@@ -235,16 +235,6 @@ def cyclotomic_factorization(p: IntPolynomial) -> Dict[int, int]:
             if residual.degree == 0:
                 break
     return mults
-
-
-def cyclotomic_root_sum(m: int) -> int:
-    """Sum of the roots of the m-th cyclotomic polynomial.
-
-    Read off as the negated second-highest coefficient; by a classical
-    identity it coincides with moebius(m).
-    """
-    phi = cyclotomic(m)
-    return -phi.coeffs[phi.degree - 1]
 
 
 def trace_sequence_from_charpoly(p: IntPolynomial, n_max: int) -> list[int]:

@@ -42,6 +42,7 @@ read from the analysis of the assembled matrix, never trusted.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -121,7 +122,7 @@ class SurfaceModel:
 
 
 def _normalized_target(a: Iterable[int]) -> tuple[int, ...]:
-    elements = sorted(set(int(n) for n in a))
+    elements = sorted(set(map(operator.index, a)))
     if not elements:
         raise EmptyTarget("the target set must be nonempty")
     if elements[0] < 1:

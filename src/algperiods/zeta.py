@@ -7,7 +7,7 @@ For a finitely supported Dold class it is the finite product
 
 the exponent convention being pinned down by the series identity: taking
 z d/dz log of the product must reproduce L_n = sum_{k | n} k a_k, which
-the test suite checks against ``lefschetz_from_dold``.
+the test suite checks term by term.
 
 Canonicalization rewrites every (1 + z^k) factor through
 (1 + z^k) = (1 - z^(2k)) / (1 - z^k), leaving the unique representation
@@ -28,7 +28,7 @@ terms merge by adding exponents.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import add, sub
+from operator import add, index, sub
 from typing import Dict, Iterable, NamedTuple
 
 from .arith import DoldClass
@@ -64,7 +64,7 @@ class ZetaFactorization:
     def __init__(self, factors: Iterable[tuple[int, int, int]] = ()):
         merged: Dict[tuple[int, int], int] = {}
         for delta, r, m in factors:
-            delta, r, m = int(delta), int(r), int(m)
+            delta, r, m = index(delta), index(r), index(m)
             if delta not in (1, -1):
                 raise ValueError(f"factor sign must be +1 or -1, got {delta}")
             if r < 1:

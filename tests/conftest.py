@@ -1,39 +1,160 @@
-"""Shared generators and independent oracles for the test suite.
+"""Shared generators, helpers and independent oracles for the test suite.
 
 Every randomized test owns a seeded ``random.Random`` so runs are
 reproducible; nothing here depends on the code paths it is used to
 check (the cofactor determinant and the Faddeev-LeVerrier recurrence
 below are the independent oracles for the multi-modular Hessenberg
 characteristic polynomial, the matrix-power
-Lefschetz loop below is the oracle for the Newton-trace route, the
+Lefschetz loop below is the oracle for the Newton-trace route, the Newton
+window with Moebius inversion on the divisor-closed candidate set is the
+oracle for the Dold class read off the cyclotomic factorization, the
 dynamic programme over parts is the oracle for the pentagonal-number
 partition count, the dense binomial product is the oracle for the zeta
 series passes, the recursive descent is the oracle for the partition
 enumeration loop, and ``json.dumps`` with indent over a converted copy is
-the oracle for the one-pass JSON writer of the CLI).
+the oracle for the one-pass JSON writer of the CLI).  The small matrix,
+sequence and polynomial helpers here (trace, transpose, powers,
+transvections, reg_k) serve the tests only; the library has no use for them.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import random
 from math import comb
+from typing import Sequence
 
 from algperiods import (
+    DoldClass,
     HomologyModel,
     IntMatrix,
     IntPolynomial,
+    LefschetzSequence,
     Mode,
+    OddDimension,
     Partition,
     SurfaceKind,
     ZetaFactorization,
     block_diag,
+    charpoly,
+    cyclotomic,
+    cyclotomic_factorization,
+    divisors,
+    dold_coefficients,
     mat_mul,
     mat_scale,
     realize_orientable_reversing,
-    symplectic_transvection,
-    trace,
+    standard_symplectic_form,
+    trace_sequence_from_charpoly,
 )
+
+
+def trace(a: IntMatrix) -> int:
+    return sum(a.rows[i][i] for i in range(a.dim))
+
+
+def transpose(a: IntMatrix) -> IntMatrix:
+    return IntMatrix(zip(*a.rows))
+
+
+def mat_pow(a: IntMatrix, l: int) -> IntMatrix:
+    """a^l by binary exponentiation; a^0 is the identity."""
+    if l < 0:
+        raise ValueError("negative matrix powers are not defined")
+    result = IntMatrix.identity(a.dim)
+    base = a
+    while l:
+        if l & 1:
+            result = mat_mul(result, base)
+        base = mat_mul(base, base)
+        l >>= 1
+    return result
+
+
+def symplectic_transvection(v: Sequence[int], multiplier: int = 1) -> IntMatrix:
+    """The transvection x -> x + multiplier * <x, v> v, as a matrix.
+
+    <.,.> is the standard symplectic form, so the result I + m * v (Omega v)^T
+    is symplectic for every integer vector v and multiplier.  Products of
+    these conjugate the library's antisymplectic blocks into dense test
+    instances while preserving antisymplecticity and the characteristic
+    polynomial.  A non-integer entry of v or multiplier raises TypeError.
+    """
+    n = len(v)
+    if n % 2:
+        raise OddDimension("transvections live in even dimension")
+    v = [operator.index(x) for x in v]
+    multiplier = operator.index(multiplier)
+    omega = standard_symplectic_form(n // 2)
+    w = [sum(omega.rows[i][j] * v[j] for j in range(n)) for i in range(n)]
+    rows = [
+        [(1 if i == j else 0) + multiplier * v[i] * w[j] for j in range(n)]
+        for i in range(n)
+    ]
+    return IntMatrix(rows)
+
+
+def reg(k: int, n: int) -> int:
+    """Elementary periodic function: k if k divides n, else 0.
+
+    This is the sum of n-th powers of all k-th roots of unity.
+    """
+    if k < 1 or n < 1:
+        raise ValueError("reg requires positive arguments")
+    return k if n % k == 0 else 0
+
+
+def lefschetz_from_dold(d: DoldClass, n: int) -> int:
+    """L_n = sum_{k | n} k * a_k, the exact inverse of dold_coefficients."""
+    if n < 1:
+        raise ValueError("index must be a positive integer")
+    return sum(k * a for k, a in d.items() if n % k == 0)
+
+
+def cyclotomic_root_sum(m: int) -> int:
+    """Sum of the roots of the m-th cyclotomic polynomial, read off as the negated
+    second-highest coefficient; by a classical identity it equals moebius(m)."""
+    phi = cyclotomic(m)
+    return -phi.coeffs[phi.degree - 1]
+
+
+def euler_characteristic(m: HomologyModel) -> int:
+    """2 - 2*genus for orientable kinds, 2 - genus for non-orientable."""
+    if m.kind is SurfaceKind.NONORIENTABLE:
+        return 2 - m.genus
+    return 2 - 2 * m.genus
+
+
+def degree_two_term(kind: SurfaceKind, l: int) -> int:
+    """The eps^l term of L_l: 1 preserving, (-1)^l reversing, none non-orientable."""
+    if kind is SurfaceKind.PRESERVING:
+        return 1
+    if kind is SurfaceKind.REVERSING:
+        return -1 if l % 2 else 1
+    return 0
+
+
+def lefschetz_by_newton(kind: SurfaceKind, cp: IntPolynomial, n_max: int) -> list[int]:
+    """[L_1, ..., L_{n_max}] with the traces taken as Newton power sums of cp."""
+    traces = trace_sequence_from_charpoly(cp, n_max)
+    return [1 - traces[l - 1] + degree_two_term(kind, l) for l in range(1, n_max + 1)]
+
+
+def dold_by_newton_window(m: HomologyModel) -> DoldClass:
+    """The Dold class of a quasi-unipotent model by Moebius inversion of its Newton
+    window on {1, 2} and the divisors of its cyclotomic orders.
+
+    That divisor-closed set holds the whole support: the traces contribute
+    reg_e terms only for e dividing an order, and the degree-0 and degree-2
+    terms only reg_1 and reg_2.
+    """
+    cp = charpoly(m.matrix)
+    candidates = {1, 2}
+    for d in cyclotomic_factorization(cp):
+        candidates.update(divisors(d))
+    window = lefschetz_by_newton(m.kind, cp, max(candidates))
+    return dold_coefficients(LefschetzSequence({l: window[l - 1] for l in candidates}))
 
 
 def random_matrix(rng: random.Random, dim: int, lo: int = -3, hi: int = 3) -> IntMatrix:
@@ -99,13 +220,7 @@ def lefschetz_by_powers(m: HomologyModel, n_max: int) -> list[int]:
     power = IntMatrix.identity(m.matrix.dim)
     for l in range(1, n_max + 1):
         power = mat_mul(power, m.matrix)
-        if m.kind is SurfaceKind.PRESERVING:
-            degree_two = 1
-        elif m.kind is SurfaceKind.REVERSING:
-            degree_two = (-1) ** l
-        else:
-            degree_two = 0
-        out.append(1 - trace(power) + degree_two)
+        out.append(1 - trace(power) + degree_two_term(m.kind, l))
     return out
 
 

@@ -39,7 +39,6 @@ from algperiods import (
     realize_orientable_preserving,
     realize_orientable_reversing,
     series_expand,
-    trace,
     trace_sequence_from_charpoly,
     zeta_from_dold,
 )
@@ -50,6 +49,7 @@ from conftest import (
     odd_lefschetz_vanish_by_powers,
     random_antisymplectic_quasiunipotent,
     random_matrix,
+    trace,
 )
 
 PRESERVING_CASES = {

@@ -9,15 +9,12 @@ from algperiods import (
     divisors,
     dold_coefficients,
     dold_congruence_check,
-    lefschetz_from_dold,
     mat_mul,
     moebius,
-    reg,
-    trace,
 )
 from algperiods.exactmat import IntMatrix
 
-from conftest import random_matrix
+from conftest import lefschetz_from_dold, random_matrix, reg, trace
 
 
 def moebius_oracle(n: int) -> int:

@@ -143,6 +143,11 @@ def test_analyze_malformed_matrix_file(capsys, tmp_path):
     assert run(capsys, ["analyze", "--matrix", str(path), "--kind", "preserving", "--genus", "1"])[0] == 1
     path.write_text("not json")
     assert run(capsys, ["analyze", "--matrix", str(path), "--kind", "preserving", "--genus", "1"])[0] == 1
+    for bad in (True, 1.5, "abc"):
+        path = write_matrix(tmp_path, "bad.json", [[1, bad], [0, 1]])
+        code, out, err = run(capsys, ["analyze", "--matrix", path, "--kind", "preserving", "--genus", "1"])
+        assert code == 1 and out == "", bad
+        assert len(err.splitlines()) == 1 and err.startswith("input error:"), bad
 
 
 def test_big_integers_serialize_as_strings(capsys, tmp_path):
@@ -156,6 +161,12 @@ def test_big_integers_serialize_as_strings(capsys, tmp_path):
     assert code == 4
     assert rep["matrix"]["rows"][0][0] == str(big)
     assert rep["lefschetz"][1] == str(1 - big ** 2)
+    big = "1" + "0" * 29  # a 30-digit string entry of a symplectic shear
+    path = write_matrix(tmp_path, "shear.json", [[1, big], [0, 1]])
+    code, rep, err = run_json(capsys, ["analyze", "--matrix", path, "--kind", "preserving", "--genus", "1"])
+    assert code == 0 and err == ""
+    assert rep["matrix"]["rows"] == [[1, big], [0, 1]]
+    assert rep["cyclotomic_factorization"] == {"1": 2} and rep["dold"] == {}
 
 
 def test_zeta_command(capsys):
@@ -366,29 +377,44 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
         assert got == expected, argv
 
 
-def test_quasi_unipotent_realize_keeps_newton_to_candidate_window(capsys, monkeypatch):
-    """Newton runs only on analyze's candidate window, never on the printed 2*lcm window."""
+def test_quasi_unipotent_realize_keeps_newton_to_candidate_window(capsys, tmp_path, monkeypatch):
+    """Newton runs on no quasi-unipotent model, whose Dold class is read off the
+    factorization, and once on a non-quasi-unipotent one, for the printed window."""
     import algperiods.lefschetz as lefschetz
+    import algperiods.polycyc as polycyc
 
     windows = []
 
-    def recorded(cp, n_max, _fn=lefschetz.trace_sequence_from_charpoly):
+    def recorded(cp, n_max, _fn=polycyc.trace_sequence_from_charpoly):
         windows.append(n_max)
         return _fn(cp, n_max)
 
     monkeypatch.setattr(lefschetz, "trace_sequence_from_charpoly", recorded)
+    monkeypatch.setattr(polycyc, "trace_sequence_from_charpoly", recorded)
+    rev = write_matrix(tmp_path, "rev2.json", [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
+    ident = write_matrix(tmp_path, "id2.json", [[1, 0], [0, 1]])
     for argv in (
         ["realize", "--set", "11,13,18", "--kind", "preserving"],
         ["realize", "--set", "2,3,5", "--kind", "nonorientable"],
         ["realize", "--set", "4,6", "--kind", "reversing", "--mode", "faithful"],
         ["realize", "--set", "1", "--kind", "preserving"],
+        ["realize", "--set", "1", "--kind", "nonorientable"],
+        ["analyze", "--matrix", rev, "--kind", "reversing", "--genus", "2"],
+        ["analyze", "--matrix", ident, "--kind", "preserving", "--genus", "1", "--max-iter", "30"],
+        ["certify", "--matrix", rev, "--kind", "reversing", "--genus", "2"],
+        ["certify", "--matrix", ident, "--kind", "preserving", "--genus", "1"],
     ):
         windows.clear()
         code, rep, _ = run_json(capsys, argv)
-        assert code == 0 and len(rep["lefschetz"]) >= 2
-        # the candidate set holds 2 for the degree-two term besides the divisors of the orders
-        largest = max([2, *map(int, rep["cyclotomic_factorization"])])
-        assert windows and max(windows) <= largest, argv
+        assert code == 0 and rep["dold"] is not None, argv
+        assert windows == [], argv
+    anosov = write_matrix(tmp_path, "anosov.json", [[2, 1], [1, 1]])
+    for extra, printed in (([], 12), (["--max-iter", "40"], 40), (["--max-iter", "1"], 1)):
+        windows.clear()
+        argv = ["analyze", "--matrix", anosov, "--kind", "preserving", "--genus", "1", *extra]
+        code, rep, _ = run_json(capsys, argv)
+        assert code == 4 and len(rep["lefschetz"]) == printed
+        assert windows == [printed], argv
 
 
 def test_parser_state_does_not_leak_between_calls(capsys, tmp_path):

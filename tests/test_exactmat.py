@@ -11,10 +11,16 @@ import pytest
 import algperiods.exactmat as exactmat
 from algperiods import (
     DimensionMismatch,
+    DoldClass,
+    HomologyModel,
     IntMatrix,
     IntPolynomial,
+    LefschetzSequence,
     NotAntisymplectic,
     OddDimension,
+    Partition,
+    SurfaceKind,
+    ZetaFactorization,
     antisymplectic_charpoly_identity_check,
     block_diag,
     charpoly,
@@ -24,25 +30,26 @@ from algperiods import (
     is_antisymplectic,
     is_symplectic,
     mat_mul,
-    mat_pow,
     mat_scale,
     poly_divmod,
-    reg,
+    realize_target,
     standard_symplectic_form,
-    symplectic_transvection,
-    trace,
     trace_sequence_from_charpoly,
-    transpose,
     x_pow_minus_one,
 )
 
 from conftest import (
     charpoly_by_faddeev_leverrier,
     charpoly_cofactor,
+    mat_pow,
     plus_minus_identity,
     random_antisymplectic_quasiunipotent,
     random_matrix,
     random_symplectic_pair,
+    reg,
+    symplectic_transvection,
+    trace,
+    transpose,
 )
 
 
@@ -296,18 +303,45 @@ def test_constructors_reject_non_integer_entries():
             symplectic_transvection([1, 0], bad)
         with pytest.raises(TypeError):
             symplectic_transvection([bad, 0])
+        with pytest.raises(TypeError):
+            IntPolynomial([1, bad])
+        with pytest.raises(TypeError):
+            DoldClass({1: bad})
+        with pytest.raises(TypeError):
+            DoldClass({bad: 1})
+        with pytest.raises(TypeError):
+            LefschetzSequence({1: bad})
+        with pytest.raises(TypeError):
+            ZetaFactorization([(-1, 1, bad)])
+        with pytest.raises(TypeError):
+            ZetaFactorization([(-1, bad, 1)])
+        with pytest.raises(TypeError):
+            Partition({bad: 1})
+        with pytest.raises(TypeError):
+            Partition({1: bad})
+        with pytest.raises(TypeError):
+            HomologyModel(SurfaceKind.PRESERVING, IntMatrix.identity(2), bad)
+        with pytest.raises(TypeError):
+            realize_target([bad], SurfaceKind.PRESERVING)
+    # the cases seen truncating before: x and {1: 2}
+    with pytest.raises(TypeError):
+        IntPolynomial([0.5, 1.9])
+    with pytest.raises(TypeError):
+        DoldClass({1.7: 2.9})
+    assert IntPolynomial([True, 10**30]).coeffs == (1, 10**30)
+    assert DoldClass({2: 10**30}).as_dict() == {2: 10**30}
 
 
 def test_standard_symplectic_form():
-    assert standard_symplectic_form(1).matrix == IntMatrix([[0, 1], [-1, 0]])
+    assert standard_symplectic_form(1) == IntMatrix([[0, 1], [-1, 0]])
     for g in range(0, 9):
-        omega = standard_symplectic_form(g).matrix
+        omega = standard_symplectic_form(g)
         assert mat_mul(omega, omega) == mat_scale(IntMatrix.identity(2 * g), -1)
         assert transpose(omega) == mat_scale(omega, -1)
 
 
 def test_symplectic_predicates():
-    omega = standard_symplectic_form(2).matrix
+    omega = standard_symplectic_form(2)
     assert is_symplectic(omega)
     assert not is_antisymplectic(omega)
     m = plus_minus_identity(3)
@@ -319,13 +353,13 @@ def test_symplectic_predicates():
 
 def test_form_predicates_match_the_products():
     rng = random.Random(23)
-    cases = [plus_minus_identity(2), standard_symplectic_form(3).matrix]
+    cases = [plus_minus_identity(2), standard_symplectic_form(3)]
     cases += [random_symplectic_pair(rng, rng.randint(1, 4))[0] for _ in range(10)]
     cases += [random_antisymplectic_quasiunipotent(rng) for _ in range(10)]
     cases += [random_matrix(rng, 2 * rng.randint(1, 4), -2, 2) for _ in range(10)]
     cases += [IntMatrix([[0] * 4 for _ in range(4)])]
     for a in cases:
-        omega = standard_symplectic_form(a.dim // 2).matrix
+        omega = standard_symplectic_form(a.dim // 2)
         product = mat_mul(mat_mul(transpose(a), omega), a)
         expected = (product == omega, product == mat_scale(omega, -1))
         assert form_predicates(a) == expected

@@ -22,10 +22,7 @@ from algperiods import (
     cyclic_permutation,
     cyclotomic_factorization,
     dold_coefficients,
-    euler_characteristic,
     form_predicates,
-    lefschetz_from_dold,
-    lefschetz_numbers_from_charpoly,
     mat_mul,
     periodic_point_certificate,
     realize_nonorientable,
@@ -35,7 +32,11 @@ from algperiods import (
 )
 
 from conftest import (
+    dold_by_newton_window,
+    euler_characteristic,
+    lefschetz_by_newton,
     lefschetz_by_powers,
+    lefschetz_from_dold,
     odd_lefschetz_vanish_by_powers,
     random_antisymplectic_quasiunipotent,
     random_matrix,
@@ -189,7 +190,7 @@ def test_charpoly_route_matches_power_route():
             genus = a.dim // 2 if orientable else a.dim + 1
             m = HomologyModel(kind, a, genus)
             powers = lefschetz_by_powers(m, 10)
-            assert powers == lefschetz_numbers_from_charpoly(m.kind, charpoly(a), 10)
+            assert powers == lefschetz_by_newton(m.kind, charpoly(a), 10)
             analysis = analyze(m)
             assert analysis.lefschetz(10) == powers
             if analysis.quasi_unipotent:
@@ -197,10 +198,39 @@ def test_charpoly_route_matches_power_route():
                 powers = lefschetz_by_powers(m, bound)
                 expected = dold_coefficients(LefschetzSequence(dict(enumerate(powers, 1))))
                 assert analysis.dold == expected
+                assert dold_by_newton_window(m) == expected
                 dold_checked += 1
             else:
                 assert analysis.dold is None
         assert dold_checked >= 10
+
+    # The Dold class read off the factorization against Moebius inversion of the
+    # Newton window: every kind and reversing mode, dense conjugates, the empty
+    # matrix of each kind, and the genus-1 identity, whose Dold class is empty.
+    models = []
+    for kind in SurfaceKind:
+        modes = list(Mode) if kind is SurfaceKind.REVERSING else [Mode.CORRECTED]
+        pool = range(2, 15, 2) if kind is SurfaceKind.REVERSING else range(1, 15)
+        for mode in modes:
+            for _ in range(25):
+                target = rng.sample(pool, k=rng.randint(1, 4))
+                models.append(realize_target(target, kind, mode=mode).model)
+        for _ in range(8):
+            a = random_quasiunipotent_matrix(rng, kind)
+            genus = a.dim + 1 if kind is SurfaceKind.NONORIENTABLE else a.dim // 2
+            models.append(HomologyModel(kind, a, genus))
+        models.append(HomologyModel(kind, IntMatrix(()), int(kind is SurfaceKind.NONORIENTABLE)))
+    for _ in range(20):
+        a = random_antisymplectic_quasiunipotent(rng)
+        models.append(HomologyModel(SurfaceKind.REVERSING, a, a.dim // 2))
+    identity = identity_model(1)
+    models.append(identity)
+    for m in models:
+        analysis = analyze(m)
+        assert analysis.dold == dold_by_newton_window(m), m
+        wide = 2 * math.lcm(1, *analysis.factorization) + 1
+        assert analysis.lefschetz(wide) == lefschetz_by_newton(m.kind, analysis.charpoly, wide), m
+    assert analyze(identity).dold == DoldClass() and analyze(identity).lefschetz(4) == [0] * 4
 
 
 def test_dold_window_matches_newton_window():
@@ -223,7 +253,7 @@ def test_dold_window_matches_newton_window():
         top = max(analysis.dold.support(), default=1)
         wide = 2 * math.lcm(1, *analysis.factorization) + 3
         for n_max in {1, top - 1, wide} - {0}:
-            newton = lefschetz_numbers_from_charpoly(analysis.model.kind, analysis.charpoly, n_max)
+            newton = lefschetz_by_newton(analysis.model.kind, analysis.charpoly, n_max)
             assert analysis.lefschetz(n_max) == newton, (analysis.model, n_max)
 
 

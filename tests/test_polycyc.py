@@ -8,13 +8,13 @@ from algperiods import (
     NotQuasiUnipotent,
     cyclotomic,
     cyclotomic_factorization,
-    cyclotomic_root_sum,
     moebius,
     poly_divmod,
-    reg,
     trace_sequence_from_charpoly,
     x_pow_minus_one,
 )
+
+from conftest import cyclotomic_root_sum, reg
 
 X = IntPolynomial([0, 1])
 ONE = IntPolynomial([1])

@@ -24,17 +24,15 @@ from algperiods import (
     cyclotomic_factorization,
     is_antisymplectic,
     is_symplectic,
-    mat_pow,
     preserving_model_from_multiplicities,
     realize_nonorientable,
     realize_orientable_preserving,
     realize_orientable_reversing,
     realize_target,
-    trace,
     x_pow_minus_one,
 )
 
-from conftest import odd_lefschetz_vanish_by_powers
+from conftest import mat_pow, odd_lefschetz_vanish_by_powers, trace
 
 
 def preserving_genus_formula(a: set[int]) -> int:

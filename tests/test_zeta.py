@@ -7,7 +7,6 @@ from algperiods import (
     ZetaFactorization,
     canonicalize,
     format_factors,
-    lefschetz_from_dold,
     lefschetz_from_zeta,
     mper_from_factorization,
     parse_factors,
@@ -15,7 +14,7 @@ from algperiods import (
     zeta_from_dold,
 )
 
-from conftest import series_by_dense_product
+from conftest import lefschetz_from_dold, series_by_dense_product
 
 
 def random_factorization(rng: random.Random, max_factors: int = 6) -> ZetaFactorization:
