@@ -73,9 +73,6 @@ from .realize import (
     SurfaceModel,
     TargetMismatch,
     preserving_model_from_multiplicities,
-    realize_nonorientable,
-    realize_orientable_preserving,
-    realize_orientable_reversing,
     realize_target,
 )
 from .zeta import (

@@ -2,37 +2,46 @@
 
 Each construction assembles a homology model from periodic pieces: a
 piece with label n carries a periodic homeomorphism of order tau(n) that
-cyclically permutes handle curves, and the global matrix is written in
-the basis (all a-curves, then all b-curves) so that the symplectic
-predicates of :mod:`algperiods.exactmat` apply directly.
+cyclically permutes handle curves.  :func:`realize_target` is the one
+construction: a short branch per surface kind lists the pieces and their
+blocks, and one shared tail assembles the matrix, reads the genus off its
+dimension (dim / 2 for orientable kinds, dim + 1 for the non-orientable
+kind), analyses it and compares the achieved periods with the target.
+Orientable matrices are written in the basis (all a-curves, then all
+b-curves), diag(H, H) preserving and diag(H, -H) reversing for the direct
+sum H of the blocks, so the symplectic predicates of
+:mod:`algperiods.exactmat` apply directly.
 
 Orientation-preserving case.  Pieces for n in the working set (the
-target with 1 toggled) each contribute an n-cycle permutation on the
-a-curves and the same on the b-curves; the assembled matrix is
-diag(M, M) with M the direct sum of the cycles, which is symplectic.
+target with 1 toggled) each contribute an n-cycle permutation.
 
 Orientation-reversing case.  Only even targets are realizable.  Pieces
 come in mirror pairs; the map swaps the copies while shifting the cycle
 index, so each piece contributes a "swap-shift" permutation on 2*tau(n)
-curves (tau(n) = n when 4 | n, else n/2).  Placing a -1 on every
-second-copy b-coordinate (equivalently, using diag(P, -P)) makes the
-assembled matrix antisymplectic; correctness is enforced by the
-postconditions (antisymplectic, prescribed characteristic polynomial),
-not by this particular sign recipe.  Two modes are exposed:
+curves (tau(n) = n when 4 | n, else n/2).  The -1 on the b-curves makes
+the matrix antisymplectic; correctness is enforced by the postconditions
+(antisymplectic, achieved periods), not by this particular sign recipe.
+Two modes are exposed:
 
 * ``Mode.FAITHFUL`` keeps the literal piece bookkeeping (2 toggled into
   the working set).  Recomputing the achieved class from traces shows
   that for 2 not in the target the period 2 is picked up as well; the
-  resulting model is reported with a deviation flag rather than patched.
+  resulting model is reported with deviation flags rather than patched.
 * ``Mode.CORRECTED`` uses pieces only for the target minus {2} and, when
-  2 is absent from the target, one extra 2x2 block diag(1, -1); the
-  achieved support then equals the target exactly.
+  2 is absent from the target, one extra 1x1 identity block (a
+  diag(1, -1) pair after doubling); the achieved support then equals the
+  target exactly.
 
-Non-orientable case.  The torsion-free first homology has rank genus-1;
-one curve of a chosen pivot piece is eliminated, turning that piece's
-cycle into the companion matrix of (x^n - 1)/(x - 1) when the pivot is
-nontrivial, or leaving a single fixed curve when the pivot is the
-identity piece.
+Non-orientable case.  The torsion-free first homology has rank genus-1.
+When 1 is in the target, one curve of the pivot piece (the smallest
+other label) is eliminated, turning its cycle into the companion matrix
+of (x^n - 1)/(x - 1); the target {1} has no pieces at all (the identity
+on the projective plane).  Otherwise an identity piece of order 2 adds
+one fixed curve.
+
+One mismatch policy: when the achieved support differs from the target,
+:class:`TargetMismatch` is raised, except for the faithful reversing
+construction, which returns the model with its deviation flags.
 
 All constructions are deterministic: targets are sorted, pieces are
 emitted in increasing label order, and the achieved Dold class is always
@@ -63,9 +72,6 @@ __all__ = [
     "Mode",
     "PieceSpec",
     "SurfaceModel",
-    "realize_orientable_preserving",
-    "realize_orientable_reversing",
-    "realize_nonorientable",
     "realize_target",
     "preserving_model_from_multiplicities",
 ]
@@ -83,7 +89,7 @@ class OddTargetUnrealizable(Exception):
 
 
 class TargetMismatch(Exception):
-    """The achieved period set differs from the target (postcondition or strict mode)."""
+    """The achieved period set of a construction differs from its target."""
 
 
 class Mode(enum.Enum):
@@ -102,12 +108,11 @@ class PieceSpec:
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """A realization result; ``achieved`` is read from the model's analysis."""
+    """A realization result; ``genus``, ``model`` and ``achieved`` are read from its analysis."""
 
     target: tuple[int, ...]
     kind: SurfaceKind
     mode: Optional[Mode]
-    genus: int
     pieces: tuple[PieceSpec, ...]
     analysis: Analysis
     flags: tuple[str, ...] = ()
@@ -115,6 +120,10 @@ class SurfaceModel:
     @property
     def model(self) -> HomologyModel:
         return self.analysis.model
+
+    @property
+    def genus(self) -> int:
+        return self.analysis.model.genus
 
     @property
     def achieved(self) -> DoldClass:
@@ -130,182 +139,91 @@ def _normalized_target(a: Iterable[int]) -> tuple[int, ...]:
     return tuple(elements)
 
 
-def _analyze_construction(model: HomologyModel, target_set: set[int]) -> Analysis:
-    """Analysis of a construction's model; TargetMismatch if it misses the target."""
-    analysis = analyze(model)
-    achieved = set(analysis.dold.support())
-    if achieved != target_set:
-        raise TargetMismatch(
-            f"{model.kind.value} construction missed its target: achieved periods"
-            f" {sorted(achieved)}, target {sorted(target_set)}"
-        )
-    return analysis
-
-
 def preserving_model_from_multiplicities(multiplicities: Mapping[int, int]) -> HomologyModel:
     """Orientation-preserving model with ``copies`` pieces per label.
 
     The matrix is diag(M, M) with M the direct sum of copies[n] cycle
-    permutations of length n; the genus is sum(n * copies).  Used by the
-    single-copy realization and by the partition census correspondence.
+    permutations of length n; the genus is sum(n * copies).  The tests of
+    the partition census correspondence build their models with it.
     """
     cycles = []
-    genus = 0
     for n in sorted(multiplicities):
         copies = multiplicities[n]
         if n < 1 or copies < 0:
             raise ValueError("labels must be positive and multiplicities nonnegative")
         cycles.extend(cyclic_permutation(n) for _ in range(copies))
-        genus += n * copies
     half = block_diag(cycles)
-    matrix = block_diag([half, half])
-    return HomologyModel(SurfaceKind.PRESERVING, matrix, genus, strict=True)
+    return HomologyModel(SurfaceKind.PRESERVING, block_diag([half, half]), half.dim, strict=True)
 
 
-def realize_orientable_preserving(a: Iterable[int]) -> SurfaceModel:
-    """Orientation-preserving realization of an arbitrary finite target."""
-    target = _normalized_target(a)
-    target_set = set(target)
-    if 1 in target_set:
-        working = sorted(target_set - {1})
-    else:
-        working = sorted(target_set | {1})
-    model = preserving_model_from_multiplicities({n: 1 for n in working})
-    analysis = _analyze_construction(model, target_set)
-    return SurfaceModel(
-        target=target,
-        kind=SurfaceKind.PRESERVING,
-        mode=None,
-        genus=model.genus,
-        pieces=tuple(PieceSpec(n, n, 1) for n in working),
-        analysis=analysis,
-    )
-
-
-def _swap_shift_block(n: int) -> IntMatrix:
-    """Permutation of the 2*tau(n) paired curves of a doubled piece.
+def _swap_shift_block(tau: int) -> IntMatrix:
+    """Permutation of the 2*tau paired curves of a doubled piece.
 
     Coordinates 0..tau-1 are the first copy, tau..2*tau-1 the mirror
     copy; the map sends (copy c, index j) to (copy 1-c, index j+1 mod tau).
-    A single 2*tau-cycle when tau is odd (4 does not divide n), two
-    n-cycles when tau = n is even.
+    A single 2*tau-cycle when tau is odd, two tau-cycles when tau is even.
     """
-    tau = n if n % 4 == 0 else n // 2
     size = 2 * tau
     rows = [[0] * size for _ in range(size)]
     for j in range(tau):
         rows[tau + (j + 1) % tau][j] = 1
         rows[(j + 1) % tau][tau + j] = 1
-    return IntMatrix(rows)
-
-
-def _reversing_matrix(working: list[int], extra_block: bool) -> IntMatrix:
-    a_blocks = [_swap_shift_block(n) for n in working]
-    if extra_block:
-        a_blocks.append(IntMatrix.identity(1))
-    half = block_diag(a_blocks)
-    return block_diag([half, mat_scale(half, -1)])
-
-
-def realize_orientable_reversing(
-    a: Iterable[int],
-    mode: Mode = Mode.CORRECTED,
-    strict: bool = False,
-) -> SurfaceModel:
-    """Orientation-reversing realization; the target must consist of even numbers."""
-    target = _normalized_target(a)
-    target_set = set(target)
-    if any(n % 2 for n in target):
-        raise OddTargetUnrealizable(
-            "orientation-reversing models admit only even algebraic periods; "
-            f"target {list(target)} contains odd elements"
-        )
-    if mode is Mode.FAITHFUL:
-        if 2 in target_set:
-            working = sorted(target_set - {2})
-        else:
-            working = sorted(target_set | {2})
-        extra_block = False
-    else:
-        working = sorted(target_set - {2})
-        extra_block = 2 not in target_set
-    matrix = _reversing_matrix(working, extra_block)
-    genus = matrix.dim // 2
-    model = HomologyModel(SurfaceKind.REVERSING, matrix, genus, strict=True)
-    analysis = analyze(model)
-    achieved = analysis.dold
-    flags: tuple[str, ...] = ()
-    if set(achieved.support()) != target_set:
-        flags = (DEVIATION_FLAG,)
-        if mode is Mode.FAITHFUL:
-            flags += (FAITHFUL_PERIOD_TWO_FLAG,)
-        if strict:
-            raise TargetMismatch(
-                f"achieved periods {sorted(achieved.support())} differ from target {target}"
-            )
-    pieces = [PieceSpec(n, n if n % 4 == 0 else n // 2, 2) for n in working]
-    if extra_block:
-        pieces.append(PieceSpec(2, 1, 1))
-    return SurfaceModel(
-        target=target,
-        kind=SurfaceKind.REVERSING,
-        mode=mode,
-        genus=genus,
-        pieces=tuple(pieces),
-        analysis=analysis,
-        flags=flags,
-    )
-
-
-def realize_nonorientable(a: Iterable[int]) -> SurfaceModel:
-    """Non-orientable realization of an arbitrary finite target."""
-    target = _normalized_target(a)
-    target_set = set(target)
-    if target_set == {1}:
-        # Identity on the projective plane: genus 1, empty matrix, L == 1.
-        model = HomologyModel(SurfaceKind.NONORIENTABLE, IntMatrix(()), 1)
-        return SurfaceModel(
-            target=target,
-            kind=SurfaceKind.NONORIENTABLE,
-            mode=None,
-            genus=1,
-            pieces=(),
-            analysis=_analyze_construction(model, target_set),
-        )
-    if 1 in target_set:
-        working = sorted(target_set - {1})
-        pivot = working[0]
-        blocks = [companion_cycle_quotient(pivot)]
-        blocks.extend(cyclic_permutation(n) for n in working[1:])
-        genus = sum(working)
-    else:
-        working = sorted(target_set) + [1]
-        blocks = [cyclic_permutation(n) for n in sorted(target_set)]
-        blocks.append(IntMatrix.identity(1))
-        genus = 2 + sum(target_set)
-    matrix = block_diag(blocks)
-    model = HomologyModel(SurfaceKind.NONORIENTABLE, matrix, genus)
-    analysis = _analyze_construction(model, target_set)
-    pieces = tuple(PieceSpec(n, 2 if n == 1 else n, 1) for n in sorted(working))
-    return SurfaceModel(
-        target=target,
-        kind=SurfaceKind.NONORIENTABLE,
-        mode=None,
-        genus=genus,
-        pieces=pieces,
-        analysis=analysis,
-    )
+    return IntMatrix._raw(rows)
 
 
 def realize_target(
-    a: Iterable[int],
-    kind: SurfaceKind,
-    mode: Mode = Mode.CORRECTED,
-    strict: bool = False,
+    a: Iterable[int], kind: SurfaceKind, mode: Optional[Mode] = Mode.CORRECTED
 ) -> SurfaceModel:
-    """Dispatch to the construction matching ``kind``."""
+    """A model of ``kind`` whose algebraic periods are the finite set ``a``.
+
+    ``mode`` applies to the reversing kind only; the other kinds report
+    mode None.  Raises EmptyTarget, ValueError for nonpositive elements,
+    OddTargetUnrealizable for an odd element in a reversing target, and
+    TargetMismatch when a construction other than the faithful reversing
+    one misses its target.
+    """
+    target = _normalized_target(a)
+    target_set = set(target)
+    if kind is not SurfaceKind.REVERSING:
+        mode = None
     if kind is SurfaceKind.PRESERVING:
-        return realize_orientable_preserving(a)
-    if kind is SurfaceKind.REVERSING:
-        return realize_orientable_reversing(a, mode=mode, strict=strict)
-    return realize_nonorientable(a)
+        pieces = [PieceSpec(n, n, 1) for n in sorted(target_set ^ {1})]
+        blocks = [cyclic_permutation(p.n) for p in pieces]
+    elif kind is SurfaceKind.REVERSING:
+        if any(n % 2 for n in target):
+            raise OddTargetUnrealizable(
+                "orientation-reversing models admit only even algebraic periods; "
+                f"target {list(target)} contains odd elements"
+            )
+        faithful = mode is Mode.FAITHFUL
+        working = target_set ^ {2} if faithful else target_set - {2}
+        pieces = [PieceSpec(n, n if n % 4 == 0 else n // 2, 2) for n in sorted(working)]
+        blocks = [_swap_shift_block(p.tau) for p in pieces]
+        if not faithful and 2 not in target_set:
+            pieces.append(PieceSpec(2, 1, 1))
+            blocks.append(IntMatrix.identity(1))
+    elif 1 in target_set:
+        pieces = [PieceSpec(n, n, 1) for n in target[1:]]
+        blocks = [companion_cycle_quotient(p.n) for p in pieces[:1]]
+        blocks += [cyclic_permutation(p.n) for p in pieces[1:]]
+    else:
+        pieces = [PieceSpec(1, 2, 1)] + [PieceSpec(n, n, 1) for n in target]
+        blocks = [cyclic_permutation(n) for n in target] + [IntMatrix.identity(1)]
+
+    half = block_diag(blocks)
+    if kind is SurfaceKind.NONORIENTABLE:
+        model = HomologyModel(kind, half, half.dim + 1)
+    else:
+        other = mat_scale(half, -1) if kind is SurfaceKind.REVERSING else half
+        model = HomologyModel(kind, block_diag([half, other]), half.dim, strict=True)
+    analysis = analyze(model)
+    achieved = analysis.dold.support()  # sorted, like target
+    flags: tuple[str, ...] = ()
+    if achieved != target:
+        if mode is not Mode.FAITHFUL:
+            raise TargetMismatch(
+                f"{kind.value} construction missed its target: achieved periods"
+                f" {list(achieved)}, target {list(target)}"
+            )
+        flags = (DEVIATION_FLAG, FAITHFUL_PERIOD_TWO_FLAG)
+    return SurfaceModel(target, kind, mode, tuple(pieces), analysis, flags)

@@ -44,7 +44,7 @@ from algperiods import (
     dold_coefficients,
     mat_mul,
     mat_scale,
-    realize_orientable_reversing,
+    realize_target,
     standard_symplectic_form,
     trace_sequence_from_charpoly,
 )
@@ -271,7 +271,7 @@ def random_antisymplectic_quasiunipotent(rng: random.Random) -> IntMatrix:
     else:
         targets = sorted(rng.sample([2, 4, 6, 8], k=rng.randint(1, 2)))
         mode = rng.choice([Mode.FAITHFUL, Mode.CORRECTED])
-        base = realize_orientable_reversing(set(targets), mode).model.matrix
+        base = realize_target(set(targets), SurfaceKind.REVERSING, mode).model.matrix
         if base.dim == 0:
             base = plus_minus_identity(rng.randint(1, 3))
     s, s_inv = random_symplectic_pair(rng, base.dim // 2, count=rng.randint(2, 4))

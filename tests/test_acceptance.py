@@ -35,9 +35,7 @@ from algperiods import (
     partition_count,
     partition_to_dold_nonorientable,
     partition_to_dold_orientable,
-    realize_nonorientable,
-    realize_orientable_preserving,
-    realize_orientable_reversing,
+    realize_target,
     series_expand,
     trace_sequence_from_charpoly,
     zeta_from_dold,
@@ -85,12 +83,12 @@ def criterion(number, label):
 def realization_outputs():
     outputs = []
     for target in PRESERVING_CASES:
-        outputs.append(realize_orientable_preserving(set(target)))
+        outputs.append(realize_target(set(target), SurfaceKind.PRESERVING))
     for target in NONORIENTABLE_CASES:
-        outputs.append(realize_nonorientable(set(target)))
+        outputs.append(realize_target(set(target), SurfaceKind.NONORIENTABLE))
     for target in REVERSING_SETS:
-        outputs.append(realize_orientable_reversing(set(target), Mode.CORRECTED))
-        outputs.append(realize_orientable_reversing(set(target), Mode.FAITHFUL))
+        outputs.append(realize_target(set(target), SurfaceKind.REVERSING, Mode.CORRECTED))
+        outputs.append(realize_target(set(target), SurfaceKind.REVERSING, Mode.FAITHFUL))
     return outputs
 
 
@@ -115,7 +113,7 @@ def order_bound(matrix) -> int:
 def test_criterion_01_preserving_realization():
     with criterion(1, "orientation-preserving realization"):
         for target, genus in PRESERVING_CASES.items():
-            sm = realize_orientable_preserving(set(target))
+            sm = realize_target(set(target), SurfaceKind.PRESERVING)
             assert sm.genus == genus, (sorted(target), sm.genus, genus)
             assert set(algebraic_periods(sm.model).support()) == set(target)
 
@@ -123,7 +121,7 @@ def test_criterion_01_preserving_realization():
 def test_criterion_02_nonorientable_realization():
     with criterion(2, "non-orientable realization"):
         for target, genus in NONORIENTABLE_CASES.items():
-            sm = realize_nonorientable(set(target))
+            sm = realize_target(set(target), SurfaceKind.NONORIENTABLE)
             assert sm.genus == genus, (sorted(target), sm.genus, genus)
             assert set(sm.achieved.support()) == set(target)
 
@@ -133,18 +131,18 @@ def test_criterion_03_reversing_realization():
         rng = random.Random(3003)
         for target in ({1}, {3}, {2, 5}, {4, 9}):
             with pytest.raises(OddTargetUnrealizable):
-                realize_orientable_reversing(target, Mode.CORRECTED)
+                realize_target(target, SurfaceKind.REVERSING, Mode.CORRECTED)
             with pytest.raises(OddTargetUnrealizable):
-                realize_orientable_reversing(target, Mode.FAITHFUL)
+                realize_target(target, SurfaceKind.REVERSING, Mode.FAITHFUL)
         targets = [set(t) for t in REVERSING_SETS]
         targets += [
             set(rng.sample([2, 4, 6, 8, 10, 12], k=rng.randint(1, 3))) for _ in range(20)
         ]
         for target in targets:
-            corrected = realize_orientable_reversing(target, Mode.CORRECTED)
+            corrected = realize_target(target, SurfaceKind.REVERSING, Mode.CORRECTED)
             assert set(corrected.achieved.support()) == target
             assert corrected.flags == ()
-            faithful = realize_orientable_reversing(target, Mode.FAITHFUL)
+            faithful = realize_target(target, SurfaceKind.REVERSING, Mode.FAITHFUL)
             assert faithful.genus == reversing_genus_formula(target)
             if 2 in target:
                 assert set(faithful.achieved.support()) == target
@@ -279,11 +277,11 @@ def test_criterion_12_headline_realizability():
         rng = random.Random(1212)
         for _ in range(50):
             target = set(rng.sample(range(1, 13), k=rng.randint(1, 4)))
-            sm = realize_orientable_preserving(target)
+            sm = realize_target(target, SurfaceKind.PRESERVING)
             assert set(algebraic_periods(sm.model).support()) == target
-            sm = realize_nonorientable(target)
+            sm = realize_target(target, SurfaceKind.NONORIENTABLE)
             assert set(algebraic_periods(sm.model).support()) == target
         for _ in range(50):
             target = set(rng.sample([2, 4, 6, 8, 10, 12], k=rng.randint(1, 4)))
-            sm = realize_orientable_reversing(target, Mode.CORRECTED)
+            sm = realize_target(target, SurfaceKind.REVERSING, Mode.CORRECTED)
             assert set(algebraic_periods(sm.model).support()) == target

@@ -2,10 +2,19 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from algperiods.cli import MAX_GENUS, MAX_LISTED_PARTITIONS, MAX_SERIES, MAX_WINDOW, main
+from algperiods import IntMatrix
+from algperiods.cli import (
+    MAX_GENUS,
+    MAX_LISTED_PARTITIONS,
+    MAX_SERIES,
+    MAX_SET_SUM,
+    MAX_WINDOW,
+    main,
+)
 
 from conftest import json_by_dumps
 
@@ -222,11 +231,12 @@ def test_census_command(capsys):
     assert run(capsys, ["census", "--genus", "0"])[0] == 1
 
 
-def test_size_caps(capsys, tmp_path):
+def test_size_caps(capsys, tmp_path, monkeypatch):
     identity = write_matrix(tmp_path, "identity.json", [[1, 0], [0, 1]])
     analyze = ["analyze", "--matrix", identity, "--kind", "preserving", "--genus", "1"]
+    assert sum(range(2, 20)) <= MAX_SET_SUM
     over_cap = [
-        # default window 2 * lcm(2, ..., 19) = 465,585,120
+        # default window 2 * lcm(2, ..., 19) = 465,585,120; the set sum 189 is under its cap
         ["realize", "--set", ",".join(map(str, range(2, 20))), "--kind", "preserving"],
         analyze + ["--max-iter", str(MAX_WINDOW + 1)],
         ["census", "--genus", str(MAX_GENUS + 1)],
@@ -251,6 +261,25 @@ def test_size_caps(capsys, tmp_path):
     code, rep, _ = run_json(capsys, analyze + ["--max-iter", str(MAX_WINDOW)])
     assert code == 0 and len(rep["lefschetz"]) == MAX_WINDOW and set(rep["lefschetz"]) == {0}
 
+    # The set-sum cap refuses before any matrix is built: 1..300 would be a
+    # dense dim-90,298 preserving matrix.  Duplicates count once.  Building
+    # a matrix raises at the first (small) block, before any large allocation.
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built for a refused --set")
+
+    with monkeypatch.context() as m:
+        m.setattr(IntMatrix, "_raw", classmethod(no_matrix))
+        m.setattr(IntMatrix, "__init__", no_matrix)
+        for text in [",".join(map(str, range(1, 301))), str(MAX_SET_SUM + 1), "100,101,101"]:
+            for kind in ("preserving", "reversing", "nonorientable"):
+                start = time.perf_counter()
+                code, out, err = run(capsys, ["realize", "--set", text, "--kind", kind])
+                assert time.perf_counter() - start < 0.1, (text, kind)
+                assert code == 1 and out == "", (text, kind)
+                assert err.count("\n") == 1 and f"cap of {MAX_SET_SUM}" in err, (text, kind)
+    code, rep, _ = run_json(capsys, ["realize", "--set", "150,50,150", "--kind", "nonorientable"])
+    assert code == 0 and rep["target"] == [50, 150] and rep["genus"] == MAX_SET_SUM + 2
+
 
 def test_certify_command(capsys, tmp_path):
     code, rep, _ = run_json(capsys, ["certify", "--dold", '{"3":-2,"4":1}'])
@@ -261,9 +290,9 @@ def test_certify_command(capsys, tmp_path):
     code, rep, _ = run_json(capsys, ["certify", "--dold", "{}"])
     assert code == 0 and rep["certificates"] == []
 
-    from algperiods import Mode, realize_orientable_reversing
+    from algperiods import Mode, SurfaceKind, realize_target
 
-    sm = realize_orientable_reversing({2, 8}, Mode.CORRECTED)
+    sm = realize_target({2, 8}, SurfaceKind.REVERSING, Mode.CORRECTED)
     path = write_matrix(tmp_path, "rev28.json", [list(r) for r in sm.model.matrix.rows])
     code, rep, _ = run_json(
         capsys,

@@ -1,7 +1,9 @@
-"""Fuzz the zeta and census commands through ``cli.main``.
+"""Fuzz the zeta, census, realize and certify commands through ``cli.main``.
 
-Every input must end with exit 0 and a JSON report, or exit 1 with one
-line on stderr; an exception escaping ``main`` fails the test.  Examples
+Every zeta, census and certify input must end with exit 0 and a JSON
+report, or exit 1 with one line on stderr; realize may also end with exit
+2 (one line on stderr) or exit 3 (the report, then one line on stderr).
+An exception escaping ``main`` fails the test.  Examples
 are derandomized and the database is off, so runs repeat exactly.  Drawn
 sizes stay where a run takes milliseconds; the caps themselves are
 checked in ``test_cli.py::test_size_caps``.
@@ -19,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from algperiods.cli import MAX_GENUS, MAX_SERIES, main
+from algperiods.cli import MAX_GENUS, MAX_SERIES, MAX_SET_SUM, main
 
 FUZZ = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
@@ -90,3 +92,87 @@ def test_fuzz_census_values(genus, listing, limit):
     report = check_outcome(*run(argv))
     if report:
         assert report["genus"] == genus
+
+
+# Set elements: small labels (0 and negatives included), labels that alone
+# pass the set-sum cap, and junk text.  Small labels keep a reversing
+# matrix below dim 300, so each run takes milliseconds; the labels above
+# the cap stay small enough that a missing cap would fail, not exhaust memory.
+SET_ITEMS = st.one_of(
+    st.integers(-3, 24).map(str),
+    st.one_of(st.integers(MAX_SET_SUM + 1, 3 * MAX_SET_SUM), st.just(10**30)).map(str),
+    CHARS,
+)
+SET_TEXTS = st.one_of(
+    st.lists(st.integers(1, 24), min_size=1, max_size=4).map(lambda a: ",".join(map(str, a))),
+    st.lists(st.integers(1, 12), min_size=1, max_size=4).map(
+        lambda a: ",".join(str(2 * n) for n in a)
+    ),
+    st.lists(SET_ITEMS, max_size=4).map(",".join),
+    CHARS,
+)
+
+
+def realize_fields(out: str, fmt: str) -> dict:
+    """target, achieved and flags of a realize report, as lists of strings."""
+    if fmt == "json":
+        report = json.loads(out)
+        return {key: list(map(str, report[key])) for key in ("target", "achieved", "flags")}
+    top = dict(line.split(": ", 1) for line in out.splitlines() if line[:1] != " " and ": " in line)
+    return {key: top[key].strip("[]").split() for key in ("target", "achieved", "flags")}
+
+
+@FUZZ
+@example(text="4", kind="reversing", mode="faithful", fmt="text", strict=True)
+@example(text="3,3,2,2", kind="reversing", mode="corrected", fmt="json", strict=False)
+@example(text=f"{MAX_SET_SUM // 2},{MAX_SET_SUM // 2},1", kind="nonorientable",
+         mode="corrected", fmt="json", strict=True)
+@given(
+    text=SET_TEXTS,
+    kind=st.sampled_from(["preserving", "reversing", "nonorientable"]),
+    mode=st.sampled_from(["faithful", "corrected"]),
+    fmt=st.sampled_from(["json", "text"]),
+    strict=st.booleans(),
+)
+def test_fuzz_realize_sets(text, kind, mode, fmt, strict):
+    argv = ["realize", f"--set={text}", "--kind", kind, "--mode", mode, "--format", fmt]
+    code, out, err = run(argv + ["--strict"] * strict)
+    assert code in (0, 1, 2, 3)
+    if code in (1, 2):
+        assert out == "" and err.count("\n") == 1
+        return
+    fields = realize_fields(out, fmt)
+    assert fields["target"] == [str(n) for n in sorted({int(p) for p in text.split(",") if p})]
+    if fields["flags"]:
+        assert kind == "reversing" and mode == "faithful"
+    else:
+        assert fields["achieved"] == fields["target"]
+    if code == 3:
+        assert strict and fields["flags"] and err.count("\n") == 1
+    else:
+        assert err == "" and not (strict and fields["flags"])
+
+
+DOLD_TEXTS = st.one_of(
+    st.text(alphabet='{}[]":,.-+ 0123456789eéx٣\x00', max_size=30),
+    st.dictionaries(
+        st.integers(1, 60).map(str), st.integers(-10**30, 10**30), max_size=5
+    ).map(json.dumps),
+    st.dictionaries(
+        st.one_of(st.integers(-3, 60).map(str), CHARS),
+        st.one_of(st.integers(-10**30, 10**30), CHARS, st.booleans(), st.none()),
+        max_size=5,
+    ).map(json.dumps),
+)
+
+
+@FUZZ
+@example(text='{"0": 1}')
+@example(text='{"3": -2, "03": 0, "4": 1}')
+@given(text=DOLD_TEXTS)
+def test_fuzz_certify_dold(text):
+    report = check_outcome(*run(["certify", f"--dold={text}"]))
+    if report:
+        periods = [c["period"] for c in report["certificates"]]
+        assert periods == sorted(map(int, report["dold"])) == sorted(set(periods))
+        assert 0 not in report["dold"].values()

@@ -119,6 +119,26 @@ def test_golden_stdout(name, argv, exit_code):
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 
+def test_readme_library_example():
+    """README's python block prints, line by line, what each print's comment says.
+
+    The expected text of a ``print(...)  # text`` line is its comment up to
+    the first double space, which starts an explanatory remark.
+    """
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [
+        line.split("# ", 1)[1].split("  ", 1)[0]
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected
+    assert expected
+
+
 if __name__ == "__main__":
     for name, argv, exit_code in CASES:
         code, out = run_case(argv)

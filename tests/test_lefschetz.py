@@ -25,9 +25,6 @@ from algperiods import (
     form_predicates,
     mat_mul,
     periodic_point_certificate,
-    realize_nonorientable,
-    realize_orientable_preserving,
-    realize_orientable_reversing,
     realize_target,
 )
 
@@ -105,14 +102,14 @@ def test_lefschetz_number_reversing_sphere():
 
 
 def test_lefschetz_sequence_of_two_period_model():
-    sm = realize_orientable_preserving({1, 2})
+    sm = realize_target({1, 2}, SurfaceKind.PRESERVING)
     expected = [2 - 2 * (2 if l % 2 == 0 else 0) for l in range(1, 9)]
     assert lefschetz_by_powers(sm.model, 8) == expected
     assert sm.analysis.lefschetz(8) == expected
 
 
 def test_algebraic_periods_examples():
-    sm = realize_orientable_preserving({2, 3})
+    sm = realize_target({2, 3}, SurfaceKind.PRESERVING)
     d = algebraic_periods(sm.model)
     assert d.as_dict() == {2: -2, 3: -2}
 
@@ -124,16 +121,16 @@ def test_algebraic_periods_examples():
 
 
 def test_ap_odd_and_mper():
-    sm = realize_orientable_preserving({1, 2, 3})
+    sm = realize_target({1, 2, 3}, SurfaceKind.PRESERVING)
     assert ap_odd(sm.model) == {1, 3}
-    rev = realize_orientable_reversing({2, 4})
+    rev = realize_target({2, 4}, SurfaceKind.REVERSING)
     assert ap_odd(rev.model) == set()
-    non = realize_nonorientable({5})
+    non = realize_target({5}, SurfaceKind.NONORIENTABLE)
     assert ap_odd(non.model) == {5}
 
 
 def test_odd_vanishing_check():
-    rev = realize_orientable_reversing({4})
+    rev = realize_target({4}, SurfaceKind.REVERSING)
     assert odd_lefschetz_vanish_by_powers(rev.model, 25)
     assert all(x == 0 for x in rev.analysis.lefschetz(25)[::2])
     sphere = HomologyModel(SurfaceKind.REVERSING, IntMatrix(()), 0)
@@ -151,9 +148,9 @@ def test_certificates():
 
 def test_dold_reproduces_lefschetz_sequence():
     for sm in (
-        realize_orientable_preserving({2, 3}),
-        realize_orientable_reversing({2, 4}),
-        realize_nonorientable({1, 3}),
+        realize_target({2, 3}, SurfaceKind.PRESERVING),
+        realize_target({2, 4}, SurfaceKind.REVERSING),
+        realize_target({1, 3}, SurfaceKind.NONORIENTABLE),
     ):
         orders = cyclotomic_factorization(charpoly(sm.model.matrix))
         bound = 2 * math.lcm(1, *orders)
@@ -168,9 +165,9 @@ def random_quasiunipotent_matrix(rng, kind: SurfaceKind) -> IntMatrix:
         return random_antisymplectic_quasiunipotent(rng)
     target = set(rng.sample(range(2, 7), k=rng.randint(1, 2)))
     if kind is SurfaceKind.PRESERVING:
-        base = realize_orientable_preserving(target).model.matrix
+        base = realize_target(target, SurfaceKind.PRESERVING).model.matrix
     else:
-        base = realize_nonorientable(target).model.matrix
+        base = realize_target(target, SurfaceKind.NONORIENTABLE).model.matrix
     s, s_inv = random_symplectic_pair(rng, base.dim // 2)
     if base.dim % 2:
         s = block_diag([s, IntMatrix.identity(1)])
@@ -267,7 +264,7 @@ def test_euler_closure_on_block_models():
     # sum(n * a_n) equals the Euler characteristic for homologically
     # periodic models.
     for target in ({1}, {2}, {2, 3}, {1, 4}):
-        sm = realize_orientable_preserving(target)
+        sm = realize_target(target, SurfaceKind.PRESERVING)
         total = sum(n * a for n, a in sm.achieved.items())
         assert total == 2 - 2 * sm.genus
     half = block_diag([cyclic_permutation(2), cyclic_permutation(3)])

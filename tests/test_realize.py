@@ -15,7 +15,6 @@ from algperiods import (
     OddTargetUnrealizable,
     PieceSpec,
     SurfaceKind,
-    TargetMismatch,
     algebraic_periods,
     block_diag,
     charpoly,
@@ -25,9 +24,6 @@ from algperiods import (
     is_antisymplectic,
     is_symplectic,
     preserving_model_from_multiplicities,
-    realize_nonorientable,
-    realize_orientable_preserving,
-    realize_orientable_reversing,
     realize_target,
     x_pow_minus_one,
 )
@@ -61,46 +57,44 @@ def random_targets(rng, count, pool, max_size):
 
 
 def test_empty_target_rejected():
-    for fn in (realize_orientable_preserving, realize_nonorientable):
+    for kind in SurfaceKind:
         with pytest.raises(EmptyTarget):
-            fn(set())
-    with pytest.raises(EmptyTarget):
-        realize_orientable_reversing(set())
+            realize_target(set(), kind)
 
 
 def test_preserving_examples():
-    sm = realize_orientable_preserving({2, 3})
+    sm = realize_target({2, 3}, SurfaceKind.PRESERVING)
     assert sm.genus == 6
     assert charpoly(sm.model.matrix) == (
         x_pow_minus_one(1) ** 2 * x_pow_minus_one(2) ** 2 * x_pow_minus_one(3) ** 2
     )
     assert set(sm.achieved.support()) == {2, 3}
 
-    sm = realize_orientable_preserving({1})
+    sm = realize_target({1}, SurfaceKind.PRESERVING)
     assert sm.genus == 0 and sm.model.matrix.dim == 0
     assert sm.achieved.as_dict() == {1: 2}
     assert sm.pieces == ()
 
-    sm = realize_orientable_preserving({1, 2})
+    sm = realize_target({1, 2}, SurfaceKind.PRESERVING)
     assert sm.genus == 2 and sm.achieved.as_dict() == {1: 2, 2: -2}
 
 
 def test_preserving_structure_is_doubled_permutation():
-    sm = realize_orientable_preserving({2, 3})
+    sm = realize_target({2, 3}, SurfaceKind.PRESERVING)
     half = block_diag([cyclic_permutation(1), cyclic_permutation(2), cyclic_permutation(3)])
     assert sm.model.matrix == block_diag([half, half])
     assert is_symplectic(sm.model.matrix)
 
 
 def test_preserving_achieved_values():
-    sm = realize_orientable_preserving({2, 4, 6})
+    sm = realize_target({2, 4, 6}, SurfaceKind.PRESERVING)
     assert sm.achieved.as_dict() == {2: -2, 4: -2, 6: -2}
-    sm = realize_orientable_preserving({1, 3, 5, 7})
+    sm = realize_target({1, 3, 5, 7}, SurfaceKind.PRESERVING)
     assert sm.achieved.as_dict() == {1: 2, 3: -2, 5: -2, 7: -2}
 
 
 def test_preserving_homological_periodicity():
-    sm = realize_orientable_preserving({2, 3})
+    sm = realize_target({2, 3}, SurfaceKind.PRESERVING)
     order = math.lcm(*(p.n for p in sm.pieces))
     assert mat_pow(sm.model.matrix, order) == IntMatrix.identity(sm.model.matrix.dim)
 
@@ -108,19 +102,19 @@ def test_preserving_homological_periodicity():
 def test_reversing_rejects_odd():
     for target in ({3}, {2, 3}, {1}, {4, 6, 9}):
         with pytest.raises(OddTargetUnrealizable):
-            realize_orientable_reversing(target)
+            realize_target(target, SurfaceKind.REVERSING)
 
 
 def test_reversing_two_only():
     for mode in (Mode.CORRECTED, Mode.FAITHFUL):
-        sm = realize_orientable_reversing({2}, mode)
+        sm = realize_target({2}, SurfaceKind.REVERSING, mode)
         assert sm.genus == 0 and sm.model.matrix.dim == 0
         assert sm.achieved.as_dict() == {2: 1}
         assert sm.flags == ()
 
 
 def test_reversing_corrected_four():
-    sm = realize_orientable_reversing({4}, Mode.CORRECTED)
+    sm = realize_target({4}, SurfaceKind.REVERSING, Mode.CORRECTED)
     assert sm.genus == 9
     assert charpoly(sm.model.matrix) == x_pow_minus_one(2) * x_pow_minus_one(4) ** 4
     assert sm.achieved.as_dict() == {4: -4}
@@ -129,29 +123,27 @@ def test_reversing_corrected_four():
 
 
 def test_reversing_faithful_four():
-    sm = realize_orientable_reversing({4}, Mode.FAITHFUL)
+    sm = realize_target({4}, SurfaceKind.REVERSING, Mode.FAITHFUL)
     assert sm.genus == 10
     assert charpoly(sm.model.matrix) == x_pow_minus_one(2) ** 2 * x_pow_minus_one(4) ** 4
     assert sm.achieved.as_dict() == {2: -1, 4: -4}
-    assert sm.flags != ()
-    with pytest.raises(TargetMismatch):
-        realize_orientable_reversing({4}, Mode.FAITHFUL, strict=True)
+    assert sm.flags == ("achieved-differs-from-target", "faithful-reversing-adds-period-2")
 
 
 def test_reversing_faithful_with_two_in_target():
-    sm = realize_orientable_reversing({2, 4}, Mode.FAITHFUL)
+    sm = realize_target({2, 4}, SurfaceKind.REVERSING, Mode.FAITHFUL)
     assert sm.genus == 8
     assert sm.achieved.as_dict() == {2: 1, 4: -4}
     assert sm.flags == ()
     # Corrected mode coincides when 2 is in the target.
-    assert realize_orientable_reversing({2, 4}, Mode.CORRECTED).model == sm.model
+    assert realize_target({2, 4}, SurfaceKind.REVERSING, Mode.CORRECTED).model == sm.model
 
 
 def test_reversing_models_are_antisymplectic_with_vanishing_odd_traces():
     rng = random.Random(43)
     for target in random_targets(rng, 15, [2, 4, 6, 8, 10, 12], 3):
         for mode in (Mode.CORRECTED, Mode.FAITHFUL):
-            sm = realize_orientable_reversing(target, mode)
+            sm = realize_target(target, SurfaceKind.REVERSING, mode)
             assert is_antisymplectic(sm.model.matrix)
             orders = cyclotomic_factorization(charpoly(sm.model.matrix))
             bound = 2 * math.lcm(1, *orders)
@@ -164,7 +156,7 @@ def test_reversing_models_are_antisymplectic_with_vanishing_odd_traces():
 def test_reversing_charpoly_shape_faithful():
     rng = random.Random(47)
     for target in random_targets(rng, 10, [2, 4, 6, 8, 10, 12], 3):
-        sm = realize_orientable_reversing(target, Mode.FAITHFUL)
+        sm = realize_target(target, SurfaceKind.REVERSING, Mode.FAITHFUL)
         working = (set(target) - {2}) if 2 in target else (set(target) | {2})
         expected = IntPolynomial([1])
         for n in sorted(working):
@@ -174,11 +166,11 @@ def test_reversing_charpoly_shape_faithful():
 
 
 def test_nonorientable_examples():
-    sm = realize_nonorientable({1})
+    sm = realize_target({1}, SurfaceKind.NONORIENTABLE)
     assert sm.genus == 1 and sm.model.matrix.dim == 0
     assert sm.achieved.as_dict() == {1: 1}
 
-    sm = realize_nonorientable({2, 3})
+    sm = realize_target({2, 3}, SurfaceKind.NONORIENTABLE)
     assert sm.genus == 7
     expected = block_diag(
         [cyclic_permutation(2), cyclic_permutation(3), IntMatrix.identity(1)]
@@ -186,14 +178,14 @@ def test_nonorientable_examples():
     assert sm.model.matrix == expected
     assert sm.achieved.as_dict() == {2: -1, 3: -1}
 
-    sm = realize_nonorientable({1, 3})
+    sm = realize_target({1, 3}, SurfaceKind.NONORIENTABLE)
     assert sm.genus == 3
     assert sm.model.matrix == companion_cycle_quotient(3)
     assert sm.achieved.as_dict() == {1: 2, 3: -1}
 
 
 def test_nonorientable_pivot_is_minimum():
-    sm = realize_nonorientable({1, 3, 5})
+    sm = realize_target({1, 3, 5}, SurfaceKind.NONORIENTABLE)
     # pivot 3 becomes the companion block, 5 stays a cycle
     expected = block_diag([companion_cycle_quotient(3), cyclic_permutation(5)])
     assert sm.model.matrix == expected
@@ -202,21 +194,23 @@ def test_nonorientable_pivot_is_minimum():
 def test_genus_formulas_random():
     rng = random.Random(53)
     for target in random_targets(rng, 200, list(range(1, 9)), 3):
-        assert realize_orientable_preserving(target).genus == preserving_genus_formula(target)
+        sm = realize_target(target, SurfaceKind.PRESERVING)
+        assert sm.genus == preserving_genus_formula(target)
     for target in random_targets(rng, 200, [2, 4, 6, 8], 3):
-        sm = realize_orientable_reversing(target, Mode.FAITHFUL)
+        sm = realize_target(target, SurfaceKind.REVERSING, Mode.FAITHFUL)
         assert sm.genus == reversing_genus_formula(target)
     for target in random_targets(rng, 200, list(range(1, 9)), 3):
-        assert realize_nonorientable(target).genus == nonorientable_genus_formula(target)
+        sm = realize_target(target, SurfaceKind.NONORIENTABLE)
+        assert sm.genus == nonorientable_genus_formula(target)
 
 
 def test_achieved_equals_target_across_kinds():
     rng = random.Random(59)
     for target in random_targets(rng, 30, list(range(1, 10)), 3):
-        assert set(realize_orientable_preserving(target).achieved.support()) == target
-        assert set(realize_nonorientable(target).achieved.support()) == target
+        assert set(realize_target(target, SurfaceKind.PRESERVING).achieved.support()) == target
+        assert set(realize_target(target, SurfaceKind.NONORIENTABLE).achieved.support()) == target
     for target in random_targets(rng, 30, [2, 4, 6, 8, 10], 3):
-        sm = realize_orientable_reversing(target, Mode.CORRECTED)
+        sm = realize_target(target, SurfaceKind.REVERSING, Mode.CORRECTED)
         assert set(sm.achieved.support()) == target
         assert sm.flags == ()
 
@@ -224,19 +218,19 @@ def test_achieved_equals_target_across_kinds():
 def test_euler_characteristic_closure():
     rng = random.Random(61)
     for target in random_targets(rng, 20, list(range(1, 9)), 3):
-        sm = realize_orientable_preserving(target)
+        sm = realize_target(target, SurfaceKind.PRESERVING)
         assert sum(n * a for n, a in sm.achieved.items()) == 2 - 2 * sm.genus
-        sm = realize_nonorientable(target)
+        sm = realize_target(target, SurfaceKind.NONORIENTABLE)
         assert sum(n * a for n, a in sm.achieved.items()) == 2 - sm.genus
     for target in random_targets(rng, 20, [2, 4, 6, 8], 3):
         for mode in (Mode.CORRECTED, Mode.FAITHFUL):
-            sm = realize_orientable_reversing(target, mode)
+            sm = realize_target(target, SurfaceKind.REVERSING, mode)
             assert sum(n * a for n, a in sm.achieved.items()) == 2 - 2 * sm.genus
 
 
 def test_determinism():
-    a = realize_orientable_reversing({4, 6}, Mode.CORRECTED)
-    b = realize_orientable_reversing({4, 6}, Mode.CORRECTED)
+    a = realize_target({4, 6}, SurfaceKind.REVERSING, Mode.CORRECTED)
+    b = realize_target({4, 6}, SurfaceKind.REVERSING, Mode.CORRECTED)
     assert a == b
     assert a.model.matrix.rows == b.model.matrix.rows
 
@@ -290,27 +284,34 @@ def test_charpoly_of_realizations_splits_into_pieces(monkeypatch):
 
 def test_postconditions_survive_optimized_mode():
     # Under python -O bare asserts vanish; a construction that misses its
-    # target must still raise TargetMismatch.
+    # target must still raise TargetMismatch, whatever its kind.
     script = textwrap.dedent(
         """
         import algperiods.realize as realize
-        from algperiods import HomologyModel, SurfaceKind, TargetMismatch, cyclic_permutation
+        from algperiods import (
+            HomologyModel, Mode, SurfaceKind, TargetMismatch, cyclic_permutation, realize_target,
+        )
 
         if __debug__:
             raise SystemExit("not running under -O")
         # Achieved periods {1, 2}, whatever the construction was asked for.
         wrong = realize.analyze(HomologyModel(SurfaceKind.NONORIENTABLE, cyclic_permutation(2), 3))
         realize.analyze = lambda model: wrong
-        for build, target in [
-            (realize.realize_orientable_preserving, {3}),
-            (realize.realize_nonorientable, {1}),
-            (realize.realize_nonorientable, {2, 3}),
+        for target, kind in [
+            ({3}, SurfaceKind.PRESERVING),
+            ({1}, SurfaceKind.NONORIENTABLE),
+            ({2, 3}, SurfaceKind.NONORIENTABLE),
+            ({4}, SurfaceKind.REVERSING),
         ]:
             try:
-                build(target)
+                realize_target(target, kind, Mode.CORRECTED)
             except TargetMismatch:
                 continue
-            raise SystemExit(f"{build.__name__}({target}) did not raise TargetMismatch")
+            raise SystemExit(f"realize_target({target}, {kind}) did not raise TargetMismatch")
+        # The faithful reversing construction reports the miss in its flags instead.
+        sm = realize_target({4}, SurfaceKind.REVERSING, Mode.FAITHFUL)
+        if sm.flags != (realize.DEVIATION_FLAG, realize.FAITHFUL_PERIOD_TWO_FLAG):
+            raise SystemExit(f"faithful reversing flags {sm.flags}")
         """
     )
     proc = subprocess.run(
