@@ -101,6 +101,17 @@ CASES = [
     ("analyze_reversing_text",
      ["analyze", "--matrix", "{golden}/reversing_g9.json", "--kind", "reversing", "--genus", "9",
       "--format", "text"], 0),
+    # block sums under a permutation similarity, so no block is contiguous: two
+    # 3-cycles, quotient companions of orders 4 and 3, +-1 and two copies of
+    # [[2, 1], [1, 1]] next to [[3, 2], [1, 1]], whose residual is the product
+    # (x^2 - 3x + 1)^2 (x^2 - 4x + 1); and the realization of {2, 3, 4} with the
+    # same permutation on both symplectic halves, so the strict check passes
+    ("analyze_block_sum_not_quasi_unipotent",
+     ["analyze", "--matrix", "{golden}/block_sum_mixed_g10.json", "--kind", "preserving",
+      "--genus", "10", "--no-strict"], 4),
+    ("analyze_block_sum_text",
+     ["analyze", "--matrix", "{golden}/block_sum_symplectic_g10.json", "--kind", "preserving",
+      "--genus", "10", "--format", "text"], 0),
 ]
 
 
