@@ -35,6 +35,7 @@ from .exactmat import (
     antisymplectic_charpoly_identity_check,
     block_diag,
     charpoly,
+    charpoly_blocks,
     companion_cycle_quotient,
     cyclic_permutation,
     form_predicates,

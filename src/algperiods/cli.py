@@ -68,6 +68,10 @@ MAX_GENUS = 50_000
 MAX_LISTED_PARTITIONS = 50_000  # P(41) = 44,583 fits, P(42) = 53,174 does not
 MAX_WINDOW = 1_000_000  # Lefschetz numbers per report; the window is built whole in memory
 MAX_SET_SUM = 200  # realize: the matrix dimension is at most 4 * sum + 2, its payload dim^2
+# Size values (set elements, genus, window, limit, series order, matrix dim) longer
+# than this are refused before int(), whose cost grows with the square of the
+# digit count once main() lifts the digit limit; every cap above has 7 digits or fewer.
+MAX_SIZE_CHARS = 20
 
 
 class _UsageError(Exception):
@@ -137,6 +141,19 @@ def _emit(report: Dict[str, Any], fmt: str) -> None:
         print("\n".join(lines))
 
 
+def _size(text: str) -> int:
+    """int(text) for a size value; a text longer than MAX_SIZE_CHARS is refused
+    unparsed, and no refusal echoes more than MAX_SIZE_CHARS characters."""
+    if len(text) > MAX_SIZE_CHARS:
+        raise argparse.ArgumentTypeError(
+            f"a value of {len(text)} characters is above the cap of {MAX_SIZE_CHARS} characters"
+        )
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_int(value: Any) -> int:
     if isinstance(value, bool):
         raise _InputError("booleans are not integers")
@@ -165,7 +182,13 @@ def _load_matrix(path: str) -> IntMatrix:
     data = _load_json(path)
     if not isinstance(data, dict) or "dim" not in data or "rows" not in data:
         raise _InputError(f'{path} must be an object {{"dim": n, "rows": [[...]]}}')
-    dim = _parse_int(data["dim"])
+    dim = data["dim"]
+    if isinstance(dim, str):
+        try:
+            dim = _size(dim)
+        except argparse.ArgumentTypeError as exc:
+            raise _InputError(f"{path}: dim: {exc}") from None
+    dim = _parse_int(dim)
     rows = data["rows"]
     if not isinstance(rows, list) or len(rows) != dim:
         raise _InputError(f"{path}: expected {dim} rows")
@@ -300,9 +323,9 @@ def _model_report(sm: SurfaceModel) -> Dict[str, Any]:
 
 def _cmd_realize(args) -> int:
     try:
-        elements = [int(part) for part in args.set.split(",") if part]
-    except ValueError:
-        raise _UsageError(f"--set {args.set!r} is not a comma-separated list of integers")
+        elements = [_size(part) for part in args.set.split(",") if part]
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"--set: {exc}") from None
     if not elements or any(n < 1 for n in elements):
         raise _UsageError("--set needs a nonempty list of positive integers")
     total = sum(set(elements))
@@ -483,13 +506,13 @@ def build_parser() -> _Parser:
     analyze_p.add_argument(
         "--kind", required=True, choices=["preserving", "reversing", "nonorientable"]
     )
-    analyze_p.add_argument("--genus", required=True, type=int)
+    analyze_p.add_argument("--genus", required=True, type=_size)
     analyze_p.add_argument(
         "--no-strict", action="store_true", help="skip the symplectic/antisymplectic form check"
     )
     analyze_p.add_argument(
         "--max-iter",
-        type=int,
+        type=_size,
         default=None,
         metavar="N",
         help=f"Lefschetz numbers to print, <= {MAX_WINDOW} (default: twice the lcm of orders)",
@@ -504,7 +527,7 @@ def build_parser() -> _Parser:
     zeta_p.add_argument("--canonicalize", action="store_true")
     zeta_p.add_argument(
         "--series",
-        type=int,
+        type=_size,
         default=None,
         metavar="N",
         help=f"power series through degree N <= {MAX_SERIES} (0.2 s at the cap for three"
@@ -515,7 +538,7 @@ def build_parser() -> _Parser:
 
     census_p = sub.add_parser("census", help="partition census at a given genus")
     census_p.add_argument(
-        "--genus", required=True, type=int, help=f"genus G <= {MAX_GENUS} (2.1 s at the cap)"
+        "--genus", required=True, type=_size, help=f"genus G <= {MAX_GENUS} (2.1 s at the cap)"
     )
     census_p.add_argument(
         "--list-partitions",
@@ -527,7 +550,7 @@ def build_parser() -> _Parser:
         "--correspondence", choices=["orientable", "nonorientable"], default="orientable"
     )
     census_p.add_argument(
-        "--limit", type=int, default=None, metavar="K", help="list only the first K partitions"
+        "--limit", type=_size, default=None, metavar="K", help="list only the first K partitions"
     )
     _add_format(census_p)
 
@@ -535,7 +558,7 @@ def build_parser() -> _Parser:
     certify_p.add_argument("--dold", metavar="FILE|JSON")
     certify_p.add_argument("--matrix", metavar="FILE")
     certify_p.add_argument("--kind", choices=["preserving", "reversing", "nonorientable"])
-    certify_p.add_argument("--genus", type=int, default=None)
+    certify_p.add_argument("--genus", type=_size, default=None)
     certify_p.add_argument("--no-strict", action="store_true")
     _add_format(certify_p)
 

@@ -12,7 +12,9 @@ The characteristic polynomial splits the index set into the strongly
 connected components of the directed nonzero pattern (i -> j when
 A[i][j] != 0).  Ordered as Tarjan's algorithm emits them, the components
 put A in block-triangular form, so det(xI - A) is the product of the
-components' characteristic polynomials.  Each k-dimensional block is
+components' characteristic polynomials; ``charpoly_blocks`` returns them
+one by one, so that the analysis can factor each distinct block on its
+own, and ``charpoly`` multiplies them.  Each k-dimensional block is
 reduced to upper Hessenberg form by similarity modulo primes p of about
 2^128, O(k^3) operations mod p each, and its characteristic polynomial
 mod p is read off the Hessenberg recurrence.  The residues are combined by
@@ -60,6 +62,7 @@ __all__ = [
     "mat_scale",
     "mat_mul",
     "charpoly",
+    "charpoly_blocks",
     "cyclic_permutation",
     "companion_cycle_quotient",
     "block_diag",
@@ -363,25 +366,30 @@ def _block_charpoly(rows) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def charpoly(a: IntMatrix) -> IntPolynomial:
-    """det(xI - A), monic of degree dim; the empty matrix gives 1.
+def charpoly_blocks(a: IntMatrix) -> list[IntPolynomial]:
+    """det(xI - B) for each diagonal block B of A's block-triangular form.
 
     The strongly connected components of the nonzero pattern of A put it
-    in block-triangular form, and det(xI - A) is the product of the
-    diagonal blocks' characteristic polynomials.  Each block's principal
-    submatrix is reduced to Hessenberg form modulo proven primes of about
-    2^128 and the residues are combined by the Chinese remainder theorem,
-    so the cost is one O(n^2) pattern scan plus O(k^3) operations per prime
-    on each k-dim block, with about log2(2B)/128 primes for the block's
-    Hadamard bound B.  An irreducible matrix is a single block.
+    in block-triangular form, so det(xI - A) is the product of the listed
+    polynomials, one per component in Tarjan's order; the empty matrix has
+    none.  Each block's principal submatrix is reduced to Hessenberg form
+    modulo proven primes of about 2^128 and the residues are combined by
+    the Chinese remainder theorem, so the cost is one O(n^2) pattern scan
+    plus O(k^3) operations per prime on each k-dim block, with about
+    log2(2B)/128 primes for the block's Hadamard bound B.  An irreducible
+    matrix is a single block.
     """
     rows = a.rows
-    result = IntPolynomial((1,))
-    for component in _strong_components(rows):
-        block = [[rows[i][j] for j in component] for i in component]
-        # Outer loop over the block's few coefficients, not the product's.
-        result = _block_charpoly(block) * result
-    return result
+    return [
+        _block_charpoly([[rows[i][j] for j in component] for i in component])
+        for component in _strong_components(rows)
+    ]
+
+
+def charpoly(a: IntMatrix) -> IntPolynomial:
+    """det(xI - A), monic of degree dim: the product of ``charpoly_blocks(a)``;
+    the empty matrix gives 1."""
+    return prod(charpoly_blocks(a), start=IntPolynomial((1,)))
 
 
 def cyclic_permutation(n: int) -> IntMatrix:

@@ -24,10 +24,21 @@ class
 
 read off the factorization with one Moebius value per divisor of each
 order d (trial division, O(sqrt(d)) steps each), with no power sum and no
-Moebius inversion.  Non-quasi-unipotent models have unbounded Lefschetz
-sequences and potentially infinite period sets, so they have no Dold
-class.  A window [L_1, ..., L_n] sums a Dold class, k a_k at each multiple
-of k, in O(sum_k n / k) additions: the model's own class when it is
+Moebius inversion.  The factorization is taken block by block: the
+characteristic polynomial is the product of one polynomial per diagonal
+block of the matrix's block-triangular form, each distinct block
+polynomial is factored once (a degree-k block needs only the orders d with
+phi(d) <= k), and its multiplicities count once per block that shares it.
+Realization matrices repeat their blocks, so this is a handful of small
+trial divisions in place of one of the full degree.  A block that is not
+a product of cyclotomics leaves a residual; the product of the block
+residuals is the cyclotomic-free part of the whole polynomial, which is
+unique, so it equals the residual of factoring the product.
+
+Non-quasi-unipotent models have unbounded Lefschetz sequences and
+potentially infinite period sets, so they have no Dold class.  A window
+[L_1, ..., L_n] sums a Dold class, k a_k at each multiple of k, in
+O(sum_k n / k) additions: the model's own class when it is
 quasi-unipotent, or else K added to the negated Newton power sums of the
 characteristic polynomial (O(n * degree) big-integer steps).
 """
@@ -36,15 +47,17 @@ from __future__ import annotations
 
 import enum
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Dict, Optional
 
 from .arith import DoldClass, divisors, moebius
 from .exactmat import (
     DimensionMismatch,
     IntMatrix,
-    charpoly,
+    charpoly_blocks,
     form_predicates,
     is_antisymplectic,
     is_symplectic,
@@ -198,15 +211,29 @@ class Analysis:
 def analyze(m: HomologyModel) -> Analysis:
     """Characteristic polynomial, cyclotomic factorization and Dold class, once each.
 
-    The Dold class of a quasi-unipotent model is read off the factorization,
-    a_e = K_e - sum_{d : e | d} m_d mu(d/e) (see the module docstring): one
-    Moebius value per divisor of each cyclotomic order, whatever the lcm.
+    Each distinct block polynomial is factored once, its multiplicities
+    counted once per block that shares it; a model with a block that is not
+    quasi-unipotent gets the product of the block residuals, each to its
+    count (see the module docstring).  ``factorization`` lists the orders in
+    ascending order.  The Dold class of a quasi-unipotent model is read off
+    the factorization, a_e = K_e - sum_{d : e | d} m_d mu(d/e): one Moebius
+    value per divisor of each cyclotomic order, whatever the lcm.
     """
-    cp = charpoly(m.matrix)
-    try:
-        mults = cyclotomic_factorization(cp)
-    except NotQuasiUnipotent as exc:
-        return Analysis(m, cp, None, exc.residual, None)
+    blocks = charpoly_blocks(m.matrix)
+    cp = prod(blocks, start=IntPolynomial((1,)))
+    totals = Counter()
+    residuals = []
+    for block, count in Counter(blocks).items():
+        try:
+            mults = cyclotomic_factorization(block)
+        except NotQuasiUnipotent as exc:
+            residuals.append(exc.residual ** count)
+            continue
+        for d, mult in mults.items():
+            totals[d] += mult * count
+    if residuals:
+        return Analysis(m, cp, None, prod(residuals, start=IntPolynomial((1,))), None)
+    mults = dict(sorted(totals.items()))
     coeffs = dict(_KIND_TERMS[m.kind])
     for d, mult in mults.items():
         for e in divisors(d):

@@ -99,12 +99,17 @@ class IntPolynomial:
             return IntPolynomial(tuple(c * other for c in self.coeffs))
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
+        # The outer loop skips zero coefficients, so it runs over the factor
+        # with fewer nonzero ones: x^n - 1 times anything is two passes.
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
             if c:
-                for j, d in enumerate(other.coeffs):
+                for j, d in enumerate(b):
                     out[i + j] += c * d
         return IntPolynomial(out)
 

@@ -12,6 +12,7 @@ from algperiods.cli import (
     MAX_LISTED_PARTITIONS,
     MAX_SERIES,
     MAX_SET_SUM,
+    MAX_SIZE_CHARS,
     MAX_WINDOW,
     main,
 )
@@ -281,6 +282,41 @@ def test_size_caps(capsys, tmp_path, monkeypatch):
     assert code == 0 and rep["target"] == [50, 150] and rep["genus"] == MAX_SET_SUM + 2
 
 
+def test_oversized_size_values_refused_unparsed(capsys, tmp_path):
+    """A size value of a million characters exits 1 in constant time with one short
+    line: every int-typed option, each --set element and a matrix file's dim.  Parsed
+    in full, a million digits would take seconds, since main() lifts the digit limit."""
+    nines, junk = "9" * 10**6, "x" * 10**6
+    identity = write_matrix(tmp_path, "identity.json", [[1, 0], [0, 1]])
+    analyze = ["analyze", "--matrix", identity, "--kind", "preserving"]
+    big_dim = tmp_path / "big_dim.json"
+    big_dim.write_text(json.dumps({"dim": nines, "rows": []}))
+    cases = [
+        ["realize", "--set", nines, "--kind", "preserving"],
+        ["realize", f"--set=2,{nines},3", "--kind", "reversing"],
+        ["realize", "--set", junk, "--kind", "preserving"],
+        analyze + ["--genus", nines],
+        analyze + ["--genus", "1", "--max-iter", nines],
+        ["analyze", "--matrix", str(big_dim), "--kind", "preserving", "--genus", "1"],
+        ["census", "--genus", nines],
+        ["census", "--genus", junk],
+        ["census", "--genus", "5", "--list-partitions", "--limit", nines],
+        ["zeta", "--factors", "+,1,1", "--series", nines],
+        ["certify", "--matrix", identity, "--kind", "preserving", "--genus", nines],
+    ]
+    for argv in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 0.1, argv[:2]
+        assert code == 1 and out == "", argv[:2]
+        assert err.count("\n") == 1 and len(err) < 200 and f"cap of {MAX_SIZE_CHARS}" in err, err
+    # The longest accepted text still parses; a short bad one is echoed whole.
+    code, rep, _ = run_json(capsys, ["census", "--genus", "0" * (MAX_SIZE_CHARS - 1) + "5"])
+    assert code == 0 and rep["genus"] == 5
+    code, _, err = run(capsys, ["realize", "--set", "2,3x", "--kind", "preserving"])
+    assert code == 1 and "'3x'" in err
+
+
 def test_certify_command(capsys, tmp_path):
     code, rep, _ = run_json(capsys, ["certify", "--dold", '{"3":-2,"4":1}'])
     assert code == 0
@@ -365,30 +401,37 @@ def test_big_integers_beyond_str_digit_limit(capsys, tmp_path):
 
 
 def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
-    """charpoly and factorization run once per model, and the form predicates take at
-    most one A^T Omega A product: the strict constructor's, or else form_checks'."""
+    """charpoly_blocks runs once per model, cyclotomic_factorization once per distinct
+    block polynomial, and the form predicates take at most one A^T Omega A product:
+    the strict constructor's, or else form_checks'."""
     import algperiods.exactmat as exactmat
     import algperiods.lefschetz as lefschetz
 
     calls = {}
+    returned = {}
 
     def counting(module, name):
         def counted(*args, _fn=getattr(module, name)):
-            calls[name] = calls.get(name, 0) + 1
-            return _fn(*args)
+            calls.setdefault(name, []).append(args)
+            returned[name] = _fn(*args)
+            return returned[name]
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(lefschetz, "charpoly")
+    counting(lefschetz, "charpoly_blocks")
     counting(lefschetz, "cyclotomic_factorization")
     counting(exactmat, "_form_transform")
 
     rev = write_matrix(tmp_path, "rev2.json", [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
     anosov = write_matrix(tmp_path, "anosov.json", [[2, 1], [1, 1]])
+    # realize --set 2,3 --kind preserving has the six blocks x - 1, x^2 - 1 and
+    # x^3 - 1, each twice; --set 4 --kind reversing has x^4 - 1 four times, x - 1
+    # and x + 1; rev2 has x^2 - 1 twice, and the Anosov matrix is one block whose
+    # factorization raises NotQuasiUnipotent.
     cases = [
-        (["realize", "--set", "2,3", "--kind", "preserving"], 0, (1, 1, 1)),
-        (["realize", "--set", "4", "--kind", "reversing"], 0, (1, 1, 1)),
-        (["realize", "--set", "2,3", "--kind", "nonorientable"], 0, (1, 1, 0)),
+        (["realize", "--set", "2,3", "--kind", "preserving"], 0, (1, 3, 1)),
+        (["realize", "--set", "4", "--kind", "reversing"], 0, (1, 3, 1)),
+        (["realize", "--set", "2,3", "--kind", "nonorientable"], 0, (1, 3, 0)),
         (["analyze", "--matrix", rev, "--kind", "reversing", "--genus", "2"], 0, (1, 1, 1)),
         (["analyze", "--matrix", rev, "--kind", "reversing", "--genus", "2", "--no-strict"],
          0, (1, 1, 1)),
@@ -400,10 +443,11 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
     for argv, exit_code, expected in cases:
         calls.clear()
         assert run(capsys, argv)[0] == exit_code
-        got = tuple(
-            calls.get(n, 0) for n in ("charpoly", "cyclotomic_factorization", "_form_transform")
-        )
+        names = ("charpoly_blocks", "cyclotomic_factorization", "_form_transform")
+        got = tuple(len(calls.get(n, ())) for n in names)
         assert got == expected, argv
+        factored = [args[0] for args in calls["cyclotomic_factorization"]]
+        assert sorted(map(str, factored)) == sorted(set(map(str, returned["charpoly_blocks"])))
 
 
 def test_quasi_unipotent_realize_keeps_newton_to_candidate_window(capsys, tmp_path, monkeypatch):

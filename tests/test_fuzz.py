@@ -1,9 +1,11 @@
-"""Fuzz the zeta, census, realize and certify commands through ``cli.main``.
+"""Fuzz every command through ``cli.main``.
 
-Every zeta, census and certify input must end with exit 0 and a JSON
-report, or exit 1 with one line on stderr; realize may also end with exit
-2 (one line on stderr) or exit 3 (the report, then one line on stderr).
-An exception escaping ``main`` fails the test.  Examples
+Every zeta, census and certify --dold input must end with exit 0 and a
+JSON report, or exit 1 with one line on stderr; realize may also end with
+exit 2 (one line on stderr) or exit 3 (the report, then one line on
+stderr).  Matrix files for analyze and certify --matrix end with exit 0 or
+4 and a report (certify: 4 with one line instead), or exit 1 or 5 with
+one line on stderr.  An exception escaping ``main`` fails the test.  Examples
 are derandomized and the database is off, so runs repeat exactly.  Drawn
 sizes stay where a run takes milliseconds; the caps themselves are
 checked in ``test_cli.py::test_size_caps``.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 
 import pytest
 
@@ -176,3 +179,118 @@ def test_fuzz_certify_dold(text):
         periods = [c["period"] for c in report["certificates"]]
         assert periods == sorted(map(int, report["dold"])) == sorted(set(periods))
         assert 0 not in report["dold"].values()
+
+
+# Matrix files: junk text, objects with a wrong, boolean, string or missing dim,
+# ragged rows and non-integer entries, and block sums of quasi-unipotent and
+# Anosov-type blocks under a permutation similarity, some entries as strings.
+BLOCKS = [
+    [[0, 1], [1, 0]],
+    [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+    [[0, -1], [1, -1]],
+    [[1]],
+    [[-1]],
+    [[2, 1], [1, 1]],
+    [[3, 1], [-1, 0]],
+    [[1, 1], [0, 1]],
+]
+ENTRIES = st.one_of(
+    st.integers(-3, 3), st.integers(-3, 3).map(str), st.booleans(), st.none(),
+    st.floats(-2, 2), st.just([1]), st.just("1e3"), st.just(" 2 "),
+)
+
+
+@st.composite
+def block_sums(draw):
+    blocks = draw(st.lists(st.sampled_from(BLOCKS), min_size=1, max_size=5))
+    n = sum(map(len, blocks))
+    rows = [[0] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[offset + i][offset : offset + len(b)] = row
+        offset += len(b)
+    perm = random.Random(draw(st.integers(0, 2**16))).sample(range(n), n)
+    rows = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        rows = [[str(x) for x in row] for row in rows]
+    return {"dim": n, "rows": rows}
+
+
+@st.composite
+def malformed_matrices(draw):
+    n = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=max(n - 1, 0), max_size=n + 1),
+                         min_size=max(n - 1, 0), max_size=n + 1))
+    dim = draw(st.one_of(st.just(n), st.just(len(rows)), st.just(str(n)), st.booleans(),
+                         st.integers(-2, 6), st.none(), st.just(f"{n}.0")))
+    data = {"dim": dim, "rows": rows}
+    for key in draw(st.lists(st.sampled_from(["dim", "rows"]), max_size=1)):
+        del data[key]
+    return data
+
+
+MATRIX_TEXTS = st.one_of(
+    st.text(alphabet='{}[]":,.-+ 0123456789eédimrows', max_size=40),
+    st.lists(st.integers(), max_size=3).map(json.dumps),
+    malformed_matrices().map(json.dumps),
+    block_sums().map(json.dumps),
+    block_sums().map(json.dumps),
+    block_sums().map(json.dumps),
+)
+
+
+def matrix_argv(command, text, kind, genus_shift, strict, tmp_dir):
+    path = tmp_dir / "matrix.json"
+    path.write_text(text)
+    try:
+        dim = json.loads(text)["dim"]
+        dim = int(dim) if isinstance(dim, (int, str)) and not isinstance(dim, bool) else 0
+    except (ValueError, TypeError, KeyError):
+        dim = 0
+    genus = (dim + 1 if kind == "nonorientable" else dim // 2) + genus_shift
+    argv = [command, "--matrix", str(path), "--kind", kind, "--genus", str(genus)]
+    return argv + ["--no-strict"] * (not strict)
+
+
+MATRIX_ARGS = dict(
+    text=MATRIX_TEXTS,
+    kind=st.sampled_from(["preserving", "reversing", "nonorientable"]),
+    genus_shift=st.sampled_from([0, 0, 0, 1, -1]),
+    strict=st.booleans(),
+)
+
+
+@FUZZ
+@example(text=json.dumps({"dim": 4, "rows": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1],
+                                              [0, 0, 1, 0]]}),
+         kind="preserving", genus_shift=0, strict=True)
+@example(text=json.dumps({"dim": 4, "rows": [[2, 0, 1, 0], [0, 0, 0, 1], [1, 0, 1, 0],
+                                              [0, 1, 0, 0]]}),
+         kind="preserving", genus_shift=0, strict=False)
+@given(**MATRIX_ARGS)
+def test_fuzz_analyze_matrix(tmp_path_factory, text, kind, genus_shift, strict):
+    argv = matrix_argv("analyze", text, kind, genus_shift, strict, tmp_path_factory.getbasetemp())
+    code, out, err = run(argv + ["--max-iter", "8"])
+    assert code in (0, 1, 4, 5)
+    if code in (1, 5):
+        assert out == "" and err.count("\n") == 1
+        return
+    report = json.loads(out)
+    assert err == "" and report["quasi_unipotent"] == (code == 0)
+    assert len(report["charpoly"]) == report["matrix"]["dim"] + 1 and len(report["lefschetz"]) == 8
+
+
+@FUZZ
+@given(**MATRIX_ARGS)
+def test_fuzz_certify_matrix(tmp_path_factory, text, kind, genus_shift, strict):
+    argv = matrix_argv("certify", text, kind, genus_shift, strict, tmp_path_factory.getbasetemp())
+    code, out, err = run(argv)
+    assert code in (0, 1, 4, 5)
+    if code:
+        assert out == "" and err.count("\n") == 1
+        return
+    report = json.loads(out)
+    assert err == "" and [c["period"] for c in report["certificates"]] == sorted(
+        map(int, report["dold"])
+    )

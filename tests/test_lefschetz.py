@@ -18,6 +18,7 @@ from algperiods import (
     ap_odd,
     block_diag,
     charpoly,
+    charpoly_blocks,
     companion_cycle_quotient,
     cyclic_permutation,
     cyclotomic_factorization,
@@ -27,6 +28,8 @@ from algperiods import (
     periodic_point_certificate,
     realize_target,
 )
+from algperiods.polycyc import IntPolynomial
+from algperiods.realize import _swap_shift_block
 
 from conftest import (
     dold_by_newton_window,
@@ -272,3 +275,57 @@ def test_euler_closure_on_block_models():
     m = HomologyModel(SurfaceKind.PRESERVING, matrix, 5)
     d = algebraic_periods(m)
     assert sum(n * a for n, a in d.items()) == 2 - 2 * 5
+
+
+def random_block(rng: random.Random) -> IntMatrix:
+    """One diagonal block of the kinds realizations and analyze inputs are made of."""
+    pick = rng.randrange(7)
+    if pick == 0:
+        return cyclic_permutation(rng.randint(1, 9))
+    if pick == 1:
+        return companion_cycle_quotient(rng.randint(2, 9))
+    if pick == 2:
+        return _swap_shift_block(rng.randint(1, 5))
+    if pick == 3:
+        return IntMatrix.identity(rng.randint(1, 3))
+    if pick == 4:  # Anosov-type: trace above 2 in absolute value, determinant +-1
+        t = rng.choice([3, 4, -3, 5])
+        return rng.choice([IntMatrix([[t - 1, 1], [1, 1]]), IntMatrix([[t, 1], [-1, 0]])])
+    if pick == 5:  # a quasi-unipotent block made dense by a unimodular conjugation
+        return random_quasiunipotent_matrix(rng, SurfaceKind.NONORIENTABLE)
+    return random_matrix(rng, rng.randint(1, 3), -2, 2)
+
+
+def test_block_factorization_matches_whole_polynomial():
+    """analyze() factors each distinct block once; the merged factorization or the
+    product of block residuals equals trial division of the whole characteristic
+    polynomial, on block sums with repeated blocks, some coupled above the
+    diagonal, under a random permutation similarity."""
+    rng = random.Random(59)
+    quasi_unipotent = 0
+    for _ in range(60):
+        blocks = [random_block(rng) for _ in range(rng.randint(1, 6))]
+        blocks += [rng.choice(blocks) for _ in range(rng.randint(0, 3))]
+        rows = [list(row) for row in block_diag(blocks).rows]
+        n = len(rows)
+        offset = 0
+        for b in blocks[:-1]:  # block upper triangular: nothing couples back
+            offset += b.dim
+            if rng.random() < 0.3:
+                rows[rng.randrange(offset)][rng.randrange(offset, n)] = rng.choice([-1, 1, 2])
+        perm = rng.sample(range(n), n)
+        a = IntMatrix([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+        cp = charpoly(a)
+        assert cp == math.prod(charpoly_blocks(a), start=IntPolynomial((1,)))
+        analysis = analyze(HomologyModel(SurfaceKind.NONORIENTABLE, a, n + 1))
+        assert analysis.charpoly == cp
+        try:
+            whole = cyclotomic_factorization(cp)
+        except NotQuasiUnipotent as exc:
+            assert analysis.factorization is None and analysis.residual == exc.residual
+            continue
+        assert list(analysis.factorization.items()) == list(whole.items())
+        assert analysis.residual is None
+        quasi_unipotent += 1
+    assert 10 <= quasi_unipotent <= 50
+    assert charpoly_blocks(IntMatrix(())) == [] and charpoly(IntMatrix(())) == IntPolynomial((1,))
