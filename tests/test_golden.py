@@ -70,6 +70,20 @@ CASES = [
     ("census_genus_3000", ["census", "--genus", "3000"], 0),
     ("census_genus_12_list_nonorientable",
      ["census", "--genus", "12", "--list-partitions", "--correspondence", "nonorientable"], 0),
+    # listings with an empty Dold class ([1] orientable, [1, 1] non-orientable)
+    # and the empty listing
+    ("census_genus_1_list", ["census", "--genus", "1", "--list-partitions"], 0),
+    *(
+        (f"census_genus_2_list_nonorientable_{fmt}",
+         ["census", "--genus", "2", "--list-partitions", "--correspondence", "nonorientable",
+          "--format", fmt], 0)
+        for fmt in ("json", "text")
+    ),
+    *(
+        (f"census_genus_5_list_limit_0_{fmt}",
+         ["census", "--genus", "5", "--list-partitions", "--limit", "0", "--format", fmt], 0)
+        for fmt in ("json", "text")
+    ),
     # a Lefschetz window of 2 * lcm(11, 13, 18) = 5148 entries
     *(
         (f"realize_wide_window_{fmt}",
