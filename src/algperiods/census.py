@@ -150,18 +150,25 @@ def hardy_ramanujan_estimate(n: int) -> float:
         raise ValueError(f"the estimate at {n} is beyond the float range (n <= 76,567)") from None
 
 
+def _partition_to_dold(p: Partition, scale: int) -> DoldClass:
+    """a_n = scale * p_n, plus 2 at n = 1.  Built unchecked: the parts of a
+    Partition are positive and ascending, each p_n is positive, and a zero
+    a_1 is dropped, so the coefficients are what DoldClass(...) would keep."""
+    a1 = 2 + scale * p._parts.get(1, 0)
+    rest = {n: scale * m for n, m in p._parts.items() if n != 1}
+    d = DoldClass.__new__(DoldClass)
+    d._coeffs = {1: a1, **rest} if a1 else rest
+    return d
+
+
 def partition_to_dold_orientable(p: Partition) -> DoldClass:
     """Dold class of the orientation-preserving model built from p_n copies."""
-    coeffs = {n: -2 * m for n, m in p.parts().items() if n != 1}
-    coeffs[1] = -2 * (p.multiplicity(1) - 1)
-    return DoldClass(coeffs)
+    return _partition_to_dold(p, -2)
 
 
 def partition_to_dold_nonorientable(p: Partition) -> DoldClass:
     """Dold class of the non-orientable model built from p_n copies."""
-    coeffs = {n: -m for n, m in p.parts().items() if n != 1}
-    coeffs[1] = 2 - p.multiplicity(1)
-    return DoldClass(coeffs)
+    return _partition_to_dold(p, -1)
 
 
 @dataclass(frozen=True)

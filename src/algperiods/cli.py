@@ -7,7 +7,9 @@ are JSON objects {"dim": n, "rows": [[...], ...]}; Dold classes are JSON
 maps with string keys; readers accept big integers in either numeric or
 string form.  No configuration files, no environment variables.  One recursive
 pass writes the bytes of ``json.dumps(sort_keys=True, indent=2)``, with no
-converted copy of the report and one join per list of plain integers.
+converted copy of the report and one join per list of plain integers.  A
+census listing skips that pass: its (partition, Dold class) rows are written
+straight to JSON or text, one template per row, with no payload dict.
 
 Stable exit codes:
 
@@ -96,6 +98,47 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
+class _CensusRows:
+    """The (Partition, DoldClass) rows of a census listing, written straight to
+    JSON or text with the bytes that a payload dict per row would give,
+    {"dold": {str(n): a_n}, "partition": [parts in decreasing order]}, without
+    building one.  Parts and coefficients stay below twice the genus cap, far
+    below 2^53, so every number is written bare."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def json(self, pad: str) -> str:
+        if not self.rows:
+            return "[]"
+        item = pad + "  "
+        field = item + "  "
+        cell = field + "  "
+        sep = "," + cell
+        out = []
+        for p, d in self.rows:
+            # '"n": a' texts sort as their keys do, since '"' sorts below every digit
+            entries = sorted([f'"{n}": {a}' for n, a in d.items()])
+            dold = "{" + cell + sep.join(entries) + field + "}" if entries else "{}"
+            parts = sep.join(map(str, p.as_list()))
+            out.append(f'{{{field}"dold": {dold},{field}"partition": [{cell}{parts}{field}]{item}}}')
+        return "[" + item + ("," + item).join(out) + pad + "]"
+
+    def text_lines(self, key: str, indent: int) -> list[str]:
+        pad = "  " * indent
+        if not self.rows:
+            return [f"{pad}{key}: []"]
+        item, field, cell = pad + "  ", pad + "    ", pad + "      "
+        lines = [f"{pad}{key}:"]
+        for i, (p, d) in enumerate(self.rows):
+            lines += [f"{item}[{i}]:", f"{field}dold:"]
+            lines += [f"{cell}{n}: {d[n]}" for n in sorted(d.support(), key=str)]
+            lines.append(f"{field}partition: [" + " ".join(map(str, p.as_list())) + "]")
+        return lines
+
+
 def _json_text(value: Any, pad: str = "\n") -> str:
     """``value`` as JSON with two-space indent; ``pad`` is the newline and indent of its level."""
     if isinstance(value, str):
@@ -111,6 +154,8 @@ def _json_text(value: Any, pad: str = "\n") -> str:
         plain = set(map(type, value)) == {int} and max(map(abs, value)) <= _JSON_INT_LIMIT
         body = map(int.__repr__, value) if plain else (_json_text(x, inner) for x in value)
         return "[" + inner + ("," + inner).join(body) + pad + "]"
+    if isinstance(value, _CensusRows):
+        return value.json(pad)
     return json.dumps(value)  # empty containers, bool, None, float; others raise TypeError
 
 
@@ -128,6 +173,8 @@ def _text_lines(key: str, value: Any, indent: int) -> list[str]:
         for i, x in enumerate(value):
             lines.extend(_text_lines(f"[{i}]", x, indent + 1))
         return lines
+    if isinstance(value, _CensusRows):
+        return value.text_lines(key, indent)
     return [f"{pad}{key}: {value}"]
 
 
@@ -154,6 +201,16 @@ def _size(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+def _echo(value: Any) -> str:
+    """repr(value) for an error message, cut to MAX_SIZE_CHARS characters and the
+    length of the whole, so that no message grows with the input."""
+    text = repr(value)
+    if len(text) <= MAX_SIZE_CHARS:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:MAX_SIZE_CHARS]}... (a value of {size} characters)"
+
+
 def _parse_int(value: Any) -> int:
     if isinstance(value, bool):
         raise _InputError("booleans are not integers")
@@ -163,8 +220,8 @@ def _parse_int(value: Any) -> int:
         try:
             return int(value)
         except ValueError as exc:
-            raise _InputError(f"{value!r} is not an integer") from exc
-    raise _InputError(f"{value!r} is not an integer")
+            raise _InputError(f"{_echo(value)} is not an integer") from exc
+    raise _InputError(f"{_echo(value)} is not an integer")
 
 
 def _load_json(path: str) -> Any:
@@ -217,9 +274,9 @@ def _load_dold(source: str) -> DoldClass:
         try:
             is_file = Path(source).exists()
         except OSError as exc:
-            raise _InputError(f"cannot read {source!r}: {exc}") from exc
+            raise _InputError(f"cannot read {_echo(source)}: {exc.strerror}") from exc
         if not is_file:
-            raise _InputError(f"{source!r} is neither a file nor an inline JSON object")
+            raise _InputError(f"{_echo(source)} is neither a file nor an inline JSON object")
         data = _load_json(source)
     if not isinstance(data, dict):
         raise _InputError("a Dold class must be a JSON object of period -> coefficient")
@@ -227,7 +284,7 @@ def _load_dold(source: str) -> DoldClass:
     for k, v in data.items():
         n = _parse_int(k)
         if n < 1:
-            raise _InputError(f"period {k!r} is not a positive integer")
+            raise _InputError(f"period {_echo(k)} is not a positive integer")
         coeffs[n] = _parse_int(v)
     return DoldClass(coeffs)
 
@@ -427,10 +484,7 @@ def _cmd_census(args) -> int:
     }
     if rep.sample_dold_classes is not None:
         report["correspondence"] = correspondence
-        report["partitions"] = [
-            {"partition": p.as_list(), "dold": _dold_payload(d)}
-            for p, d in rep.sample_dold_classes
-        ]
+        report["partitions"] = _CensusRows(rep.sample_dold_classes)
     _emit(report, args.format)
     return EXIT_OK
 
@@ -544,7 +598,7 @@ def build_parser() -> _Parser:
         "--list-partitions",
         action="store_true",
         help=f"list partitions with their Dold classes; at most {MAX_LISTED_PARTITIONS} may"
-        " be listed (genus 41, 44,583 partitions: 2.0 s, 13 MB)",
+        " be listed (genus 41, 44,583 partitions: 0.8 s, 13 MB as JSON, 5.4 MB as text)",
     )
     census_p.add_argument(
         "--correspondence", choices=["orientable", "nonorientable"], default="orientable"

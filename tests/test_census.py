@@ -5,6 +5,7 @@ import time
 import pytest
 
 from algperiods import (
+    DoldClass,
     Partition,
     algebraic_periods,
     census,
@@ -96,6 +97,25 @@ def test_correspondence_examples():
     assert partition_to_dold_orientable(Partition({1: 3})).as_dict() == {1: -4}
     assert partition_to_dold_nonorientable(Partition({3: 1})).as_dict() == {1: 2, 3: -1}
     assert not partition_to_dold_nonorientable(Partition({1: 2}))
+
+
+def test_correspondences_match_validating_constructor():
+    """The correspondences build their DoldClass unchecked; each must equal the
+    validated one with its support in the same ascending order, which dict
+    equality alone does not see but support(), hashing and the certificates do."""
+    for n in range(1, 16):
+        for p in enumerate_partitions(n):
+            parts = p.parts()
+            for to_dold, scale in (
+                (partition_to_dold_orientable, -2),
+                (partition_to_dold_nonorientable, -1),
+            ):
+                coeffs = {k: scale * m for k, m in parts.items() if k != 1}
+                coeffs[1] = 2 + scale * p.multiplicity(1)
+                got, expected = to_dold(p), DoldClass(coeffs)
+                assert got == expected and hash(got) == hash(expected), (p, scale)
+                assert got.support() == expected.support() == tuple(sorted(got.support()))
+                assert 0 not in got.as_dict().values()
 
 
 def test_correspondence_euler_identities():

@@ -317,6 +317,29 @@ def test_oversized_size_values_refused_unparsed(capsys, tmp_path):
     assert code == 1 and "'3x'" in err
 
 
+def test_rejected_values_echoed_short(capsys, tmp_path):
+    """A rejected Dold key, Dold value or matrix entry of 100,000 characters exits 1
+    with one short line: the echo stops at MAX_SIZE_CHARS characters and gives the
+    length of the whole."""
+    junk = "x" * 100_000
+    junk_entry = write_matrix(tmp_path, "junk_entry.json", [[1, junk], [0, 1]])
+    cases = [
+        ["certify", "--dold", json.dumps({junk: 1})],
+        ["certify", "--dold", json.dumps({"1": junk})],
+        ["certify", "--dold", json.dumps({"-" + "0" * (len(junk) - 2) + "1": 1})],
+        ["zeta", "--dold", json.dumps({"2": junk})],
+        ["analyze", "--matrix", junk_entry, "--kind", "preserving", "--genus", "1"],
+        ["certify", "--dold", junk],
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "", argv[:2]
+        assert err.count("\n") == 1 and len(err) < 200, err[:300]
+        assert f" of {len(junk)} characters" in err, err
+    code, _, err = run(capsys, ["certify", "--dold", '{"1": 2, "3x": 1}'])
+    assert code == 1 and "'3x' is not an integer" in err
+
+
 def test_certify_command(capsys, tmp_path):
     code, rep, _ = run_json(capsys, ["certify", "--dold", '{"3":-2,"4":1}'])
     assert code == 0

@@ -78,22 +78,30 @@ def test_fuzz_zeta_series_lengths(series, factors):
 
 
 @FUZZ
+# partitions whose Dold class is empty: [1] orientable, [1, 1] non-orientable
+@example(genus=1, listing=True, limit=None, correspondence="orientable")
+@example(genus=2, listing=True, limit=None, correspondence="nonorientable")
+@example(genus=5, listing=True, limit=0, correspondence="orientable")
 @given(
     genus=st.one_of(st.integers(-3, 5000), st.integers(min_value=MAX_GENUS + 1)),
     listing=st.booleans(),
     limit=st.one_of(st.none(), st.integers(-3, 60)),
+    correspondence=st.sampled_from(["orientable", "nonorientable"]),
 )
-def test_fuzz_census_values(genus, listing, limit):
+def test_fuzz_census_values(genus, listing, limit, correspondence):
     # Listing every partition of a genus in 21..41 is valid but takes seconds.
     assume(not (listing and limit is None and 20 < genus <= 41))
-    argv = ["census", "--genus", str(genus)]
+    argv = ["census", "--genus", str(genus), "--correspondence", correspondence]
     if listing:
         argv.append("--list-partitions")
     if limit is not None:
         argv += ["--limit", str(limit)]
-    report = check_outcome(*run(argv))
+    code, out, err = run(argv)
+    report = check_outcome(code, out, err)
     if report:
         assert report["genus"] == genus
+        # byte for byte what the standard encoder writes for the same report
+        assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 # Set elements: small labels (0 and negatives included), labels that alone
