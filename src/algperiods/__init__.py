@@ -39,11 +39,6 @@ from .exactmat import (
     companion_cycle_quotient,
     cyclic_permutation,
     form_predicates,
-    is_antisymplectic,
-    is_symplectic,
-    mat_mul,
-    mat_scale,
-    standard_symplectic_form,
 )
 from .lefschetz import (
     Analysis,
@@ -73,7 +68,6 @@ from .realize import (
     PieceSpec,
     SurfaceModel,
     TargetMismatch,
-    preserving_model_from_multiplicities,
     realize_target,
 )
 from .zeta import (

@@ -71,7 +71,7 @@ class Partition:
     def as_list(self) -> list[int]:
         """Parts in decreasing order, e.g. [3, 1, 1]."""
         out = []
-        for k in sorted(self._parts, reverse=True):
+        for k in reversed(self._parts):  # the keys are kept ascending
             out.extend([k] * self._parts[k])
         return out
 

@@ -14,7 +14,7 @@ straight to JSON or text, one template per row, with no payload dict.
 Stable exit codes:
 
     0  success
-    1  usage or input parse error
+    1  usage, input or output error
     2  unrealizable target set
     3  strict-mode mismatch between requested and achieved data
     4  matrix is not quasi-unipotent
@@ -27,6 +27,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -224,15 +225,31 @@ def _parse_int(value: Any) -> int:
     raise _InputError(f"{_echo(value)} is not an integer")
 
 
+def _parse_json(text: str, source: str) -> Any:
+    """json.loads with CPython's default digit limit back in force, so that a
+    number literal of more than 4,300 digits is refused in linear time rather
+    than converted by the quadratic int(); integers written as strings have no
+    such limit."""
+    lifted = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if lifted is not None:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _InputError(f"{source} is not valid JSON: {exc}") from exc
+    except ValueError:  # a number literal beyond the digit limit
+        raise _InputError(f"{source} has a number of over 4300 digits; write it as a string") from None
+    finally:
+        if lifted is not None:
+            sys.set_int_max_str_digits(lifted)
+
+
 def _load_json(path: str) -> Any:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"{path} is not valid JSON: {exc}") from exc
+    return _parse_json(text, path)
 
 
 def _load_matrix(path: str) -> IntMatrix:
@@ -248,11 +265,11 @@ def _load_matrix(path: str) -> IntMatrix:
     dim = _parse_int(dim)
     rows = data["rows"]
     if not isinstance(rows, list) or len(rows) != dim:
-        raise _InputError(f"{path}: expected {dim} rows")
+        raise _InputError(f"{path}: expected {_echo(dim)} rows")
     parsed = []
     for row in rows:
         if not isinstance(row, list) or len(row) != dim:
-            raise _InputError(f"{path}: every row must have {dim} entries")
+            raise _InputError(f"{path}: every row must have {_echo(dim)} entries")
         # JSON integers are exact ints; anything else (bool included) goes through _parse_int.
         parsed.append([x if type(x) is int else _parse_int(x) for x in row])
     return IntMatrix(parsed)
@@ -266,10 +283,7 @@ def _load_dold(source: str) -> DoldClass:
     """
     stripped = source.strip()
     if stripped.startswith("{"):
-        try:
-            data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise _InputError(f"inline Dold map is not valid JSON: {exc}") from exc
+        data = _parse_json(stripped, "inline Dold map")
     else:
         try:
             is_file = Path(source).exists()
@@ -633,7 +647,9 @@ def main(argv=None) -> int:
 
     Python 3.11+ refuses to convert integers of more than 4300 digits to or
     from strings; the limit is lifted for the duration of the call (it is
-    process-wide) so that big integers stay bit-exact in input and output.
+    process-wide) so that big integers stay bit-exact in input and output,
+    except for JSON number literals (see ``_parse_json``).  A closed or full
+    standard output ends the run with one line on stderr and exit 1.
     """
     parser = build_parser()
     saved_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
@@ -641,12 +657,20 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # stdout closed early (BrokenPipeError) or full
+        print(f"output error: {exc.strerror or exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:
+            # The interpreter flushes stdout again at exit; let that go nowhere.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
     finally:
         if saved_limit is not None:

@@ -4,9 +4,11 @@ Matrices are immutable tuples of tuples of Python integers, so traces of
 high powers never overflow.  Dimension 0 is a first-class citizen (trace
 0, characteristic polynomial 1); the genus-0 models need it.
 
-Multiplication walks the nonzero entries of the left factor row by row,
-which makes products with the permutation-like matrices built by the
-realization constructions cheap without a separate sparse type.
+The form check builds neither A^T Omega A nor Omega.  It reads the
+product's entries above the diagonal off the pairs of nonzeros in rows k
+and k + g, so it costs O(sum_k nnz(row k) * nnz(row k + g)) products after
+one scan of each row.  The realization matrices are direct sums with about
+one nonzero per row, so they take O(dim) products.
 
 The characteristic polynomial splits the index set into the strongly
 connected components of the directed nonzero pattern (i -> j when
@@ -59,17 +61,12 @@ __all__ = [
     "OddDimension",
     "NotAntisymplectic",
     "IntMatrix",
-    "mat_scale",
-    "mat_mul",
     "charpoly",
     "charpoly_blocks",
     "cyclic_permutation",
     "companion_cycle_quotient",
     "block_diag",
-    "standard_symplectic_form",
     "form_predicates",
-    "is_symplectic",
-    "is_antisymplectic",
     "antisymplectic_charpoly_identity_check",
 ]
 
@@ -124,41 +121,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
-
-
-def mat_scale(a: IntMatrix, c: int) -> IntMatrix:
-    """c * A for an integer scalar c; a non-integer c raises TypeError."""
-    c = operator.index(c)
-    return IntMatrix._raw([[c * x for x in row] for row in a.rows])
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"cannot multiply {a.dim}x{a.dim} by {b.dim}x{b.dim}")
-    n = a.dim
-    brows = b.rows
-    out = []
-    for arow in a.rows:
-        acc = None
-        # compress() skips the zero entries of the row at C speed.
-        for j in compress(range(n), arow):
-            v = arow[j]
-            brow = brows[j]
-            if acc is None:
-                if v == 1:
-                    acc = list(brow)
-                elif v == -1:
-                    acc = [-y for y in brow]
-                else:
-                    acc = [v * y for y in brow]
-            elif v == 1:
-                acc = [x + y for x, y in zip(acc, brow)]
-            elif v == -1:
-                acc = [x - y for x, y in zip(acc, brow)]
-            else:
-                acc = [x + v * y for x, y in zip(acc, brow)]
-        out.append([0] * n if acc is None else acc)
-    return IntMatrix._raw(out)
 
 
 def _strong_components(rows) -> list[list[int]]:
@@ -431,51 +393,38 @@ def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
     return IntMatrix._raw(rows)
 
 
-def standard_symplectic_form(g: int) -> IntMatrix:
-    """Omega = [[0, I_g], [-I_g, 0]] in the (a_1..a_g, b_1..b_g) basis."""
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
-    n = 2 * g
-    rows = [[0] * n for _ in range(n)]
-    for i in range(g):
-        rows[i][g + i] = 1
-        rows[g + i][i] = -1
-    return IntMatrix._raw(rows)
-
-
-def _form_transform(a: IntMatrix) -> IntMatrix:
-    """A^T Omega A.  Row i of A^T Omega is column i of A as (-b, a) for its
-    halves (a, b), so only the product with A is a matrix multiplication."""
-    g = a.dim // 2
-    left = [[-x for x in col[g:]] + list(col[:g]) for col in zip(*a.rows)]
-    return mat_mul(IntMatrix._raw(left), a)
-
-
 def form_predicates(a: IntMatrix) -> tuple[bool, bool]:
-    """(A^T Omega A == Omega, A^T Omega A == -Omega) from one matrix product.
+    """(A^T Omega A == Omega, A^T Omega A == -Omega), read off the nonzero entries.
 
-    For dim > 0 at most one holds, since Omega != -Omega; the empty matrix
-    counts as both symplectic and antisymplectic.
+    (A^T Omega A)_ij = sum_(k<g) (a_(k,i) a_(k+g,j) - a_(k+g,i) a_(k,j)) is
+    antisymmetric, so only the entries i < j are summed, each over the pairs
+    of nonzeros of rows k and k + g; a pair with i = j adds nothing.  The
+    product is s * Omega for a sign s exactly when its nonzero entries above
+    the diagonal are the g entries (i, i + g), all equal to s.  For dim > 0
+    at most one predicate holds; the empty matrix counts as both.
     """
-    if a.dim % 2:
+    n = a.dim
+    if n % 2:
         raise OddDimension("symplectic predicates need an even dimension")
-    if a.dim == 0:
+    if n == 0:
         return True, True
-    omega = standard_symplectic_form(a.dim // 2)
-    product = _form_transform(a)
-    if product == omega:
-        return True, False
-    return False, product == mat_scale(omega, -1)
-
-
-def is_symplectic(a: IntMatrix) -> bool:
-    """A^T Omega A == Omega; the empty matrix counts as symplectic."""
-    return form_predicates(a)[0]
-
-
-def is_antisymplectic(a: IntMatrix) -> bool:
-    """A^T Omega A == -Omega; the empty matrix counts as antisymplectic."""
-    return form_predicates(a)[1]
+    g = n // 2
+    rows = a.rows
+    upper: dict[tuple[int, int], int] = {}
+    for top, bottom in zip(rows[:g], rows[g:]):
+        pairs = [(j, bottom[j]) for j in compress(range(n), bottom)]
+        for i in compress(range(n), top):
+            x = top[i]
+            for j, y in pairs:
+                if i < j:
+                    upper[i, j] = upper.get((i, j), 0) + x * y
+                elif j < i:
+                    upper[j, i] = upper.get((j, i), 0) - x * y
+    entries = {ij: v for ij, v in upper.items() if v}
+    if len(entries) != g or any(j - i != g for i, j in entries):
+        return False, False
+    signs = set(entries.values())
+    return signs == {1}, signs == {-1}
 
 
 def antisymplectic_charpoly_identity_check(a: IntMatrix) -> bool:
@@ -484,7 +433,7 @@ def antisymplectic_charpoly_identity_check(a: IntMatrix) -> bool:
     For antisymplectic A of dimension 2g, chi_A(x) = (-1)^g x^(2g) chi_A(-1/x),
     i.e. the coefficients satisfy c_i = (-1)^(g+i) c_(2g-i).
     """
-    if not is_antisymplectic(a):
+    if not form_predicates(a)[1]:
         raise NotAntisymplectic("the identity only applies to antisymplectic matrices")
     g = a.dim // 2
     p = charpoly(a)

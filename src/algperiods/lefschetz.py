@@ -59,8 +59,6 @@ from .exactmat import (
     IntMatrix,
     charpoly_blocks,
     form_predicates,
-    is_antisymplectic,
-    is_symplectic,
 )
 from .polycyc import (
     IntPolynomial,
@@ -132,10 +130,11 @@ class HomologyModel:
                     f"orientable genus {genus} needs a matrix of dimension {2 * genus},"
                     f" got {matrix.dim}"
                 )
-        if strict:
-            if kind is SurfaceKind.PRESERVING and not is_symplectic(matrix):
+        if strict and kind is not SurfaceKind.NONORIENTABLE:
+            symplectic, antisymplectic = form_predicates(matrix)
+            if kind is SurfaceKind.PRESERVING and not symplectic:
                 raise FormViolation("orientation-preserving matrix must be symplectic")
-            if kind is SurfaceKind.REVERSING and not is_antisymplectic(matrix):
+            if kind is SurfaceKind.REVERSING and not antisymplectic:
                 raise FormViolation("orientation-reversing matrix must be antisymplectic")
         self.kind = kind
         self.matrix = matrix
@@ -195,8 +194,8 @@ class Analysis:
         """Symplectic and antisymplectic predicates; None for non-orientable models.
 
         For dim > 0 at most one predicate holds.  A strict model already
-        passed the predicate of its kind, so it needs no matrix product;
-        any other model takes one product for both predicates.
+        passed the predicate of its kind, so it needs no second check; any
+        other model takes one ``form_predicates`` call for both.
         """
         m = self.model
         if m.kind is SurfaceKind.NONORIENTABLE:

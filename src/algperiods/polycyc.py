@@ -52,11 +52,12 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        coeffs = tuple(map(operator.index, coeffs))
-        end = len(coeffs)
-        while end and coeffs[end - 1] == 0:
-            end -= 1
-        self.coeffs = coeffs[:end]
+        # Built from a list: tuple(map(...)) is resized after it is filled, which
+        # strands one block per call in CPython's tuple free lists.
+        coeffs = list(map(operator.index, coeffs))
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
 
     @property
     def degree(self) -> int:
@@ -92,11 +93,11 @@ class IntPolynomial:
         return self + (-other)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
+        return IntPolynomial([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
+            return IntPolynomial([c * other for c in self.coeffs])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs

@@ -9,8 +9,8 @@ dimension (dim / 2 for orientable kinds, dim + 1 for the non-orientable
 kind), analyses it and compares the achieved periods with the target.
 Orientable matrices are written in the basis (all a-curves, then all
 b-curves), diag(H, H) preserving and diag(H, -H) reversing for the direct
-sum H of the blocks, so the symplectic predicates of
-:mod:`algperiods.exactmat` apply directly.
+sum H of the blocks, so the form check of :mod:`algperiods.exactmat`
+applies directly.
 
 Orientation-preserving case.  Pieces for n in the working set (the
 target with 1 toggled) each contribute an n-cycle permutation.
@@ -53,7 +53,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .arith import DoldClass
 from .exactmat import (
@@ -61,7 +61,6 @@ from .exactmat import (
     block_diag,
     companion_cycle_quotient,
     cyclic_permutation,
-    mat_scale,
 )
 from .lefschetz import Analysis, HomologyModel, SurfaceKind, analyze
 
@@ -73,7 +72,6 @@ __all__ = [
     "PieceSpec",
     "SurfaceModel",
     "realize_target",
-    "preserving_model_from_multiplicities",
 ]
 
 DEVIATION_FLAG = "achieved-differs-from-target"
@@ -139,23 +137,6 @@ def _normalized_target(a: Iterable[int]) -> tuple[int, ...]:
     return tuple(elements)
 
 
-def preserving_model_from_multiplicities(multiplicities: Mapping[int, int]) -> HomologyModel:
-    """Orientation-preserving model with ``copies`` pieces per label.
-
-    The matrix is diag(M, M) with M the direct sum of copies[n] cycle
-    permutations of length n; the genus is sum(n * copies).  The tests of
-    the partition census correspondence build their models with it.
-    """
-    cycles = []
-    for n in sorted(multiplicities):
-        copies = multiplicities[n]
-        if n < 1 or copies < 0:
-            raise ValueError("labels must be positive and multiplicities nonnegative")
-        cycles.extend(cyclic_permutation(n) for _ in range(copies))
-    half = block_diag(cycles)
-    return HomologyModel(SurfaceKind.PRESERVING, block_diag([half, half]), half.dim, strict=True)
-
-
 def _swap_shift_block(tau: int) -> IntMatrix:
     """Permutation of the 2*tau paired curves of a doubled piece.
 
@@ -214,7 +195,9 @@ def realize_target(
     if kind is SurfaceKind.NONORIENTABLE:
         model = HomologyModel(kind, half, half.dim + 1)
     else:
-        other = mat_scale(half, -1) if kind is SurfaceKind.REVERSING else half
+        other = half
+        if kind is SurfaceKind.REVERSING:
+            other = IntMatrix._raw([[-x for x in row] for row in half.rows])
         model = HomologyModel(kind, block_diag([half, other]), half.dim, strict=True)
     analysis = analyze(model)
     achieved = analysis.dold.support()  # sorted, like target

@@ -12,9 +12,11 @@ dynamic programme over parts is the oracle for the pentagonal-number
 partition count, the dense binomial product is the oracle for the zeta
 series passes, the recursive descent is the oracle for the partition
 enumeration loop, and ``json.dumps`` with indent over a converted copy is
-the oracle for the one-pass JSON writer of the CLI).  The small matrix,
-sequence and polynomial helpers here (trace, transpose, powers,
-transvections, reg_k) serve the tests only; the library has no use for them.
+the oracle for the one-pass JSON writer of the CLI, and the dense product
+A^T Omega A is the oracle for the form check read off the nonzero pairs).
+The small matrix, sequence and polynomial helpers here (trace, transpose,
+products, powers, transvections, reg_k) serve the tests only; the library
+has no use for them.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ from __future__ import annotations
 import json
 import operator
 import random
+from itertools import compress
 from math import comb
 from typing import Sequence
 
 from algperiods import (
+    DimensionMismatch,
     DoldClass,
     HomologyModel,
     IntMatrix,
@@ -38,14 +42,12 @@ from algperiods import (
     ZetaFactorization,
     block_diag,
     charpoly,
+    cyclic_permutation,
     cyclotomic,
     cyclotomic_factorization,
     divisors,
     dold_coefficients,
-    mat_mul,
-    mat_scale,
     realize_target,
-    standard_symplectic_form,
     trace_sequence_from_charpoly,
 )
 
@@ -56,6 +58,58 @@ def trace(a: IntMatrix) -> int:
 
 def transpose(a: IntMatrix) -> IntMatrix:
     return IntMatrix(zip(*a.rows))
+
+
+def negated(a: IntMatrix) -> IntMatrix:
+    return IntMatrix([[-x for x in row] for row in a.rows])
+
+
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"cannot multiply {a.dim}x{a.dim} by {b.dim}x{b.dim}")
+    n = a.dim
+    brows = b.rows
+    out = []
+    for arow in a.rows:
+        acc = None
+        # compress() skips the zero entries of the row at C speed.
+        for j in compress(range(n), arow):
+            v = arow[j]
+            brow = brows[j]
+            if acc is None:
+                if v == 1:
+                    acc = list(brow)
+                elif v == -1:
+                    acc = [-y for y in brow]
+                else:
+                    acc = [v * y for y in brow]
+            elif v == 1:
+                acc = [x + y for x, y in zip(acc, brow)]
+            elif v == -1:
+                acc = [x - y for x, y in zip(acc, brow)]
+            else:
+                acc = [x + v * y for x, y in zip(acc, brow)]
+        out.append([0] * n if acc is None else acc)
+    return IntMatrix._raw(out)
+
+
+def standard_symplectic_form(g: int) -> IntMatrix:
+    """Omega = [[0, I_g], [-I_g, 0]] in the (a_1..a_g, b_1..b_g) basis."""
+    if g < 0:
+        raise ValueError("genus must be nonnegative")
+    n = 2 * g
+    rows = [[0] * n for _ in range(n)]
+    for i in range(g):
+        rows[i][g + i] = 1
+        rows[g + i][i] = -1
+    return IntMatrix._raw(rows)
+
+
+def form_predicates_by_product(a: IntMatrix) -> tuple[bool, bool]:
+    """(A^T Omega A == Omega, A^T Omega A == -Omega) from the dense products."""
+    omega = standard_symplectic_form(a.dim // 2)
+    product = mat_mul(mat_mul(transpose(a), omega), a)
+    return product == omega, product == negated(omega)
 
 
 def mat_pow(a: IntMatrix, l: int) -> IntMatrix:
@@ -241,7 +295,24 @@ def odd_lefschetz_vanish_by_powers(m: HomologyModel, bound: int) -> bool:
 
 def plus_minus_identity(g: int) -> IntMatrix:
     """diag(I_g, -I_g), the basic antisymplectic block."""
-    return block_diag([IntMatrix.identity(g), mat_scale(IntMatrix.identity(g), -1)])
+    return block_diag([IntMatrix.identity(g), negated(IntMatrix.identity(g))])
+
+
+def preserving_model_from_multiplicities(multiplicities) -> HomologyModel:
+    """Orientation-preserving model with ``copies`` pieces per label.
+
+    The matrix is diag(M, M) with M the direct sum of copies[n] cycle
+    permutations of length n; the genus is sum(n * copies).  The tests of
+    the partition census correspondence build their models with it.
+    """
+    cycles = []
+    for n in sorted(multiplicities):
+        copies = multiplicities[n]
+        if n < 1 or copies < 0:
+            raise ValueError("labels must be positive and multiplicities nonnegative")
+        cycles.extend(cyclic_permutation(n) for _ in range(copies))
+    half = block_diag(cycles)
+    return HomologyModel(SurfaceKind.PRESERVING, block_diag([half, half]), half.dim, strict=True)
 
 
 def random_symplectic_pair(rng: random.Random, g: int, count: int = 3):

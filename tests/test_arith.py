@@ -9,12 +9,11 @@ from algperiods import (
     divisors,
     dold_coefficients,
     dold_congruence_check,
-    mat_mul,
     moebius,
 )
 from algperiods.exactmat import IntMatrix
 
-from conftest import lefschetz_from_dold, random_matrix, reg, trace
+from conftest import lefschetz_from_dold, mat_mul, random_matrix, reg, trace
 
 
 def moebius_oracle(n: int) -> int:

@@ -14,10 +14,13 @@ from algperiods import (
     partition_count,
     partition_to_dold_nonorientable,
     partition_to_dold_orientable,
-    preserving_model_from_multiplicities,
 )
 
-from conftest import partition_counts_by_dp, partitions_by_recursion
+from conftest import (
+    partition_counts_by_dp,
+    partitions_by_recursion,
+    preserving_model_from_multiplicities,
+)
 
 
 def test_partition_type():

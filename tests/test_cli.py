@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -340,6 +341,59 @@ def test_rejected_values_echoed_short(capsys, tmp_path):
     assert code == 1 and "'3x' is not an integer" in err
 
 
+def test_huge_json_numbers_refused_while_parsing(capsys, tmp_path):
+    """A JSON number of more than 4300 digits, as a matrix file's dim, a matrix entry
+    or a Dold value, exits 1 with one short line before int() converts it; the same
+    integers written as strings are read."""
+    big = "9" * 200_000
+    big_dim = tmp_path / "big_dim.json"
+    big_dim.write_text('{"dim": ' + big + ', "rows": []}')
+    big_entry = tmp_path / "big_entry.json"
+    big_entry.write_text('{"dim": 2, "rows": [[1, ' + big[:5000] + '], [0, 1]]}')
+    cases = [
+        ["analyze", "--matrix", str(big_dim), "--kind", "preserving", "--genus", "1"],
+        ["analyze", "--matrix", str(big_entry), "--kind", "preserving", "--genus", "1"],
+        ["certify", "--dold", '{"2": ' + big + "}"],
+    ]
+    for argv in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 0.1, argv[:2]
+        assert code == 1 and out == "", argv[:2]
+        assert err.count("\n") == 1 and len(err) < 200 and "4300 digits" in err, err
+    # Under the digit limit, the dim is echoed short in the row-count message.
+    long_dim = tmp_path / "long_dim.json"
+    long_dim.write_text('{"dim": ' + big[:4000] + ', "rows": []}')
+    code, _, err = run(capsys, ["analyze", "--matrix", str(long_dim), "--kind", "preserving",
+                                "--genus", "1"])
+    assert code == 1 and len(err) < 200 and "(a value of 4000 characters) rows" in err, err
+    unipotent = write_matrix(tmp_path, "unipotent.json", [[1, big[:5000]], [0, 1]])
+    code, rep, err = run_json(capsys, ["analyze", "--matrix", unipotent, "--kind", "preserving",
+                                       "--genus", "1"])
+    assert code == 0 and rep["matrix"]["rows"][0][1] == big[:5000], err
+
+
+def test_closed_or_full_stdout_ends_in_one_line():
+    """A reader that stops early or a full device ends the run with exit 1 and one
+    line on stderr, without a traceback and without a second complaint at exit."""
+    argv = [sys.executable, "-m", "algperiods", "census", "--genus", "30", "--list-partitions"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b'{\n  "corre'
+    proc.stdout.close()  # the listing is far larger than the pipe's buffer
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == "output error: Broken pipe\n"
+    if not Path("/dev/full").exists():
+        return
+    # The big listing fails inside print, a small report only at the final flush.
+    for args in (argv, argv[:6]):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(args, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr == "output error: No space left on device\n"
+
+
 def test_certify_command(capsys, tmp_path):
     code, rep, _ = run_json(capsys, ["certify", "--dold", '{"3":-2,"4":1}'])
     assert code == 0
@@ -390,9 +444,13 @@ def test_module_entry_point():
 
 
 def test_certify_long_inline_dold(capsys):
-    # An inline map longer than any file name must not be probed as a path.
+    # An inline map longer than any file name must not be probed as a path.  A
+    # 5000-digit number literal is past the digit limit of the JSON parser and is
+    # refused as inline JSON; the same number written as a string is read.
     digits = "7" * 5000
     code, out, err = run(capsys, ["certify", "--dold", '{"1": ' + digits + "}"])
+    assert code == 1 and out == "" and err.startswith("input error: inline Dold map"), err
+    code, out, err = run(capsys, ["certify", "--dold", '{"1": "' + digits + '"}'])
     assert code == 0, err
     assert f'"1": "{digits}"' in out
     code, _, err = run(capsys, ["certify", "--dold", "x" * 5000])
@@ -425,9 +483,8 @@ def test_big_integers_beyond_str_digit_limit(capsys, tmp_path):
 
 def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
     """charpoly_blocks runs once per model, cyclotomic_factorization once per distinct
-    block polynomial, and the form predicates take at most one A^T Omega A product:
-    the strict constructor's, or else form_checks'."""
-    import algperiods.exactmat as exactmat
+    block polynomial, and form_predicates runs once per orientable model: in the
+    strict constructor, or else in form_checks; never for a non-orientable one."""
     import algperiods.lefschetz as lefschetz
 
     calls = {}
@@ -443,7 +500,7 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
 
     counting(lefschetz, "charpoly_blocks")
     counting(lefschetz, "cyclotomic_factorization")
-    counting(exactmat, "_form_transform")
+    counting(lefschetz, "form_predicates")
 
     rev = write_matrix(tmp_path, "rev2.json", [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
     anosov = write_matrix(tmp_path, "anosov.json", [[2, 1], [1, 1]])
@@ -466,7 +523,7 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
     for argv, exit_code, expected in cases:
         calls.clear()
         assert run(capsys, argv)[0] == exit_code
-        names = ("charpoly_blocks", "cyclotomic_factorization", "_form_transform")
+        names = ("charpoly_blocks", "cyclotomic_factorization", "form_predicates")
         got = tuple(len(calls.get(n, ())) for n in names)
         assert got == expected, argv
         factored = [args[0] for args in calls["cyclotomic_factorization"]]

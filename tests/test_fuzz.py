@@ -1,4 +1,4 @@
-"""Fuzz every command through ``cli.main``.
+"""Fuzz every command through ``cli.main``, and the form check against its oracle.
 
 Every zeta, census and certify --dold input must end with exit 0 and a
 JSON report, or exit 1 with one line on stderr; realize may also end with
@@ -8,7 +8,8 @@ stderr).  Matrix files for analyze and certify --matrix end with exit 0 or
 one line on stderr.  An exception escaping ``main`` fails the test.  Examples
 are derandomized and the database is off, so runs repeat exactly.  Drawn
 sizes stay where a run takes milliseconds; the caps themselves are
-checked in ``test_cli.py::test_size_caps``.
+checked in ``test_cli.py::test_size_caps``.  ``form_predicates`` must agree with
+the dense product A^T Omega A of ``conftest`` on every drawn matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +24,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from algperiods import IntMatrix, Mode, SurfaceKind, form_predicates, realize_target
 from algperiods.cli import MAX_GENUS, MAX_SERIES, MAX_SET_SUM, main
+
+from conftest import (
+    form_predicates_by_product,
+    mat_mul,
+    negated,
+    plus_minus_identity,
+    standard_symplectic_form,
+    symplectic_transvection,
+)
 
 FUZZ = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
@@ -301,3 +312,66 @@ def test_fuzz_certify_matrix(tmp_path_factory, text, kind, genus_shift, strict):
     assert err == "" and [c["period"] for c in report["certificates"]] == sorted(
         map(int, report["dold"])
     )
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Even-dimension matrices, mostly zeros, so that pairs of rows k and k + g
+    meet on the diagonal and their products cancel."""
+    n = 2 * draw(st.integers(0, 4))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2])
+    return IntMatrix(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@st.composite
+def transvection_pairs(draw, g):
+    """A product S of symplectic transvections in dimension 2g, with its inverse."""
+    s = s_inv = IntMatrix.identity(2 * g)
+    for _ in range(draw(st.integers(1, 4))):
+        v = draw(st.lists(st.integers(-1, 1), min_size=2 * g, max_size=2 * g))
+        lam = draw(st.sampled_from([-1, 1, 2]))
+        s = mat_mul(s, symplectic_transvection(v, lam))
+        s_inv = mat_mul(symplectic_transvection(v, -lam), s_inv)
+    return s, s_inv
+
+
+@st.composite
+def symplectic_products(draw):
+    return draw(transvection_pairs(draw(st.integers(1, 4))))[0]
+
+
+@st.composite
+def antisymplectic_conjugates(draw):
+    """S^-1 B S for an antisymplectic B: diag(I, -I) or a reversing realization."""
+    if draw(st.booleans()):
+        base = plus_minus_identity(draw(st.integers(1, 4)))
+    else:
+        target = draw(st.sets(st.sampled_from([4, 6, 8]), min_size=1, max_size=2))
+        base = realize_target(target, SurfaceKind.REVERSING, draw(st.sampled_from(Mode))).model.matrix
+    s, s_inv = draw(transvection_pairs(base.dim // 2))
+    return mat_mul(mat_mul(s_inv, base), s)
+
+
+@st.composite
+def one_entry_changed(draw, matrices):
+    """A drawn matrix with one entry moved by a small nonzero amount."""
+    a = draw(matrices)
+    rows = [list(row) for row in a.rows]
+    i, j = draw(st.integers(0, a.dim - 1)), draw(st.integers(0, a.dim - 1))
+    rows[i][j] += draw(st.sampled_from([-2, -1, 1, 2]))
+    return IntMatrix(rows)
+
+
+FORMED = st.one_of(symplectic_products(), antisymplectic_conjugates())
+
+
+@settings(FUZZ, max_examples=200)
+@example(a=IntMatrix([[1, 1], [1, 1]]))  # the two pairs cancel
+@example(a=IntMatrix([[1, 0], [1, 1]]))  # a pair on the diagonal, symplectic
+@example(a=IntMatrix([[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, -1, 0, 0]]))  # k = 0, 1 cancel
+@example(a=IntMatrix([[0, 1, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]))  # -Omega, a_01 = 1
+@example(a=negated(standard_symplectic_form(3)))
+@example(a=IntMatrix([]))
+@given(a=st.one_of(sparse_matrices(), FORMED, one_entry_changed(FORMED)))
+def test_fuzz_form_predicates_match_dense_product(a):
+    assert form_predicates(a) == form_predicates_by_product(a)

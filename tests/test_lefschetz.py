@@ -24,7 +24,6 @@ from algperiods import (
     cyclotomic_factorization,
     dold_coefficients,
     form_predicates,
-    mat_mul,
     periodic_point_certificate,
     realize_target,
 )
@@ -37,6 +36,7 @@ from conftest import (
     lefschetz_by_newton,
     lefschetz_by_powers,
     lefschetz_from_dold,
+    mat_mul,
     odd_lefschetz_vanish_by_powers,
     random_antisymplectic_quasiunipotent,
     random_matrix,
