@@ -7,9 +7,10 @@ are JSON objects {"dim": n, "rows": [[...], ...]}; Dold classes are JSON
 maps with string keys; readers accept big integers in either numeric or
 string form.  No configuration files, no environment variables.  One recursive
 pass writes the bytes of ``json.dumps(sort_keys=True, indent=2)``, with no
-converted copy of the report and one join per list of plain integers.  A
-census listing skips that pass: its (partition, Dold class) rows are written
-straight to JSON or text, one template per row, with no payload dict.
+converted copy of the report and one join per list of plain integers.  Two
+row writers skip that pass: a census listing takes one template per row, and
+a matrix's rows are written from its nonzero index, a run of zeros by one
+string repetition, so about one nonzero per row costs O(dim) Python steps.
 
 Stable exit codes:
 
@@ -98,6 +99,11 @@ class _Parser(argparse.ArgumentParser):
             return value
         return super()._get_values(action, arg_strings)
 
+    def _print_message(self, message, file=None):  # argparse drops an OSError here
+        if message:
+            (file or sys.stderr).write(message)
+            (file or sys.stderr).flush()
+
 
 class _CensusRows:
     """The (Partition, DoldClass) rows of a census listing, written straight to
@@ -111,12 +117,8 @@ class _CensusRows:
     def __init__(self, rows):
         self.rows = rows
 
-    def json(self, pad: str) -> str:
-        if not self.rows:
-            return "[]"
-        item = pad + "  "
-        field = item + "  "
-        cell = field + "  "
+    def json(self, item: str) -> list[str]:
+        field, cell = item + "  ", item + "    "
         sep = "," + cell
         out = []
         for p, d in self.rows:
@@ -125,19 +127,50 @@ class _CensusRows:
             dold = "{" + cell + sep.join(entries) + field + "}" if entries else "{}"
             parts = sep.join(map(str, p.as_list()))
             out.append(f'{{{field}"dold": {dold},{field}"partition": [{cell}{parts}{field}]{item}}}')
-        return "[" + item + ("," + item).join(out) + pad + "]"
+        return out
 
-    def text_lines(self, key: str, indent: int) -> list[str]:
-        pad = "  " * indent
-        if not self.rows:
-            return [f"{pad}{key}: []"]
-        item, field, cell = pad + "  ", pad + "    ", pad + "      "
-        lines = [f"{pad}{key}:"]
+    def text_lines(self, item: str) -> list[str]:
+        field, cell = item + "  ", item + "    "
+        lines = []
         for i, (p, d) in enumerate(self.rows):
             lines += [f"{item}[{i}]:", f"{field}dold:"]
             lines += [f"{cell}{n}: {d[n]}" for n in sorted(d.support(), key=str)]
             lines.append(f"{field}partition: [" + " ".join(map(str, p.as_list())) + "]")
         return lines
+
+
+class _MatrixRows:
+    """The rows of a report's matrix, written from its nonzero index with the
+    bytes of a plain list of lists, by one row writer for JSON and text: a run
+    of k zeros is one repetition, ("0" + sep) * k, and each nonzero is written
+    bare, or in JSON as a quoted decimal when |x| > 2^53."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: IntMatrix):
+        self.matrix = matrix
+
+    def _row_texts(self, sep: str, quote: bool):
+        zero = "0" + sep
+        limit = _JSON_INT_LIMIT
+        for row, cols in zip(self.matrix.rows, self.matrix.nonzero):
+            parts = []
+            start = 0
+            for j in cols:
+                if j > start:
+                    parts.append(zero * (j - start))
+                x = row[j]
+                parts.append(f'"{x}"{sep}' if quote and not -limit <= x <= limit else f"{x}{sep}")
+                start = j + 1
+            parts.append(zero * (len(row) - start))
+            yield "".join(parts)[: -len(sep)]
+
+    def json(self, item: str) -> list[str]:
+        cell = item + "  "
+        return [f"[{cell}{r}{item}]" for r in self._row_texts("," + cell, True)]
+
+    def text_lines(self, item: str) -> list[str]:
+        return [f"{item}[{i}]: [{r}]" for i, r in enumerate(self._row_texts(" ", False))]
 
 
 def _json_text(value: Any, pad: str = "\n") -> str:
@@ -155,8 +188,9 @@ def _json_text(value: Any, pad: str = "\n") -> str:
         plain = set(map(type, value)) == {int} and max(map(abs, value)) <= _JSON_INT_LIMIT
         body = map(int.__repr__, value) if plain else (_json_text(x, inner) for x in value)
         return "[" + inner + ("," + inner).join(body) + pad + "]"
-    if isinstance(value, _CensusRows):
-        return value.json(pad)
+    if isinstance(value, (_CensusRows, _MatrixRows)):  # row writers give the items
+        items = value.json(inner)
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     return json.dumps(value)  # empty containers, bool, None, float; others raise TypeError
 
 
@@ -174,8 +208,9 @@ def _text_lines(key: str, value: Any, indent: int) -> list[str]:
         for i, x in enumerate(value):
             lines.extend(_text_lines(f"[{i}]", x, indent + 1))
         return lines
-    if isinstance(value, _CensusRows):
-        return value.text_lines(key, indent)
+    if isinstance(value, (_CensusRows, _MatrixRows)):
+        lines = value.text_lines(pad + "  ")
+        return [f"{pad}{key}:", *lines] if lines else [f"{pad}{key}: []"]
     return [f"{pad}{key}: {value}"]
 
 
@@ -303,10 +338,6 @@ def _load_dold(source: str) -> DoldClass:
     return DoldClass(coeffs)
 
 
-def _matrix_payload(matrix: IntMatrix) -> Dict[str, Any]:
-    return {"dim": matrix.dim, "rows": [list(row) for row in matrix.rows]}
-
-
 def _dold_payload(d: DoldClass) -> Dict[str, int]:
     return {str(n): a for n, a in d.items()}
 
@@ -333,7 +364,7 @@ def _analysis_payload(analysis: Analysis, bound: Optional[int]) -> Dict[str, Any
     report: Dict[str, Any] = {
         "kind": model.kind.value,
         "genus": model.genus,
-        "matrix": _matrix_payload(model.matrix),
+        "matrix": {"dim": model.matrix.dim, "rows": _MatrixRows(model.matrix)},
         "charpoly": list(analysis.charpoly.coeffs),
         "form_checks": analysis.form_checks,
     }
@@ -552,7 +583,7 @@ def build_parser() -> _Parser:
         "--set",
         required=True,
         metavar="N1,N2,...",
-        help=f"target period set with distinct elements summing to <= {MAX_SET_SUM} (1.2 s and"
+        help=f"target period set with distinct elements summing to <= {MAX_SET_SUM} (0.4 s and"
         " 7 MB of JSON at the cap for --set 200 --kind reversing, a dim-802 matrix)",
     )
     realize_p.add_argument(

@@ -2,12 +2,14 @@
 
 Matrices are immutable tuples of tuples of Python integers, so traces of
 high powers never overflow.  Dimension 0 is a first-class citizen (trace
-0, characteristic polynomial 1); the genus-0 models need it.
+0, characteristic polynomial 1); the genus-0 models need it.  One O(n^2)
+scan on first use builds ``IntMatrix.nonzero``, the nonzero column indices
+of each row; the form check, the Tarjan scan and the report writer read it.
 
 The form check builds neither A^T Omega A nor Omega.  It reads the
 product's entries above the diagonal off the pairs of nonzeros in rows k
-and k + g, so it costs O(sum_k nnz(row k) * nnz(row k + g)) products after
-one scan of each row.  The realization matrices are direct sums with about
+and k + g, so it costs O(sum_k nnz(row k) * nnz(row k + g)) products on
+top of the index.  The realization matrices are direct sums with about
 one nonzero per row, so they take O(dim) products.
 
 The characteristic polynomial splits the index set into the strongly
@@ -23,9 +25,9 @@ mod p is read off the Hessenberg recurrence.  The residues are combined by
 the Chinese remainder theorem until the product of the primes exceeds 2B,
 where B is the block's Hadamard bound on the coefficients, so about
 log2(2B)/128 primes are used and the symmetric lift is exact by proof.  The
-total cost is one O(n^2) scan of the pattern plus O(k^3) per prime on each
-block.  The realization matrices are direct sums of cycles, swap-shift and
-companion blocks, so their blocks stay small.
+total cost is O(n + nnz) for Tarjan on that index plus O(k^3) per prime
+on each block.  The realization matrices are direct sums of cycles,
+swap-shift and companion blocks, so their blocks stay small.
 
 The primes are p = h * 2^64 + 1 for odd h descending from 2^64 - 1,
 generated on first use and kept for the process.  Each is proven prime by
@@ -86,14 +88,13 @@ class NotAntisymplectic(Exception):
 class IntMatrix:
     """Square matrix of arbitrary-precision integers."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_nonzero")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         """Validate a caller-supplied matrix; a non-integer entry raises TypeError."""
-        rows = tuple(tuple(map(operator.index, row)) for row in rows)
-        for row in rows:
-            if len(row) != len(rows):
-                raise DimensionMismatch("matrix must be square")
+        rows = tuple([tuple(map(operator.index, row)) for row in rows])
+        if any(len(row) != len(rows) for row in rows):
+            raise DimensionMismatch("matrix must be square")
         self.rows = rows
 
     @classmethod
@@ -104,8 +105,17 @@ class IntMatrix:
     def _raw(cls, rows) -> "IntMatrix":
         # Trusted internal constructor: rows are already square lists of ints.
         m = object.__new__(cls)
-        m.rows = tuple(map(tuple, rows))
+        m.rows = tuple([tuple(row) for row in rows])
         return m
+
+    @property
+    def nonzero(self) -> tuple[list[int], ...]:
+        """Each row's nonzero column indices, ascending, built once; read it only.
+        Lists, not tuples: short tuples pile up in CPython's free lists and grow RSS."""
+        if not hasattr(self, "_nonzero"):
+            cols = range(len(self.rows))
+            self._nonzero = tuple([list(compress(cols, row)) for row in self.rows])
+        return self._nonzero
 
     @property
     def dim(self) -> int:
@@ -123,15 +133,14 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
 
 
-def _strong_components(rows) -> list[list[int]]:
-    """Strongly connected components of the graph i -> j for rows[i][j] != 0.
+def _strong_components(succ) -> list[list[int]]:
+    """Strongly connected components of the graph i -> j for j in succ[i].
 
-    Iterative Tarjan, so a long chain cannot exhaust the recursion limit.
-    Components come out in reverse topological order, each as a sorted
-    index list.
+    Iterative Tarjan, so a long chain cannot exhaust the recursion limit.  A
+    self-loop i -> i changes nothing, since low[i] <= index[i] already.
+    Components come out in reverse topological order, each as a sorted list.
     """
-    n = len(rows)
-    succ = [[j for j in compress(range(n), row) if j != i] for i, row in enumerate(rows)]
+    n = len(succ)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -336,15 +345,15 @@ def charpoly_blocks(a: IntMatrix) -> list[IntPolynomial]:
     polynomials, one per component in Tarjan's order; the empty matrix has
     none.  Each block's principal submatrix is reduced to Hessenberg form
     modulo proven primes of about 2^128 and the residues are combined by
-    the Chinese remainder theorem, so the cost is one O(n^2) pattern scan
-    plus O(k^3) operations per prime on each k-dim block, with about
-    log2(2B)/128 primes for the block's Hadamard bound B.  An irreducible
-    matrix is a single block.
+    the Chinese remainder theorem, so the cost is O(n + nnz) for Tarjan on
+    ``a.nonzero`` plus O(k^3) operations per prime on each k-dim block,
+    with about log2(2B)/128 primes for the block's Hadamard bound B.  An
+    irreducible matrix is a single block.
     """
     rows = a.rows
     return [
         _block_charpoly([[rows[i][j] for j in component] for i in component])
-        for component in _strong_components(rows)
+        for component in _strong_components(a.nonzero)
     ]
 
 
@@ -411,9 +420,9 @@ def form_predicates(a: IntMatrix) -> tuple[bool, bool]:
     g = n // 2
     rows = a.rows
     upper: dict[tuple[int, int], int] = {}
-    for top, bottom in zip(rows[:g], rows[g:]):
-        pairs = [(j, bottom[j]) for j in compress(range(n), bottom)]
-        for i in compress(range(n), top):
+    for top, bottom, top_nz, bottom_nz in zip(rows[:g], rows[g:], a.nonzero[:g], a.nonzero[g:]):
+        pairs = [(j, bottom[j]) for j in bottom_nz]
+        for i in top_nz:
             x = top[i]
             for j, y in pairs:
                 if i < j:

@@ -1,4 +1,7 @@
+import errno
+import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -394,6 +397,38 @@ def test_closed_or_full_stdout_ends_in_one_line():
         assert done.stderr == "output error: No space left on device\n"
 
 
+def test_help_into_a_full_stdout_is_an_output_error(capsys, monkeypatch):
+    """argparse drops an OSError from its help writer, so a help text lost to a
+    full stdout would exit 0; it ends with exit 1 and one line on stderr."""
+
+    class FullStream(io.StringIO):
+        """A full device: an unbuffered write fails, a buffered one at its flush."""
+
+        def __init__(self, buffered):
+            super().__init__()
+            self.buffered = buffered
+
+        def write(self, text):
+            if self.buffered:
+                return super().write(text)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def flush(self):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    for argv in (["--help"], ["realize", "--help"]):
+        for buffered in (False, True):
+            monkeypatch.setattr(sys, "stdout", FullStream(buffered))
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err == "output error: No space left on device\n"
+    if not Path("/dev/full").exists():
+        return
+    with open("/dev/full", "w") as full:
+        args = [sys.executable, "-m", "algperiods", "--help"]
+        done = subprocess.run(args, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (1, "output error: No space left on device\n")
+
+
 def test_certify_command(capsys, tmp_path):
     code, rep, _ = run_json(capsys, ["certify", "--dold", '{"3":-2,"4":1}'])
     assert code == 0
@@ -484,11 +519,21 @@ def test_big_integers_beyond_str_digit_limit(capsys, tmp_path):
 def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
     """charpoly_blocks runs once per model, cyclotomic_factorization once per distinct
     block polynomial, and form_predicates runs once per orientable model: in the
-    strict constructor, or else in form_checks; never for a non-orientable one."""
+    strict constructor, or else in form_checks; never for a non-orientable one.
+    The model's nonzero index is built once, and the form check, the Tarjan scan
+    in charpoly_blocks and the matrix row writer all read that one index."""
     import algperiods.lefschetz as lefschetz
 
     calls = {}
     returned = {}
+    reads = []  # (reading function, matrix, index) for each read of IntMatrix.nonzero
+    nonzero = IntMatrix.nonzero.fget
+
+    def counted_nonzero(a):
+        reads.append((sys._getframe(1).f_code.co_name, a, nonzero(a)))
+        return reads[-1][2]
+
+    monkeypatch.setattr(IntMatrix, "nonzero", property(counted_nonzero))
 
     def counting(module, name):
         def counted(*args, _fn=getattr(module, name)):
@@ -522,12 +567,20 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
     ]
     for argv, exit_code, expected in cases:
         calls.clear()
+        reads.clear()
         assert run(capsys, argv)[0] == exit_code
         names = ("charpoly_blocks", "cyclotomic_factorization", "form_predicates")
         got = tuple(len(calls.get(n, ())) for n in names)
         assert got == expected, argv
         factored = [args[0] for args in calls["cyclotomic_factorization"]]
         assert sorted(map(str, factored)) == sorted(set(map(str, returned["charpoly_blocks"])))
+        readers = {"charpoly_blocks"}
+        if expected[2]:
+            readers.add("form_predicates")
+        if argv[0] != "certify":
+            readers.add("_row_texts")
+        assert {name for name, _, _ in reads} == readers, argv
+        assert len({id(a) for _, a, _ in reads}) == len({id(i) for _, _, i in reads}) == 1, argv
 
 
 def test_quasi_unipotent_realize_keeps_newton_to_candidate_window(capsys, tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import sys
 import textwrap
 import threading
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 
 import pytest
 
@@ -112,6 +112,23 @@ def test_block_diag():
     assert combined.dim == 5
     assert charpoly(combined) == x_pow_minus_one(2) * x_pow_minus_one(3)
     assert block_diag([p2]) == p2
+
+
+def test_nonzero_index_matches_compress():
+    """IntMatrix.nonzero lists each row's nonzero columns in ascending order, for
+    every constructor, and is built once per matrix."""
+    rng = random.Random(23)
+    matrices = [IntMatrix(()), IntMatrix([[0]]), IntMatrix([[-7]]), IntMatrix.identity(0),
+                IntMatrix.identity(5), block_diag([]), companion_cycle_quotient(4)]
+    for _ in range(40):
+        dim = rng.randint(0, 9)
+        rows = [[rng.choice([0, 0, 0, 1, -2, 2**53 + 1]) for _ in range(dim)] for _ in range(dim)]
+        blocks = [random_sparse_matrix(rng, rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+        matrices += [IntMatrix(rows), IntMatrix._raw(rows), IntMatrix.identity(dim),
+                     block_diag(blocks + [cyclic_permutation(rng.randint(1, 4))])]
+    for a in matrices:
+        assert a.nonzero == tuple(list(compress(range(a.dim), row)) for row in a.rows), a
+        assert a.nonzero is a.nonzero
 
 
 def random_sparse_matrix(rng: random.Random, dim: int) -> IntMatrix:

@@ -9,7 +9,10 @@ one line on stderr.  An exception escaping ``main`` fails the test.  Examples
 are derandomized and the database is off, so runs repeat exactly.  Drawn
 sizes stay where a run takes milliseconds; the caps themselves are
 checked in ``test_cli.py::test_size_caps``.  ``form_predicates`` must agree with
-the dense product A^T Omega A of ``conftest`` on every drawn matrix.
+the dense product A^T Omega A of ``conftest`` on every drawn matrix.  The
+matrix rows of a realize or analyze report must be the bytes that the
+standard encoder writes for plain-list rows, and in text the entries of each
+row joined by spaces.
 """
 
 from __future__ import annotations
@@ -24,11 +27,28 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from algperiods import IntMatrix, Mode, SurfaceKind, form_predicates, realize_target
-from algperiods.cli import MAX_GENUS, MAX_SERIES, MAX_SET_SUM, main
+from algperiods import (
+    HomologyModel,
+    IntMatrix,
+    Mode,
+    SurfaceKind,
+    analyze,
+    form_predicates,
+    realize_target,
+)
+from algperiods.cli import (
+    MAX_GENUS,
+    MAX_SERIES,
+    MAX_SET_SUM,
+    _analysis_payload,
+    _model_report,
+    main,
+)
 
 from conftest import (
+    JSON_INT_LIMIT,
     form_predicates_by_product,
+    json_by_dumps,
     mat_mul,
     negated,
     plus_minus_identity,
@@ -375,3 +395,67 @@ FORMED = st.one_of(symplectic_products(), antisymplectic_conjugates())
 @given(a=st.one_of(sparse_matrices(), FORMED, one_entry_changed(FORMED)))
 def test_fuzz_form_predicates_match_dense_product(a):
     assert form_predicates(a) == form_predicates_by_product(a)
+
+
+# Report matrices for the row writer: all-zero rows, nonzeros in the first and
+# last columns, entries on both sides of 2^53, and dims 0 and 1.
+WRITER_ENTRIES = st.one_of(
+    st.sampled_from([1, -1, 2, JSON_INT_LIMIT, -JSON_INT_LIMIT, JSON_INT_LIMIT + 1,
+                     -JSON_INT_LIMIT - 1]),
+    st.integers(-10**20, 10**20).filter(bool),
+)
+
+
+@st.composite
+def writer_matrices(draw):
+    n = draw(st.integers(0, 6))
+    rows = [[0] * n for _ in range(n)]
+    if n:
+        columns = st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1))
+        for row in rows:
+            for j, x in draw(st.lists(st.tuples(columns, WRITER_ENTRIES), max_size=n)):
+                row[j] = x
+    return rows
+
+
+def check_rows_written(argv, report, rows):
+    """JSON stdout is the standard encoder's for the report with plain-list rows,
+    and each text row is its entries joined by spaces."""
+    _, out, err = run(argv)
+    report["matrix"]["rows"] = rows
+    # line lists, so that a failure's diff stays cheap on a dim^2 payload
+    assert err == "" and out.split("\n") == (json_by_dumps(report) + "\n").split("\n")
+    lines = run(argv + ["--format", "text"])[1].splitlines()
+    start = lines.index("  rows:" if rows else "  rows: []") + 1
+    expected = [f"    [{i}]: [" + " ".join(map(str, row)) + "]" for i, row in enumerate(rows)]
+    assert lines[start : start + len(rows)] == expected
+
+
+@FUZZ
+@example(rows=[])
+@example(rows=[[JSON_INT_LIMIT + 1]])
+@example(rows=[[0, 0, 0], [-JSON_INT_LIMIT - 1, 0, JSON_INT_LIMIT], [0, 0, 0]])
+@given(rows=writer_matrices())
+def test_fuzz_analyze_rows_match_standard_encoder(tmp_path_factory, rows):
+    n = len(rows)
+    path = tmp_path_factory.getbasetemp() / "writer.json"
+    path.write_text(json.dumps({"dim": n, "rows": rows}))
+    argv = ["analyze", "--matrix", str(path), "--kind", "nonorientable", "--genus", str(n + 1),
+            "--max-iter", "4"]
+    model = HomologyModel(SurfaceKind.NONORIENTABLE, IntMatrix(rows), n + 1)
+    check_rows_written(argv, _analysis_payload(analyze(model), 4), rows)
+
+
+@FUZZ
+@given(
+    target=st.sets(st.integers(1, 9), min_size=1, max_size=3),
+    kind=st.sampled_from(SurfaceKind),
+    mode=st.sampled_from(Mode),
+)
+def test_fuzz_realize_rows_match_standard_encoder(target, kind, mode):
+    if kind is SurfaceKind.REVERSING:
+        target = {2 * n for n in target}
+    argv = ["realize", "--set", ",".join(map(str, target)), "--kind", kind.value,
+            "--mode", mode.value]
+    sm = realize_target(target, kind, mode)
+    check_rows_written(argv, _model_report(sm), [list(row) for row in sm.model.matrix.rows])
