@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterator, Mapping, Optional
 
 from .arith import DoldClass
@@ -97,47 +98,55 @@ def partition_count(n: int) -> int:
     """
     if n < 0:
         raise ValueError("partition counts are defined for nonnegative integers")
-    # Generalized pentagonal numbers in increasing order, each with its sign.
-    offsets = []
+    ways = [1]
+    get = ways.__getitem__
+    # -g for each generalized pentagonal number g <= m, one list per sign of its
+    # terms; while P(m) is summed, len(ways) == m, so ways[-g] is P(m - g).
+    plus, minus = [], []
     k = 1
-    while k * (3 * k - 1) // 2 <= n:
-        sign = 1 if k % 2 else -1
-        offsets += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
-        k += 1
-    ways = [1] + [0] * n
     for m in range(1, n + 1):
-        total = 0
-        for g, sign in offsets:
-            if g > m:
-                break
-            if sign > 0:
-                total += ways[m - g]
-            else:
-                total -= ways[m - g]
-        ways[m] = total
+        if m == k * (3 * k - 1) // 2:
+            (plus if k % 2 else minus).append(-m)
+        elif m == k * (3 * k + 1) // 2:
+            (plus if k % 2 else minus).append(-m)
+            k += 1
+        ways.append(sum(map(get, plus)) - sum(map(get, minus)))
     return ways[n]
 
 
-def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of n, each exactly once, in decreasing lexicographic order,
-    from one loop over a stack of (part, multiplicity) pairs, largest part first."""
+def _walk(n: int) -> Iterator[tuple[list[tuple[int, int]], int]]:
+    """The partitions of n, each exactly once, in decreasing lexicographic order,
+    from one loop over a stack of (part, multiplicity) levels, largest part first.
+
+    Yields the live stack, which the next step changes in place, and the lowest
+    level that changed since the previous yield (0 at the first); the levels
+    below it are the same pairs as before.  Only the last level can have part 1.
+    """
     if n < 1:
         raise ValueError("enumeration needs a positive integer")
     stack = [(n, 1)]
+    low = 0
     while True:
-        p = Partition.__new__(Partition)  # the stack is valid and its parts decrease
-        p._parts = dict(reversed(stack))
-        yield p
+        yield stack, low
         freed = stack.pop()[1] if stack[-1][0] == 1 else 0
         if not stack:
             return
-        part, count = stack[-1]
-        stack[-1:] = [(part, count - 1)] if count > 1 else []
+        low = len(stack) - 1
+        part, count = stack[low]
+        stack[low:] = [(part, count - 1)] if count > 1 else []
         # give back the ones and one part p as parts p - 1 and one remainder
         copies, rest = divmod(freed + part, part - 1)
         stack.append((part - 1, copies))
         if rest:
             stack.append((rest, 1))
+
+
+def enumerate_partitions(n: int) -> Iterator[Partition]:
+    """All partitions of n, each exactly once, in decreasing lexicographic order."""
+    for stack, _ in _walk(n):
+        p = Partition.__new__(Partition)  # the stack is valid and its parts decrease
+        p._parts = dict(reversed(stack))
+        yield p
 
 
 def hardy_ramanujan_estimate(n: int) -> float:
@@ -150,11 +159,18 @@ def hardy_ramanujan_estimate(n: int) -> float:
         raise ValueError(f"the estimate at {n} is beyond the float range (n <= 76,567)") from None
 
 
+# The correspondences: a_n = scale * p_n for n != 1 and a_1 = 2 + scale * p_1.
+# _partition_to_dold and the CLI's listing writer both read them here.
+_SCALES = {"orientable": -2, "nonorientable": -1}
+_A1_SHIFT = 2
+
+
 def _partition_to_dold(p: Partition, scale: int) -> DoldClass:
-    """a_n = scale * p_n, plus 2 at n = 1.  Built unchecked: the parts of a
-    Partition are positive and ascending, each p_n is positive, and a zero
-    a_1 is dropped, so the coefficients are what DoldClass(...) would keep."""
-    a1 = 2 + scale * p._parts.get(1, 0)
+    """The Dold class of p under the correspondence with this scale.  Built
+    unchecked: the parts of a Partition are positive and ascending, each p_n is
+    positive, and a zero a_1 is dropped, so the coefficients are what
+    DoldClass(...) would keep."""
+    a1 = _A1_SHIFT + scale * p._parts.get(1, 0)
     rest = {n: scale * m for n, m in p._parts.items() if n != 1}
     d = DoldClass.__new__(DoldClass)
     d._coeffs = {1: a1, **rest} if a1 else rest
@@ -163,12 +179,12 @@ def _partition_to_dold(p: Partition, scale: int) -> DoldClass:
 
 def partition_to_dold_orientable(p: Partition) -> DoldClass:
     """Dold class of the orientation-preserving model built from p_n copies."""
-    return _partition_to_dold(p, -2)
+    return _partition_to_dold(p, _SCALES["orientable"])
 
 
 def partition_to_dold_nonorientable(p: Partition) -> DoldClass:
     """Dold class of the non-orientable model built from p_n copies."""
-    return _partition_to_dold(p, -1)
+    return _partition_to_dold(p, _SCALES["nonorientable"])
 
 
 @dataclass(frozen=True)
@@ -200,18 +216,13 @@ def census(
     exact = partition_count(genus)
     samples = None
     if correspondence is not None:
-        if correspondence == "orientable":
-            to_dold = partition_to_dold_orientable
-        elif correspondence == "nonorientable":
-            to_dold = partition_to_dold_nonorientable
-        else:
+        if correspondence not in _SCALES:
             raise ValueError(f"unknown correspondence {correspondence!r}")
-        collected = []
-        for p in enumerate_partitions(genus):
-            if limit is not None and len(collected) >= limit:
-                break
-            collected.append((p, to_dold(p)))
-        samples = tuple(collected)
+        scale = _SCALES[correspondence]
+        rows = enumerate_partitions(genus)
+        if limit is not None:
+            rows = islice(rows, max(limit, 0))
+        samples = tuple([(p, _partition_to_dold(p, scale)) for p in rows])
     return CensusReport(
         genus=genus,
         exact_count=exact,

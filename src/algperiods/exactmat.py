@@ -391,15 +391,20 @@ def companion_cycle_quotient(n: int) -> IntMatrix:
 
 
 def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    """Direct sum of square blocks; the empty list gives the empty matrix."""
+    """Direct sum of square blocks; the empty list gives the empty matrix.  Its
+    nonzero index is the blocks' indices, each shifted by the block's offset."""
     total = sum(b.dim for b in blocks)
-    rows = [[0] * total for _ in range(total)]
+    rows, nonzero = [], []
     offset = 0
     for b in blocks:
-        for i, row in enumerate(b.rows):
-            rows[offset + i][offset : offset + b.dim] = row
+        left, right = (0,) * offset, (0,) * (total - offset - b.dim)
+        for row, cols in zip(b.rows, b.nonzero):
+            rows.append(left + row + right)
+            nonzero.append([j + offset for j in cols])
         offset += b.dim
-    return IntMatrix._raw(rows)
+    m = IntMatrix._raw(rows)
+    m._nonzero = tuple(nonzero)
+    return m
 
 
 def form_predicates(a: IntMatrix) -> tuple[bool, bool]:

@@ -12,8 +12,11 @@ dynamic programme over parts is the oracle for the pentagonal-number
 partition count, the dense binomial product is the oracle for the zeta
 series passes, the recursive descent is the oracle for the partition
 enumeration loop, and ``json.dumps`` with indent over a converted copy is
-the oracle for the one-pass JSON writer of the CLI, and the dense product
-A^T Omega A is the oracle for the form check read off the nonzero pairs).
+the oracle for the one-pass JSON writer of the CLI, the dense product
+A^T Omega A is the oracle for the form check read off the nonzero pairs,
+and the library's census() rows, as payload dicts through the generic
+writers, are the oracle for the census listing written from the partition
+walk).
 The small matrix, sequence and polynomial helpers here (trace, transpose,
 products, powers, transvections, reg_k) serve the tests only; the library
 has no use for them.
@@ -41,6 +44,7 @@ from algperiods import (
     SurfaceKind,
     ZetaFactorization,
     block_diag,
+    census,
     charpoly,
     cyclic_permutation,
     cyclotomic,
@@ -50,6 +54,7 @@ from algperiods import (
     realize_target,
     trace_sequence_from_charpoly,
 )
+from algperiods.cli import _text_lines
 
 
 def trace(a: IntMatrix) -> int:
@@ -418,3 +423,17 @@ def jsonable(value):
 def json_by_dumps(report) -> str:
     """The report as sorted, two-space indented JSON through the standard encoder."""
     return json.dumps(jsonable(report), sort_keys=True, indent=2)
+
+
+def census_listing_by_objects(genus: int, correspondence: str, limit=None) -> list[dict]:
+    """The "partitions" of a census listing, from the Partition and DoldClass rows of census()."""
+    rows = census(genus, correspondence=correspondence, limit=limit).sample_dold_classes
+    return [
+        {"dold": {str(n): a for n, a in d.as_dict().items()}, "partition": p.as_list()}
+        for p, d in rows
+    ]
+
+
+def text_by_writer(report: dict) -> str:
+    """The report's text output, written by the generic per-value text writer."""
+    return "\n".join(line for key in sorted(report) for line in _text_lines(key, report[key], 0)) + "\n"

@@ -1,4 +1,5 @@
 import errno
+import importlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from algperiods import IntMatrix
+from algperiods import IntMatrix, Partition, census, partition_count
 from algperiods.cli import (
     MAX_GENUS,
     MAX_LISTED_PARTITIONS,
@@ -21,7 +22,7 @@ from algperiods.cli import (
     main,
 )
 
-from conftest import json_by_dumps
+from conftest import census_listing_by_objects, json_by_dumps, text_by_writer
 
 
 def run(capsys, argv):
@@ -234,6 +235,51 @@ def test_census_command(capsys):
     assert rep["partitions"][0] == {"partition": [3], "dold": {"1": 2, "3": -2}}
 
     assert run(capsys, ["census", "--genus", "0"])[0] == 1
+
+
+def test_census_listing_matches_library_rows(capsys):
+    """A listing in JSON is the census() rows as payload dicts, and in text what
+    the generic text writer gives for that payload: every genus to 20, both
+    correspondences, the edge limits and no limit."""
+    for genus in range(1, 21):
+        count = partition_count(genus)
+        for correspondence in ("orientable", "nonorientable"):
+            for limit in (0, 1, count - 1, count, None):
+                argv = ["census", "--genus", str(genus), "--list-partitions",
+                        "--correspondence", correspondence]
+                argv += [] if limit is None else ["--limit", str(limit)]
+                code, rep, _ = run_json(capsys, argv)
+                expected = census_listing_by_objects(genus, correspondence, limit)
+                assert code == 0 and rep["partitions"] == expected, argv
+                code, out, _ = run(capsys, argv + ["--format", "text"])
+                assert code == 0 and out == text_by_writer(rep), argv
+
+
+def test_census_listing_builds_no_partition_or_dold_class(capsys, monkeypatch):
+    """census() builds a Partition and a DoldClass per row; the CLI listing writes
+    its rows from the partition walk and builds neither."""
+    # the package exports the function census under the module's name
+    census_module = importlib.import_module("algperiods.census")
+    calls = []
+
+    def counted_new(cls, *args):
+        calls.append("Partition")
+        return object.__new__(cls)
+
+    def counted_to_dold(p, scale, _fn=census_module._partition_to_dold):
+        calls.append("_partition_to_dold")
+        return _fn(p, scale)
+
+    monkeypatch.setattr(Partition, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(census_module, "_partition_to_dold", counted_to_dold)
+    assert census(6, correspondence="nonorientable").exact_count == 11
+    assert calls.count("Partition") == calls.count("_partition_to_dold") == 11
+    listing = ["census", "--genus", "6", "--list-partitions"]
+    for argv in (listing, listing + ["--format", "text"], listing + ["--limit", "3"],
+                 listing + ["--correspondence", "nonorientable", "--format", "text"]):
+        calls.clear()
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and "partition" in out and calls == [], argv
 
 
 def test_size_caps(capsys, tmp_path, monkeypatch):
@@ -521,7 +567,8 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
     block polynomial, and form_predicates runs once per orientable model: in the
     strict constructor, or else in form_checks; never for a non-orientable one.
     The model's nonzero index is built once, and the form check, the Tarjan scan
-    in charpoly_blocks and the matrix row writer all read that one index."""
+    in charpoly_blocks and the matrix row writer all read that one index; realize
+    builds it in block_diag from the blocks' indices, the only other reads."""
     import algperiods.lefschetz as lefschetz
 
     calls = {}
@@ -579,8 +626,11 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
             readers.add("form_predicates")
         if argv[0] != "certify":
             readers.add("_row_texts")
+        if argv[0] == "realize":
+            readers.add("block_diag")
         assert {name for name, _, _ in reads} == readers, argv
-        assert len({id(a) for _, a, _ in reads}) == len({id(i) for _, _, i in reads}) == 1, argv
+        model_reads = [(a, i) for name, a, i in reads if name != "block_diag"]
+        assert len({id(a) for a, _ in model_reads}) == len({id(i) for _, i in model_reads}) == 1, argv
 
 
 def test_quasi_unipotent_realize_keeps_newton_to_candidate_window(capsys, tmp_path, monkeypatch):

@@ -12,7 +12,8 @@ checked in ``test_cli.py::test_size_caps``.  ``form_predicates`` must agree with
 the dense product A^T Omega A of ``conftest`` on every drawn matrix.  The
 matrix rows of a realize or analyze report must be the bytes that the
 standard encoder writes for plain-list rows, and in text the entries of each
-row joined by spaces.
+row joined by spaces.  A census listing must hold the census() rows, and its
+text must be what the generic text writer gives for the same report.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from algperiods.cli import (
 
 from conftest import (
     JSON_INT_LIMIT,
+    census_listing_by_objects,
     form_predicates_by_product,
     json_by_dumps,
     mat_mul,
@@ -54,6 +56,7 @@ from conftest import (
     plus_minus_identity,
     standard_symplectic_form,
     symplectic_transvection,
+    text_by_writer,
 )
 
 FUZZ = settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -110,16 +113,17 @@ def test_fuzz_zeta_series_lengths(series, factors):
 
 @FUZZ
 # partitions whose Dold class is empty: [1] orientable, [1, 1] non-orientable
-@example(genus=1, listing=True, limit=None, correspondence="orientable")
-@example(genus=2, listing=True, limit=None, correspondence="nonorientable")
-@example(genus=5, listing=True, limit=0, correspondence="orientable")
+@example(genus=1, listing=True, limit=None, correspondence="orientable", fmt="json")
+@example(genus=2, listing=True, limit=None, correspondence="nonorientable", fmt="text")
+@example(genus=5, listing=True, limit=0, correspondence="orientable", fmt="text")
 @given(
     genus=st.one_of(st.integers(-3, 5000), st.integers(min_value=MAX_GENUS + 1)),
     listing=st.booleans(),
     limit=st.one_of(st.none(), st.integers(-3, 60)),
     correspondence=st.sampled_from(["orientable", "nonorientable"]),
+    fmt=st.sampled_from(["json", "text"]),
 )
-def test_fuzz_census_values(genus, listing, limit, correspondence):
+def test_fuzz_census_values(genus, listing, limit, correspondence, fmt):
     # Listing every partition of a genus in 21..41 is valid but takes seconds.
     assume(not (listing and limit is None and 20 < genus <= 41))
     argv = ["census", "--genus", str(genus), "--correspondence", correspondence]
@@ -133,6 +137,13 @@ def test_fuzz_census_values(genus, listing, limit, correspondence):
         assert report["genus"] == genus
         # byte for byte what the standard encoder writes for the same report
         assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if listing:
+            assert report["partitions"] == census_listing_by_objects(genus, correspondence, limit)
+    if fmt == "text":
+        # the same outcome, and the generic text writer's bytes for the same report
+        text_code, text, text_err = run(argv + ["--format", "text"])
+        assert (text_code, text_err) == (code, err)
+        assert text == (text_by_writer(report) if report else "")
 
 
 # Set elements: small labels (0 and negatives included), labels that alone
