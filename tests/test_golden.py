@@ -112,6 +112,14 @@ CASES = [
     ("analyze_dense_large_entries",
      ["analyze", "--matrix", "{golden}/dense_large_g6.json", "--kind", "preserving",
       "--genus", "6", "--no-strict"], 4),
+    # dense transvection conjugates of cycle sums whose one 16-dim block has a
+    # coefficient bound 2B of 150 and 205 bits, between 2^128 and 2^256
+    ("analyze_transvection_conj",
+     ["analyze", "--matrix", "{golden}/transvection_conj_g8.json", "--kind", "preserving",
+      "--genus", "8"], 0),
+    ("certify_transvection_conj_reversing",
+     ["certify", "--matrix", "{golden}/transvection_conj_reversing_g8.json", "--kind",
+      "reversing", "--genus", "8"], 0),
     ("analyze_reversing_text",
      ["analyze", "--matrix", "{golden}/reversing_g9.json", "--kind", "reversing", "--genus", "9",
       "--format", "text"], 0),
