@@ -19,22 +19,25 @@ put A in block-triangular form, so det(xI - A) is the product of the
 components' characteristic polynomials; ``charpoly_blocks`` returns them
 one by one, so that the analysis can factor each distinct block on its
 own, and ``charpoly`` multiplies them.  Each k-dimensional block is
-reduced to upper Hessenberg form by similarity modulo primes p of about
-2^128, O(k^3) operations mod p each, and its characteristic polynomial
-mod p is read off the Hessenberg recurrence.  The residues are combined by
-the Chinese remainder theorem until the product of the primes exceeds 2B,
-where B is the block's Hadamard bound on the coefficients, so about
-log2(2B)/128 primes are used and the symmetric lift is exact by proof.  The
-total cost is O(n + nnz) for Tarjan on that index plus O(k^3) per prime
-on each block.  The realization matrices are direct sums of cycles,
-swap-shift and companion blocks, so their blocks stay small.
+reduced to upper Hessenberg form by similarity modulo a prime p, O(k^3)
+operations mod p, and its characteristic polynomial mod p is read off the
+Hessenberg recurrence.  Let B be the block's Hadamard bound on the
+coefficients and t the bit length of 2B.  For t <= 511 one prime larger
+than 2B is used, so the block costs one pass; a larger bound combines
+ceil(t/511) or fewer primes above 2^511 by the Chinese remainder theorem.
+Either way the modulus exceeds 2B and the symmetric lift is exact by
+proof.  The total cost is O(n + nnz) for Tarjan on that index plus O(k^3)
+per prime on each block.  The realization matrices are direct sums of
+cycles, swap-shift and companion blocks, so their blocks stay small.
 
-The primes are p = h * 2^64 + 1 for odd h descending from 2^64 - 1,
-generated on first use and kept for the process.  Each is proven prime by
-Proth's theorem: a^((p-1)/2) = -1 (mod p) for some small a, which is kept
-as its certificate.  As a cheap exact check of the whole route, the
-x^(k-1) coefficient of every block must equal minus its trace; a mismatch
-raises ArithmeticError.
+The primes are p = h * 2^s + 1 for odd h descending from 2^s - 1 to above
+2^(s-1), so p > 2^(2s-1), with one sequence for each shift s in 32, 64,
+..., 256; a block takes its primes from the smallest s with 2s - 1 >= t.
+Each sequence is generated on first use and kept for the process.  Each
+prime is proven by Proth's theorem: a^((p-1)/2) = -1 (mod p) for some
+small a, which is kept as its certificate.  As a cheap exact check of the
+whole route, the x^(k-1) coefficient of every block must equal minus its
+trace; a mismatch raises ArithmeticError.
 
 Matrices built here from validated matrices or literal integers go
 through the trusted ``IntMatrix._raw``; ``IntMatrix(...)`` validates every
@@ -186,14 +189,18 @@ def _strong_components(succ) -> list[list[int]]:
     return components
 
 
-_PROTH_SHIFT = 64
+# Shifts s of the Proth sequences: their primes exceed 2^(2s - 1), so one
+# prime covers a bound of up to 511 bits.  Past 512 bits a pass costs no less
+# per modulus bit, and the primes take much longer to find.
+_PROTH_SHIFTS = (32, 64, 96, 128, 160, 192, 224, 256)
 _PROTH_WITNESSES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _proth_primes():
-    """Yield (p, a) for the primes p = h * 2^64 + 1, odd h from 2^64 - 1 down.
+def _proth_primes(shift: int):
+    """Yield (p, a) for the primes p = h * 2^shift + 1, odd h from 2^shift - 1
+    down to 2^(shift-1) + 1, so that every p exceeds 2^(2 shift - 1).
 
-    By Proth's theorem (h odd, h < 2^64) p is prime as soon as some a has
+    By Proth's theorem (h odd, h < 2^shift) p is prime as soon as some a has
     a^((p-1)/2) = -1 (mod p), and a is yielded as the certificate.  A prime
     p gives +-1 for every a, so any other value proves p composite.  A
     candidate that no listed a certifies is skipped, which keeps the
@@ -201,8 +208,8 @@ def _proth_primes():
     factor below 256, which saves most of the modular powers.
     """
     small_odd = prod(range(3, 256, 2))
-    for h in range((1 << _PROTH_SHIFT) - 1, 0, -2):
-        p = (h << _PROTH_SHIFT) + 1
+    for h in range((1 << shift) - 1, 1 << (shift - 1), -2):
+        p = (h << shift) + 1
         if gcd(p, small_odd) != 1:
             continue
         half = p >> 1
@@ -214,22 +221,24 @@ def _proth_primes():
                 break
 
 
-_PRIMES: list[tuple[int, int]] = []  # (prime, witness), grown by _prime on first use
-_PRIME_SOURCE = _proth_primes()
+# (prime, witness) per shift, grown by _prime on first use
+_PRIMES: dict[int, list[tuple[int, int]]] = {s: [] for s in _PROTH_SHIFTS}
+_PRIME_SOURCES = {s: _proth_primes(s) for s in _PROTH_SHIFTS}
 _PRIME_LOCK = threading.Lock()
 
 
-def _prime(i: int) -> int:
-    """The i-th prime of the Proth sequence, about 2^128.
+def _prime(shift: int, i: int) -> int:
+    """The i-th prime of the Proth sequence for ``shift``, above 2^(2 shift - 1).
 
-    The lock keeps two threads from advancing the generator at once, which
-    would raise ValueError; the sequence is the same for every caller.
+    The lock keeps two threads from advancing a generator at once, which
+    would raise ValueError; each sequence is the same for every caller.
     """
-    if i >= len(_PRIMES):
+    primes = _PRIMES[shift]
+    if i >= len(primes):
         with _PRIME_LOCK:
-            while len(_PRIMES) <= i:
-                _PRIMES.append(next(_PRIME_SOURCE))
-    return _PRIMES[i][0]
+            while len(primes) <= i:
+                primes.append(next(_PRIME_SOURCES[shift]))
+    return primes[i][0]
 
 
 def _hadamard_bound(rows) -> int:
@@ -311,17 +320,22 @@ def _charpoly_mod(rows, p: int) -> list[int]:
 def _block_charpoly(rows) -> IntPolynomial:
     """det(xI - A) of a nonempty block, exact by the Chinese remainder theorem.
 
-    Residues mod the primes of ``_prime`` are combined until their product
-    M exceeds 2B for the Hadamard bound B; every coefficient lies in
-    [-B, B], so its symmetric residue mod M is the coefficient itself.
+    Residues mod primes of ``_prime`` are combined until their product M
+    exceeds 2B for the Hadamard bound B; every coefficient lies in [-B, B],
+    so its symmetric residue mod M is the coefficient itself.  For 2B of t
+    bits the primes come from the smallest shift s with 2s - 1 >= t, so a
+    single prime exceeds 2B when t <= 511; a larger bound combines
+    ceil(t/511) or fewer primes of the largest shift.
     """
     k = len(rows)
     twice_bound = 2 * _hadamard_bound(rows)
+    bits = twice_bound.bit_length()
+    shift = next((s for s in _PROTH_SHIFTS if 2 * s - 1 >= bits), _PROTH_SHIFTS[-1])
     coeffs = [0] * (k + 1)
     modulus = 1
     i = 0
     while modulus <= twice_bound:
-        p = _prime(i)
+        p = _prime(shift, i)
         inverse = pow(modulus, -1, p)
         coeffs = [
             c + modulus * ((r - c) * inverse % p)
@@ -344,10 +358,10 @@ def charpoly_blocks(a: IntMatrix) -> list[IntPolynomial]:
     in block-triangular form, so det(xI - A) is the product of the listed
     polynomials, one per component in Tarjan's order; the empty matrix has
     none.  Each block's principal submatrix is reduced to Hessenberg form
-    modulo proven primes of about 2^128 and the residues are combined by
-    the Chinese remainder theorem, so the cost is O(n + nnz) for Tarjan on
-    ``a.nonzero`` plus O(k^3) operations per prime on each k-dim block,
-    with about log2(2B)/128 primes for the block's Hadamard bound B.  An
+    modulo proven primes whose product exceeds 2B for the block's Hadamard
+    bound B, so the cost is O(n + nnz) for Tarjan on ``a.nonzero`` plus
+    O(k^3) operations per prime on each k-dim block: one prime while 2B
+    has at most 511 bits, ceil(log2(2B)/511) or fewer above.  An
     irreducible matrix is a single block.
     """
     rows = a.rows

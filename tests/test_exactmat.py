@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 import sys
@@ -5,6 +6,8 @@ import textwrap
 import threading
 from fractions import Fraction
 from itertools import compress, islice
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +53,8 @@ from conftest import (
     trace,
     transpose,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_matrix_basics():
@@ -174,10 +179,12 @@ def test_charpoly_matches_faddeev_leverrier_and_cofactor(monkeypatch):
     cases = [random_matrix(rng, dim, -9, 9) for dim in range(1, 31)]
     cases += [random_sparse_matrix(rng, rng.randint(1, 20)) for _ in range(20)]
     cases += [IntMatrix([[0] * n for _ in range(n)]) for n in (1, 2, 5)]
-    cases += [IntMatrix([[-5]]), IntMatrix([[-(10**40)]])]
+    cases += [IntMatrix([[-5]]), IntMatrix([[-(10**40)]]), IntMatrix([[-(10**200)]])]
     cases += [cyclic_permutation(60), companion_cycle_quotient(211)]
-    # Entries of size 10^12: the Hadamard bound needs three or more primes.
-    huge = [random_matrix(rng, dim, -(10**12), 10**12) for dim in (8, 10, 12, 14)]
+    # Bounds past 511 bits, so two primes; dims <= 6 also meet the cofactor oracle.
+    cases += [random_matrix(rng, dim, -(10**40), 10**40) for dim in (4, 5)]
+    # Entries of size 10^60: bounds past 3 * 511 bits need three or more primes.
+    huge = [random_matrix(rng, dim, -(10**60), 10**60) for dim in (8, 10, 12, 14)]
     cases += huge
     primes_used = []
     original = exactmat._charpoly_mod
@@ -200,50 +207,118 @@ def test_charpoly_matches_faddeev_leverrier_and_cofactor(monkeypatch):
     assert max(primes_used[: -len(huge)]) >= 2
 
 
+def _proth_certificate(shift: int, p: int, a: int) -> bool:
+    """p = h * 2^shift + 1 with h odd, 2^(shift-1) < h < 2^shift, and a^((p-1)/2) = -1
+    (mod p), which proves p prime by Proth's theorem."""
+    h = (p - 1) >> shift
+    return (
+        p == (h << shift) + 1
+        and h % 2 == 1
+        and 2 ** (shift - 1) < h < 2**shift
+        and pow(a, (p - 1) // 2, p) == p - 1
+    )
+
+
+def test_block_uses_one_prime_up_to_511_bits(monkeypatch):
+    """Each block's primes multiply past its 2B, all from one certified sequence;
+    a single pass while 2B has at most 511 bits, ceil(bits / 511) or fewer above."""
+    rng = random.Random(14)
+    cases = [
+        IntMatrix(json.loads((GOLDEN / name).read_text())["rows"])
+        for name in ("transvection_conj_g8.json", "transvection_conj_reversing_g8.json",
+                     "dense_large_g6.json")
+    ]
+    cases += [random_matrix(rng, dim, -(10**e), 10**e) for dim in (3, 6, 9) for e in (1, 6, 20, 45, 90)]
+    cases += [permuted_block_triangular(rng) for _ in range(5)]
+    cases += [IntMatrix([[10**e]]) for e in (30, 80, 160, 400)]
+    calls = []
+    original = exactmat._charpoly_mod
+
+    def recording(rows, p):
+        calls.append((rows, p))
+        return original(rows, p)
+
+    monkeypatch.setattr(exactmat, "_charpoly_mod", recording)
+    for a in cases:
+        assert charpoly(a) == charpoly_by_faddeev_leverrier(a)
+    blocks = []  # [rows, primes]: every pass of a block gets the same rows object
+    for rows, p in calls:
+        if blocks and blocks[-1][0] is rows:
+            blocks[-1][1].append(p)
+        else:
+            blocks.append([rows, [p]])
+    certified = {p: (s, a) for s, primes in exactmat._PRIMES.items() for p, a in primes}
+    bit_lengths = set()
+    for rows, primes in blocks:
+        bits = (2 * exactmat._hadamard_bound(rows)).bit_length()
+        bit_lengths.add(bits)
+        assert prod(primes) > 2 * exactmat._hadamard_bound(rows)
+        assert len(primes) <= max(1, -(-bits // 511)), (bits, len(primes))
+        if bits <= 511:
+            assert len(primes) == 1, bits
+        assert len({certified[p][0] for p in primes}) == 1
+        for p in primes:
+            shift, witness = certified[p]
+            assert _proth_certificate(shift, p, witness)
+    assert any(128 < bits <= 511 for bits in bit_lengths)
+    assert any(bits > 3 * 511 for bits in bit_lengths)
+
+
 def test_proth_primes_are_certified_and_deterministic():
-    exactmat._prime(11)
-    primes = exactmat._PRIMES[:12]
-    for p, a in primes:
-        h = (p - 1) >> 64
-        assert p == (h << 64) + 1 and h % 2 == 1 and h < 2**64
-        # Proth's theorem: a^((p-1)/2) = -1 (mod p) proves p prime.
-        assert pow(a, (p - 1) // 2, p) == p - 1
-    assert [p for p, _ in primes] == sorted({p for p, _ in primes}, reverse=True)
-    assert list(islice(exactmat._proth_primes(), 12)) == primes
-    # A fresh process builds no prime at import and the same sequence on use.
+    count = 3
+    sequences = {}
+    for shift in exactmat._PROTH_SHIFTS:
+        exactmat._prime(shift, count - 1)
+        primes = sequences[shift] = exactmat._PRIMES[shift][:count]
+        for p, a in primes:
+            assert _proth_certificate(shift, p, a)
+        assert [p for p, _ in primes] == sorted({p for p, _ in primes}, reverse=True)
+        assert list(islice(exactmat._proth_primes(shift), count)) == primes
+    # A fresh process builds no prime at import and the same sequences on use.
     script = textwrap.dedent(
-        """
+        f"""
         import algperiods.exactmat as exactmat
-        assert exactmat._PRIMES == []
-        exactmat._prime(11)
-        print(exactmat._PRIMES)
+        assert all(primes == [] for primes in exactmat._PRIMES.values())
+        for shift in exactmat._PROTH_SHIFTS:
+            exactmat._prime(shift, {count - 1})
+        print({{s: primes[:{count}] for s, primes in exactmat._PRIMES.items()}})
         """
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == repr(primes)
+    assert proc.stdout.strip() == repr(sequences)
 
 
 def test_prime_sequence_grows_safely_across_threads(monkeypatch):
-    # Threads that need primes at the same time must all get the one sequence;
-    # advancing the shared generator from two threads at once raises ValueError.
-    expected = list(islice(exactmat._proth_primes(), 6))
-    matrix = random_matrix(random.Random(5), 12, -(10**25), 10**25)
-    reference = charpoly(matrix)
+    # Threads that need primes at the same time must all get the one sequence
+    # per shift, while two sequences grow at once; advancing a shared
+    # generator from two threads at once raises ValueError.
+    rng = random.Random(5)
+    # 2B of 134 and 211 bits: one prime each, from the shift-96 and shift-128 sequences.
+    matrices = [random_matrix(rng, 12, -(10**3), 10**3), random_matrix(rng, 12, -(10**5), 10**5)]
+    shifts = (96, 128)
+    for a, shift in zip(matrices, shifts):
+        bits = (2 * exactmat._hadamard_bound(a.rows)).bit_length()
+        assert 2 * shift - 1 >= bits > 2 * shift - 65, bits
+    references = [charpoly(a) for a in matrices]
+    expected = {s: list(islice(exactmat._proth_primes(s), 4)) for s in shifts}
     interval = sys.getswitchinterval()
     for _ in range(5):
-        monkeypatch.setattr(exactmat, "_PRIMES", [])
-        monkeypatch.setattr(exactmat, "_PRIME_SOURCE", exactmat._proth_primes())
+        monkeypatch.setattr(exactmat, "_PRIMES", {s: [] for s in exactmat._PROTH_SHIFTS})
+        monkeypatch.setattr(
+            exactmat, "_PRIME_SOURCES", {s: exactmat._proth_primes(s) for s in exactmat._PROTH_SHIFTS}
+        )
         results, errors = [], []
 
-        def work():
+        def work(order):
             try:
-                exactmat._prime(5)
-                results.append(charpoly(matrix))
+                for i in order:
+                    exactmat._prime(shifts[i], 3)
+                    results.append((i, charpoly(matrices[i])))
             except Exception as exc:  # recorded and asserted below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=work) for _ in range(6)]
+        threads = [threading.Thread(target=work, args=((0, 1) if t % 2 else (1, 0),)) for t in range(6)]
         sys.setswitchinterval(1e-6)
         try:
             for t in threads:
@@ -254,8 +329,8 @@ def test_prime_sequence_grows_safely_across_threads(monkeypatch):
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert results == [reference] * len(threads)
-        assert exactmat._PRIMES[:6] == expected
+        assert sorted(results, key=lambda r: r[0]) == [(i, references[i]) for i in (0, 1) for _ in threads]
+        assert {s: exactmat._PRIMES[s][:4] for s in shifts} == expected
 
 
 def test_charpoly_postcondition_survives_optimized_mode():
