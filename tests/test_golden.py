@@ -67,6 +67,18 @@ CASES = [
      ["zeta", "--factors=+,1,-2;-,2,-2;+,3,1", "--series", "1450", "--canonicalize", "--mper"], 0),
     ("zeta_dold_series_610", ["zeta", "--dold", '{"1": 2, "2": 2, "4": -1}', "--series", "610"], 0),
     ("zeta_huge_exponent_series_40", ["zeta", "--factors=+,1,-1000000000", "--series", "40"], 0),
+    # integer keys whose string order differs from their numeric order
+    # (canonical keys 5, 10, 12; Dold keys 3, 10, 12), in both formats
+    *(
+        (f"zeta_canonical_key_order_{fmt}",
+         ["zeta", "--factors", "+,5,1;-,12,2", "--canonicalize", "--format", fmt], 0)
+        for fmt in ("json", "text")
+    ),
+    *(
+        (f"certify_dold_key_order_{fmt}",
+         ["certify", "--dold", '{"12": 1, "3": -2, "10": 1}', "--format", fmt], 0)
+        for fmt in ("json", "text")
+    ),
     ("census_genus_3000", ["census", "--genus", "3000"], 0),
     ("census_genus_12_list_nonorientable",
      ["census", "--genus", "12", "--list-partitions", "--correspondence", "nonorientable"], 0),
