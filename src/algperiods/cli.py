@@ -5,10 +5,14 @@ integer beyond 2^53 rendered as a decimal string so interchange stays
 bit-exact) or as plain text carrying the same information.  Matrix files
 are JSON objects {"dim": n, "rows": [[...], ...]}; Dold classes are JSON
 maps with string keys; readers accept big integers in either numeric or
-string form.  No configuration files, no environment variables.  One recursive
-pass writes the bytes of ``json.dumps(sort_keys=True, indent=2)``, with no
-converted copy of the report and one join per list of plain integers.  Two
-row writers skip that pass: a census listing is written from the levels of
+string form.  No configuration files, no environment variables.  A report
+holds the library's own records as they are: Dold classes, factorizations and
+canonical forms as dicts with integer keys, certificates and pieces as their
+attribute dicts (``vars``), zeta factors as ``_asdict()``.  The writers only
+read them: both turn keys into strings and sort them as strings, so "10" comes
+before "5".  One recursive pass writes the bytes of ``json.dumps(sort_keys=True,
+indent=2)`` on the string-keyed report, with no converted copy and one join
+per list of plain integers.  Two row writers skip that pass: a census listing is written from the levels of
 the partition walk, each level formatted once and no object built per row,
 and a matrix's rows are written from its nonzero index, a run of zeros by one
 string repetition, so about one nonzero per row costs O(dim) Python steps.
@@ -341,7 +345,7 @@ def _load_matrix(path: str) -> IntMatrix:
             raise _InputError(f"{path}: every row must have {_echo(dim)} entries")
         # JSON integers are exact ints; anything else (bool included) goes through _parse_int.
         parsed.append([x if type(x) is int else _parse_int(x) for x in row])
-    return IntMatrix(parsed)
+    return IntMatrix._raw(parsed)
 
 
 def _load_dold(source: str) -> DoldClass:
@@ -372,72 +376,38 @@ def _load_dold(source: str) -> DoldClass:
     return DoldClass(coeffs)
 
 
-def _dold_payload(d: DoldClass) -> Dict[str, int]:
-    return {str(n): a for n, a in d.items()}
-
-
-def _certificates_payload(d: DoldClass) -> list[Dict[str, Any]]:
-    return [
-        {
-            "period": rec.period,
-            "guarantee": rec.guarantee,
-            "periods": list(rec.periods),
-            "statement": rec.statement,
-        }
-        for rec in periodic_point_certificate(d)
-    ]
-
-
 def _analysis_payload(analysis: Analysis, bound: Optional[int]) -> Dict[str, Any]:
     """Shared report body for realize/analyze."""
-    default = 2 * math.lcm(1, *analysis.factorization) if analysis.quasi_unipotent else 12
+    qu = analysis.quasi_unipotent
+    default = 2 * math.lcm(1, *analysis.factorization) if qu else 12
     n_max = bound if bound is not None else default
     if n_max > MAX_WINDOW:
         raise _UsageError(f"a Lefschetz window of {n_max} entries is above the cap of {MAX_WINDOW}")
     model = analysis.model
-    report: Dict[str, Any] = {
+    lefschetz = analysis.lefschetz(n_max)
+    dold = analysis.dold
+    odd_periods = [n for n in dold.support() if n % 2] if qu else None
+    report = {
         "kind": model.kind.value,
         "genus": model.genus,
         "matrix": {"dim": model.matrix.dim, "rows": _MatrixRows(model.matrix)},
         "charpoly": list(analysis.charpoly.coeffs),
         "form_checks": analysis.form_checks,
+        "quasi_unipotent": qu,
+        "cyclotomic_factorization": analysis.factorization,
+        "lefschetz": lefschetz,
+        "dold": dold.as_dict() if qu else None,
+        "algebraic_periods": list(dold.support()) if qu else None,
+        "ap_odd": odd_periods,
+        "mper_l": odd_periods,
+        "certificates": [vars(c) for c in periodic_point_certificate(dold)] if qu else [],
+        # L_1, L_3, ... sit at the even indices of the window
+        "odd_lefschetz_vanish": (
+            not any(lefschetz[::2]) if qu and model.kind is SurfaceKind.REVERSING else None
+        ),
     }
-    if not analysis.quasi_unipotent:
-        report.update(
-            {
-                "quasi_unipotent": False,
-                "residual_factor": list(analysis.residual.coeffs),
-                "cyclotomic_factorization": None,
-                "lefschetz": analysis.lefschetz(n_max),
-                "dold": None,
-                "algebraic_periods": None,
-                "ap_odd": None,
-                "mper_l": None,
-                "odd_lefschetz_vanish": None,
-                "certificates": [],
-            }
-        )
-        return report
-    mults = analysis.factorization
-    lefschetz = analysis.lefschetz(n_max)
-    dold = analysis.dold
-    odd_periods = [n for n in dold.support() if n % 2]
-    report.update(
-        {
-            "quasi_unipotent": True,
-            "cyclotomic_factorization": {str(d): m for d, m in sorted(mults.items())},
-            "lefschetz": lefschetz,
-            "dold": _dold_payload(dold),
-            "algebraic_periods": list(dold.support()),
-            "ap_odd": odd_periods,
-            "mper_l": odd_periods,
-            "certificates": _certificates_payload(dold),
-            # L_1, L_3, ... sit at the even indices of the window
-            "odd_lefschetz_vanish": (
-                not any(lefschetz[::2]) if model.kind is SurfaceKind.REVERSING else None
-            ),
-        }
-    )
+    if not qu:
+        report["residual_factor"] = list(analysis.residual.coeffs)
     return report
 
 
@@ -448,9 +418,7 @@ def _model_report(sm: SurfaceModel) -> Dict[str, Any]:
             "mode": sm.mode.value if sm.mode is not None else None,
             "target": list(sm.target),
             "achieved": report["algebraic_periods"],
-            "pieces": [
-                {"n": p.n, "tau": p.tau, "copies": p.copies} for p in sm.pieces
-            ],
+            "pieces": [vars(p) for p in sm.pieces],
             "flags": list(sm.flags),
         }
     )
@@ -520,13 +488,11 @@ def _cmd_zeta(args) -> int:
         except ValueError as exc:
             raise _UsageError(str(exc))
     report: Dict[str, Any] = {
-        "factors": [
-            {"delta": f.delta, "r": f.r, "m": f.m} for f in factorization.factors
-        ],
+        "factors": [f._asdict() for f in factorization.factors],
         "factors_compact": format_factors(factorization),
     }
     if args.canonicalize:
-        report["canonical"] = {str(k): e for k, e in canonicalize(factorization).items()}
+        report["canonical"] = canonicalize(factorization)
     if args.series is not None:
         if args.series < 1:
             raise _UsageError("--series needs a positive truncation order")
@@ -572,7 +538,7 @@ def _cmd_certify(args) -> int:
         raise _UsageError("exactly one of --dold or --matrix is required")
     if args.dold is not None:
         dold = _load_dold(args.dold)
-        report: Dict[str, Any] = {"dold": _dold_payload(dold)}
+        report: Dict[str, Any] = {"dold": dold.as_dict()}
     else:
         if args.kind is None or args.genus is None:
             raise _UsageError("--matrix needs --kind and --genus")
@@ -588,9 +554,9 @@ def _cmd_certify(args) -> int:
         report = {
             "kind": model.kind.value,
             "genus": model.genus,
-            "dold": _dold_payload(dold),
+            "dold": dold.as_dict(),
         }
-    report["certificates"] = _certificates_payload(dold)
+    report["certificates"] = [vars(c) for c in periodic_point_certificate(dold)]
     _emit(report, args.format)
     return EXIT_OK
 

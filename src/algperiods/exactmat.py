@@ -1,4 +1,4 @@
-"""Arbitrary-precision integer matrices and the standard symplectic form.
+"""Arbitrary-precision integer matrices.
 
 Matrices are immutable tuples of tuples of Python integers, so traces of
 high powers never overflow.  Dimension 0 is a first-class citizen (trace
@@ -33,11 +33,11 @@ cycles, swap-shift and companion blocks, so their blocks stay small.
 The primes are p = h * 2^s + 1 for odd h descending from 2^s - 1 to above
 2^(s-1), so p > 2^(2s-1), with one sequence for each shift s in 32, 64,
 ..., 256; a block takes its primes from the smallest s with 2s - 1 >= t.
-Each sequence is generated on first use and kept for the process.  Each
-prime is proven by Proth's theorem: a^((p-1)/2) = -1 (mod p) for some
-small a, which is kept as its certificate.  As a cheap exact check of the
-whole route, the x^(k-1) coefficient of every block must equal minus its
-trace; a mismatch raises ArithmeticError.
+Each prime is proven by Proth's theorem: a^((p-1)/2) = -1 (mod p) for some
+small a.  One cached function finds the i-th prime of a shift on first use
+and keeps it for the process; nothing else is shared, so there is no lock.
+As a cheap exact check of the whole route, the x^(k-1) coefficient of every
+block must equal minus its trace; a mismatch raises ArithmeticError.
 
 Matrices built here from validated matrices or literal integers go
 through the trusted ``IntMatrix._raw``; ``IntMatrix(...)`` validates every
@@ -54,7 +54,7 @@ Every predicate below is relative to this one convention.
 from __future__ import annotations
 
 import operator
-import threading
+from functools import cache
 from itertools import compress
 from math import comb, gcd, isqrt, prod
 from typing import Iterable, Sequence
@@ -196,49 +196,36 @@ _PROTH_SHIFTS = (32, 64, 96, 128, 160, 192, 224, 256)
 _PROTH_WITNESSES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _proth_primes(shift: int):
-    """Yield (p, a) for the primes p = h * 2^shift + 1, odd h from 2^shift - 1
-    down to 2^(shift-1) + 1, so that every p exceeds 2^(2 shift - 1).
+_SMALL_ODD = prod(range(3, 256, 2))
+
+
+@cache
+def _prime(shift: int, i: int) -> int:
+    """The i-th prime p = h * 2^shift + 1 for ``shift``, searched over odd h from
+    below the h of prime i - 1 (from 2^shift - 1 for i = 0) down to 2^(shift-1) + 1,
+    so that every p exceeds 2^(2 shift - 1).
 
     By Proth's theorem (h odd, h < 2^shift) p is prime as soon as some a has
-    a^((p-1)/2) = -1 (mod p), and a is yielded as the certificate.  A prime
-    p gives +-1 for every a, so any other value proves p composite.  A
-    candidate that no listed a certifies is skipped, which keeps the
-    sequence deterministic.  One gcd first skips the candidates with an odd
-    factor below 256, which saves most of the modular powers.
+    a^((p-1)/2) = -1 (mod p).  A prime p gives +-1 for every a, so any other
+    value proves p composite.  A candidate that no listed a certifies is
+    skipped, which keeps the sequence deterministic.  One gcd first skips the
+    candidates with an odd factor below 256, which saves most of the modular
+    powers.  Each prime is found once per process and cached.  There is no
+    other state and no lock: two threads that miss the cache at once search
+    the same candidates and find the same prime.
     """
-    small_odd = prod(range(3, 256, 2))
-    for h in range((1 << shift) - 1, 1 << (shift - 1), -2):
+    top = _prime(shift, i - 1) >> shift if i else (1 << shift) + 1
+    for h in range(top - 2, 1 << (shift - 1), -2):
         p = (h << shift) + 1
-        if gcd(p, small_odd) != 1:
+        if gcd(p, _SMALL_ODD) != 1:
             continue
-        half = p >> 1
         for a in _PROTH_WITNESSES:
-            r = pow(a, half, p)
+            r = pow(a, p >> 1, p)
             if r == p - 1:
-                yield p, a
+                return p
             if r != 1:
                 break
-
-
-# (prime, witness) per shift, grown by _prime on first use
-_PRIMES: dict[int, list[tuple[int, int]]] = {s: [] for s in _PROTH_SHIFTS}
-_PRIME_SOURCES = {s: _proth_primes(s) for s in _PROTH_SHIFTS}
-_PRIME_LOCK = threading.Lock()
-
-
-def _prime(shift: int, i: int) -> int:
-    """The i-th prime of the Proth sequence for ``shift``, above 2^(2 shift - 1).
-
-    The lock keeps two threads from advancing a generator at once, which
-    would raise ValueError; each sequence is the same for every caller.
-    """
-    primes = _PRIMES[shift]
-    if i >= len(primes):
-        with _PRIME_LOCK:
-            while len(primes) <= i:
-                primes.append(next(_PRIME_SOURCES[shift]))
-    return primes[i][0]
+    raise ArithmeticError(f"no Proth prime left for shift {shift}")
 
 
 def _hadamard_bound(rows) -> int:

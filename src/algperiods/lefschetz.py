@@ -276,27 +276,15 @@ def periodic_point_certificate(d: DoldClass) -> list[PeriodicPointGuarantee]:
     """
     records = []
     for n in d.support():
-        if n % 2:
-            records.append(
-                PeriodicPointGuarantee(
-                    period=n,
-                    guarantee="odd",
-                    periods=(n,),
-                    statement=(
-                        f"every transversal map in the class has a point of minimal period {n}"
-                    ),
-                )
+        odd = n % 2
+        periods = (n,) if odd else (n, n // 2)
+        records.append(
+            PeriodicPointGuarantee(
+                period=n,
+                guarantee="odd" if odd else "either",
+                periods=periods,
+                statement="every transversal map in the class has a point of minimal period "
+                + " or ".join(map(str, periods)),
             )
-        else:
-            records.append(
-                PeriodicPointGuarantee(
-                    period=n,
-                    guarantee="either",
-                    periods=(n, n // 2),
-                    statement=(
-                        f"every transversal map in the class has a point of minimal period"
-                        f" {n} or {n // 2}"
-                    ),
-                )
-            )
+        )
     return records

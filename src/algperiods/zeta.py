@@ -224,8 +224,6 @@ def parse_factors(text: str) -> ZetaFactorization:
             m = int(m_text)
         except ValueError as exc:
             raise ValueError(f"factor term {term!r} has non-integer fields") from exc
-        if r < 1:
-            raise ValueError(f"factor degree must be positive, got {r}")
         factors.append((delta, r, m))
     if not factors:
         raise ValueError("factor string contains no terms")

@@ -5,7 +5,7 @@ import sys
 import textwrap
 import threading
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 from math import prod
 from pathlib import Path
 
@@ -207,20 +207,19 @@ def test_charpoly_matches_faddeev_leverrier_and_cofactor(monkeypatch):
     assert max(primes_used[: -len(huge)]) >= 2
 
 
-def _proth_certificate(shift: int, p: int, a: int) -> bool:
-    """p = h * 2^shift + 1 with h odd, 2^(shift-1) < h < 2^shift, and a^((p-1)/2) = -1
-    (mod p), which proves p prime by Proth's theorem."""
+def _proth_certificate(p: int) -> tuple[int, int]:
+    """(shift, a) for p = h * 2^shift + 1 with h odd, 2^(shift-1) < h < 2^shift, and
+    a^((p-1)/2) = -1 (mod p) for a small a, which proves p prime by Proth's theorem."""
+    shift = ((p - 1) & (1 - p)).bit_length() - 1  # h odd: the trailing zeros of p - 1
     h = (p - 1) >> shift
-    return (
-        p == (h << shift) + 1
-        and h % 2 == 1
-        and 2 ** (shift - 1) < h < 2**shift
-        and pow(a, (p - 1) // 2, p) == p - 1
-    )
+    assert h % 2 == 1 and 2 ** (shift - 1) < h < 2**shift, (shift, h)
+    witnesses = [a for a in range(2, 48) if pow(a, (p - 1) // 2, p) == p - 1]
+    assert witnesses, p
+    return shift, witnesses[0]
 
 
 def test_block_uses_one_prime_up_to_511_bits(monkeypatch):
-    """Each block's primes multiply past its 2B, all from one certified sequence;
+    """Each block's primes multiply past its 2B, all certified and of one shift;
     a single pass while 2B has at most 511 bits, ceil(bits / 511) or fewer above."""
     rng = random.Random(14)
     cases = [
@@ -247,7 +246,6 @@ def test_block_uses_one_prime_up_to_511_bits(monkeypatch):
             blocks[-1][1].append(p)
         else:
             blocks.append([rows, [p]])
-    certified = {p: (s, a) for s, primes in exactmat._PRIMES.items() for p, a in primes}
     bit_lengths = set()
     for rows, primes in blocks:
         twice_bound = 2 * exactmat._hadamard_bound(rows)
@@ -255,10 +253,8 @@ def test_block_uses_one_prime_up_to_511_bits(monkeypatch):
         bit_lengths.add(bits)
         assert prod(primes) > twice_bound
         assert len(primes) <= -(-bits // 511), (bits, len(primes))
-        assert len({certified[p][0] for p in primes}) == 1
-        for p in primes:
-            shift, witness = certified[p]
-            assert _proth_certificate(shift, p, witness)
+        shifts = {_proth_certificate(p)[0] for p in primes}
+        assert len(shifts) == 1 and shifts <= set(exactmat._PROTH_SHIFTS)
     assert any(128 < bits <= 511 for bits in bit_lengths)
     assert any(bits > 3 * 511 for bits in bit_lengths)
 
@@ -267,20 +263,15 @@ def test_proth_primes_are_certified_and_deterministic():
     count = 3
     sequences = {}
     for shift in exactmat._PROTH_SHIFTS:
-        exactmat._prime(shift, count - 1)
-        primes = sequences[shift] = exactmat._PRIMES[shift][:count]
-        for p, a in primes:
-            assert _proth_certificate(shift, p, a)
-        assert [p for p, _ in primes] == sorted({p for p, _ in primes}, reverse=True)
-        assert list(islice(exactmat._proth_primes(shift), count)) == primes
+        primes = sequences[shift] = [exactmat._prime(shift, i) for i in range(count)]
+        assert all(_proth_certificate(p)[0] == shift for p in primes)
+        assert primes == sorted(set(primes), reverse=True)
     # A fresh process builds no prime at import and the same sequences on use.
     script = textwrap.dedent(
         f"""
         import algperiods.exactmat as exactmat
-        assert all(primes == [] for primes in exactmat._PRIMES.values())
-        for shift in exactmat._PROTH_SHIFTS:
-            exactmat._prime(shift, {count - 1})
-        print({{s: primes[:{count}] for s, primes in exactmat._PRIMES.items()}})
+        assert exactmat._prime.cache_info().currsize == 0
+        print({{s: [exactmat._prime(s, i) for i in range({count})] for s in exactmat._PROTH_SHIFTS}})
         """
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
@@ -288,10 +279,9 @@ def test_proth_primes_are_certified_and_deterministic():
     assert proc.stdout.strip() == repr(sequences)
 
 
-def test_prime_sequence_grows_safely_across_threads(monkeypatch):
-    # Threads that need primes at the same time must all get the one sequence
-    # per shift, while two sequences grow at once; advancing a shared
-    # generator from two threads at once raises ValueError.
+def test_prime_sequence_grows_safely_across_threads():
+    # Threads that need primes at the same time, with an empty cache, must all
+    # get the one sequence per shift, while two sequences grow at once.
     rng = random.Random(5)
     # 2B of 134 and 211 bits: one prime each, from the shift-96 and shift-128 sequences.
     matrices = [random_matrix(rng, 12, -(10**3), 10**3), random_matrix(rng, 12, -(10**5), 10**5)]
@@ -300,13 +290,10 @@ def test_prime_sequence_grows_safely_across_threads(monkeypatch):
         bits = (2 * exactmat._hadamard_bound(a.rows)).bit_length()
         assert 2 * shift - 1 >= bits > 2 * shift - 65, bits
     references = [charpoly(a) for a in matrices]
-    expected = {s: list(islice(exactmat._proth_primes(s), 4)) for s in shifts}
+    expected = {s: [exactmat._prime(s, i) for i in range(4)] for s in shifts}
     interval = sys.getswitchinterval()
     for _ in range(5):
-        monkeypatch.setattr(exactmat, "_PRIMES", {s: [] for s in exactmat._PROTH_SHIFTS})
-        monkeypatch.setattr(
-            exactmat, "_PRIME_SOURCES", {s: exactmat._proth_primes(s) for s in exactmat._PROTH_SHIFTS}
-        )
+        exactmat._prime.cache_clear()
         results, errors = [], []
 
         def work(order):
@@ -329,7 +316,7 @@ def test_prime_sequence_grows_safely_across_threads(monkeypatch):
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert sorted(results, key=lambda r: r[0]) == [(i, references[i]) for i in (0, 1) for _ in threads]
-        assert {s: exactmat._PRIMES[s][:4] for s in shifts} == expected
+        assert {s: [exactmat._prime(s, i) for i in range(4)] for s in shifts} == expected
 
 
 def test_charpoly_postcondition_survives_optimized_mode():
