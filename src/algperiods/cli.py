@@ -78,6 +78,10 @@ MAX_GENUS = 50_000
 MAX_LISTED_PARTITIONS = 50_000  # P(41) = 44,583 fits, P(42) = 53,174 does not
 MAX_WINDOW = 1_000_000  # Lefschetz numbers per report; the window is built whole in memory
 MAX_SET_SUM = 200  # realize: the matrix dimension is at most 4 * sum + 2, its payload dim^2
+# Bits that a non-quasi-unipotent Lefschetz window or a zeta series may print, by
+# an upper bound computed before any number is (about 5 million decimal digits);
+# README, "Size caps", states both bounds.
+MAX_OUTPUT_BITS = 2**24
 # Size values (set elements, genus, window, limit, series order, matrix dim) longer
 # than this are refused before int(), whose cost grows with the square of the
 # digit count once main() lifts the digit limit; every cap above has 7 digits or fewer.
@@ -90,6 +94,11 @@ class _UsageError(Exception):
 
 class _InputError(Exception):
     pass
+
+
+def _check_output_bits(bits: int, what: str) -> None:
+    if bits > MAX_OUTPUT_BITS:
+        raise _UsageError(f"{what} may print {bits} bits, above the cap of {MAX_OUTPUT_BITS}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -384,6 +393,10 @@ def _analysis_payload(analysis: Analysis, bound: Optional[int]) -> Dict[str, Any
     if n_max > MAX_WINDOW:
         raise _UsageError(f"a Lefschetz window of {n_max} entries is above the cap of {MAX_WINDOW}")
     model = analysis.model
+    if not qu:  # |L_n| <= 2 + dim * |A|^n for the largest absolute row sum |A|
+        norm = max((sum(map(abs, row)) for row in model.matrix.rows), default=0)
+        bits = n_max * (n_max + 1) // 2 * norm.bit_length()
+        _check_output_bits(bits + n_max * (model.matrix.dim.bit_length() + 2), "a Lefschetz window")
     lefschetz = analysis.lefschetz(n_max)
     dold = analysis.dold
     odd_periods = [n for n in dold.support() if n % 2] if qu else None
@@ -498,7 +511,16 @@ def _cmd_zeta(args) -> int:
             raise _UsageError("--series needs a positive truncation order")
         if args.series > MAX_SERIES:
             raise _UsageError(f"--series {args.series} is above the cap of {MAX_SERIES}")
-        report["series"] = series_expand(factorization, args.series)
+        n = args.series
+        # each factor's series has n // r + 1 terms of min(|m|, n // r) * bits(|m| + n // r) bits
+        _check_output_bits(
+            (n + 1) * sum(
+                (n // r + 1).bit_length() + min(abs(m), n // r) * (abs(m) + n // r).bit_length()
+                for _, r, m in factorization.factors
+            ),
+            "--series",
+        )
+        report["series"] = series_expand(factorization, n)
     if args.mper:
         report["mper"] = sorted(mper_from_factorization(factorization))
     _emit(report, args.format)
@@ -613,7 +635,9 @@ def build_parser() -> _Parser:
         type=_size,
         default=None,
         metavar="N",
-        help=f"Lefschetz numbers to print, <= {MAX_WINDOW} (default: twice the lcm of orders)",
+        help=f"Lefschetz numbers to print, <= {MAX_WINDOW} (default: twice the lcm of orders,"
+        " or 12); a model that is not quasi-unipotent also needs N(N+1)/2 * bits(largest"
+        f" absolute row sum) + N * (bits(dim) + 2) <= {MAX_OUTPUT_BITS}",
     )
     _add_format(analyze_p)
 
@@ -629,7 +653,9 @@ def build_parser() -> _Parser:
         default=None,
         metavar="N",
         help=f"power series through degree N <= {MAX_SERIES} (0.2 s at the cap for three"
-        " factors with |m| <= 2; each factor costs O(N * min(|m|, N // r + 1)))",
+        " factors with |m| <= 2; each factor costs O(N * min(|m|, N // r + 1))), and"
+        " (N+1) * the sum over factors of bits(N // r + 1) + min(|m|, N // r) *"
+        f" bits(|m| + N // r) <= {MAX_OUTPUT_BITS}",
     )
     zeta_p.add_argument("--mper", action="store_true")
     _add_format(zeta_p)

@@ -15,6 +15,7 @@ from algperiods import IntMatrix, Partition, census, partition_count
 from algperiods.cli import (
     MAX_GENUS,
     MAX_LISTED_PARTITIONS,
+    MAX_OUTPUT_BITS,
     MAX_SERIES,
     MAX_SET_SUM,
     MAX_SIZE_CHARS,
@@ -332,6 +333,65 @@ def test_size_caps(capsys, tmp_path, monkeypatch):
     assert code == 0 and rep["target"] == [50, 150] and rep["genus"] == MAX_SET_SUM + 2
 
 
+def window_bits(rows, n):
+    """The CLI's bound on the bits of a non-quasi-unipotent window [L_1, ..., L_n]."""
+    norm = max((sum(map(abs, row)) for row in rows), default=0)
+    return n * (n + 1) // 2 * norm.bit_length() + n * (len(rows).bit_length() + 2)
+
+
+def series_bits(factors, n):
+    """The CLI's bound on the bits of a zeta series through degree n."""
+    return (n + 1) * sum(
+        (n // r + 1).bit_length() + min(abs(m), n // r) * (abs(m) + n // r).bit_length()
+        for _, r, m in factors
+    )
+
+
+def test_output_bit_caps(capsys, tmp_path):
+    """A non-quasi-unipotent window and a zeta series whose bound on the printed
+    bits passes MAX_OUTPUT_BITS exit 1 at once with one line; at the cap they
+    print, and the bound holds for what they print."""
+    nines = "9" * 20_000
+    wide = ";".join(f"+,{r},-1000000" for r in range(1, 40))
+    # Without the cap these ran 161.6 s (16.4 MB) and 111.6 s (6.7 MB).
+    for factors, series in ((f"+,1,-{nines}", 40), (wide, 2000)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["zeta", "--factors", factors, "--series", str(series)])
+        assert time.perf_counter() - start < 1.0, series
+        assert code == 1 and out == "" and err.count("\n") == 1, series
+        assert err.startswith("usage error:") and f"cap of {MAX_OUTPUT_BITS}" in err, series
+    assert series_bits([(1, 1, 1 - 10**20_000)], 40) > MAX_OUTPUT_BITS
+
+    cat = [[2, 1], [1, 1]]
+    path = write_matrix(tmp_path, "cat.json", cat)
+    analyze = ["analyze", "--matrix", path, "--kind", "preserving", "--genus", "1", "--max-iter"]
+    top = max(n for n in range(1, 5000) if window_bits(cat, n) <= MAX_OUTPUT_BITS)
+    start = time.perf_counter()
+    code, out, err = run(capsys, analyze + ["12000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == "" and err.count("\n") == 1 and "cap" in err
+    code, out, err = run(capsys, analyze + [str(top + 1)])
+    assert code == 1 and out == "" and "cap" in err
+    code, rep, _ = run_json(capsys, analyze + [str(top)])
+    assert code == 4 and len(rep["lefschetz"]) == top
+
+    # The bounds hold for what is printed, at the cap and below it.
+    windows = [(cat, top), ([[0, 0], [0, 0]], 50), ([[1, 0, 0], [5, -7, 2], [0, 3, 1]], 400),
+               ([[10**6, -1], [1, 0]], 30)]
+    for rows, n in windows:
+        path = write_matrix(tmp_path, "window.json", rows)
+        code, rep, _ = run_json(capsys, ["analyze", "--matrix", path, "--kind", "nonorientable",
+                                         "--genus", str(len(rows) + 1), "--max-iter", str(n)])
+        assert code == 4 and window_bits(rows, n) <= MAX_OUTPUT_BITS
+        assert sum(abs(int(x)).bit_length() for x in rep["lefschetz"]) <= window_bits(rows, n)
+    for text, n in (("+,1,-2;-,2,-2;+,3,1", MAX_SERIES), ("+,1,-1000000000", 40),
+                    ("-,3,7;+,1,-50;+,5,2", 3000), (f"+,1,-{nines[:100]}", 40)):
+        code, rep, _ = run_json(capsys, ["zeta", f"--factors={text}", "--series", str(n)])
+        factors = [(f["delta"], f["r"], int(f["m"])) for f in rep["factors"]]
+        assert code == 0 and series_bits(factors, n) <= MAX_OUTPUT_BITS
+        assert sum(abs(int(c)).bit_length() for c in rep["series"]) <= series_bits(factors, n)
+
+
 def test_oversized_size_values_refused_unparsed(capsys, tmp_path):
     """A size value of a million characters exits 1 in constant time with one short
     line: every int-typed option, each --set element and a matrix file's dim.  Parsed
@@ -542,15 +602,17 @@ def test_certify_long_inline_dold(capsys):
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string limit to lift"
 )
 def test_big_integers_beyond_str_digit_limit(capsys, tmp_path):
-    path = write_matrix(tmp_path, "anosov.json", [[2, 1], [1, 1]])
+    # A^8 for A = [[2, 1], [1, 1]]: its 1,500th Lefschetz number has 5,016 digits,
+    # and its window stays under the output cap, where A's own 12,000 do not.
+    path = write_matrix(tmp_path, "anosov8.json", [[1597, 987], [987, 610]])
     limit = sys.get_int_max_str_digits()
     code, out, _ = run(
         capsys,
-        ["analyze", "--matrix", path, "--kind", "preserving", "--genus", "1", "--max-iter", "12000"],
+        ["analyze", "--matrix", path, "--kind", "preserving", "--genus", "1", "--max-iter", "1500"],
     )
     assert code == 4
     assert sys.get_int_max_str_digits() == limit  # restored after the call
-    # tr(A^l) = Lucas(2l) for A = [[2, 1], [1, 1]], so L_l = 2 - Lucas(2l).
+    # tr(A^l) = Lucas(2l) for A = [[2, 1], [1, 1]], so L_l(A^8) = 2 - Lucas(16l).
     lucas = [2, 1]
     while len(lucas) <= 24000:
         lucas.append(lucas[-1] + lucas[-2])
