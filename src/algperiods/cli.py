@@ -9,13 +9,14 @@ string form.  No configuration files, no environment variables.  A report
 holds the library's own records as they are: Dold classes, factorizations and
 canonical forms as dicts with integer keys, certificates and pieces as their
 attribute dicts (``vars``), zeta factors as ``_asdict()``.  The writers only
-read them: both turn keys into strings and sort them as strings, so "10" comes
-before "5".  One recursive pass writes the bytes of ``json.dumps(sort_keys=True,
-indent=2)`` on the string-keyed report, with no converted copy and one join
-per list of plain integers.  Two row writers skip that pass: a census listing is written from the levels of
-the partition walk, each level formatted once and no object built per row,
-and a matrix's rows are written from its nonzero index, a run of zeros by one
-string repetition, so about one nonzero per row costs O(dim) Python steps.
+read them: both turn keys into strings and sort them as strings, so "10"
+comes before "5".  One recursive pass writes the bytes of
+``json.dumps(sort_keys=True, indent=2)`` on the string-keyed report, with no
+converted copy and one join per list of plain integers.  Two row writers
+skip that pass: a census listing is written from the levels of the partition
+walk, each level formatted once and no object built per row, and a matrix's
+rows are written from its nonzero index, a run of zeros by one string
+repetition, so about one nonzero per row costs O(dim) Python steps.
 
 Stable exit codes:
 
@@ -394,7 +395,7 @@ def _analysis_payload(analysis: Analysis, bound: Optional[int]) -> Dict[str, Any
         raise _UsageError(f"a Lefschetz window of {n_max} entries is above the cap of {MAX_WINDOW}")
     model = analysis.model
     if not qu:  # |L_n| <= 2 + dim * |A|^n for the largest absolute row sum |A|
-        norm = max((sum(map(abs, row)) for row in model.matrix.rows), default=0)
+        norm = max(sum(map(abs, row)) for row in model.matrix.rows)
         bits = n_max * (n_max + 1) // 2 * norm.bit_length()
         _check_output_bits(bits + n_max * (model.matrix.dim.bit_length() + 2), "a Lefschetz window")
     lefschetz = analysis.lefschetz(n_max)
