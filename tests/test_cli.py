@@ -361,6 +361,14 @@ def test_output_bit_caps(capsys, tmp_path):
         assert code == 1 and out == "" and err.count("\n") == 1, series
         assert err.startswith("usage error:") and f"cap of {MAX_OUTPUT_BITS}" in err, series
     assert series_bits([(1, 1, 1 - 10**20_000)], 40) > MAX_OUTPUT_BITS
+    # (1 - z)^-1000 through degree 1,395 is the last under the cap; bits(|m| + N // r)
+    # is 12 there, bits(|m|) only 10.
+    last = max(n for n in range(1, 5000) if series_bits([(-1, 1, -1000)], n) <= MAX_OUTPUT_BITS)
+    zeta = ["zeta", "--factors=-,1,-1000", "--series"]
+    code, out, err = run(capsys, zeta + [str(last + 1)])
+    assert last == 1395 and code == 1 and out == "" and "cap" in err
+    code, rep, _ = run_json(capsys, zeta + [str(last)])
+    assert code == 0 and len(rep["series"]) == last + 1
 
     cat = [[2, 1], [1, 1]]
     path = write_matrix(tmp_path, "cat.json", cat)
@@ -384,8 +392,9 @@ def test_output_bit_caps(capsys, tmp_path):
                                          "--genus", str(len(rows) + 1), "--max-iter", str(n)])
         assert code == 4 and window_bits(rows, n) <= MAX_OUTPUT_BITS
         assert sum(abs(int(x)).bit_length() for x in rep["lefschetz"]) <= window_bits(rows, n)
-    for text, n in (("+,1,-2;-,2,-2;+,3,1", MAX_SERIES), ("+,1,-1000000000", 40),
-                    ("-,3,7;+,1,-50;+,5,2", 3000), (f"+,1,-{nines[:100]}", 40)):
+    for text, n in (("+,1,-2;-,2,-2;+,3,1", MAX_SERIES), ("-,1,-3", 20_000), ("-,1,-1000", last),
+                    ("+,1,-1000000000", 40), ("-,3,7;+,1,-50;+,5,2", 3000),
+                    (f"+,1,-{nines[:100]}", 40)):
         code, rep, _ = run_json(capsys, ["zeta", f"--factors={text}", "--series", str(n)])
         factors = [(f["delta"], f["r"], int(f["m"])) for f in rep["factors"]]
         assert code == 0 and series_bits(factors, n) <= MAX_OUTPUT_BITS
