@@ -132,6 +132,17 @@ CASES = [
     ("certify_transvection_conj_reversing",
      ["certify", "--matrix", "{golden}/transvection_conj_reversing_g8.json", "--kind",
       "reversing", "--genus", "8"], 0),
+    # bench-size inputs built with the conftest helpers (random.Random(5)): a
+    # signed 32 x 32 permutation M, diag(M, M) conjugated by symplectic
+    # transvections until 15% of the entries are nonzero, one 64-dim block with
+    # 2B of 153 bits; and a product of 19 Dehn-twist transvections along 2-3
+    # term curves in genus 30, not quasi-unipotent, whose largest block is 20-dim
+    ("analyze_transvection_conj_g32",
+     ["analyze", "--matrix", "{golden}/transvection_conj_g32.json", "--kind", "preserving",
+      "--genus", "32"], 0),
+    ("analyze_dehn_twists_g30",
+     ["analyze", "--matrix", "{golden}/dehn_twists_g30.json", "--kind", "preserving",
+      "--genus", "30"], 4),
     ("analyze_reversing_text",
      ["analyze", "--matrix", "{golden}/reversing_g9.json", "--kind", "reversing", "--genus", "9",
       "--format", "text"], 0),
