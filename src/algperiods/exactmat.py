@@ -19,12 +19,16 @@ put A in block-triangular form, so det(xI - A) is the product of the
 components' characteristic polynomials; ``charpoly_blocks`` returns them
 one by one, so that the analysis can factor each distinct block on its
 own, and ``charpoly`` multiplies them.  Each k-dimensional block is
-reduced to upper Hessenberg form by similarity modulo a prime p, O(k^3)
-operations mod p, and its characteristic polynomial mod p is read off the
-Hessenberg recurrence.  Let B be the block's Hadamard bound on the
-coefficients and t the bit length of 2B.  For t <= 511 one prime larger
-than 2B is used, so the block costs one pass; a larger bound combines
-ceil(t/511) or fewer primes above 2^511 by the Chinese remainder theorem.
+reduced to upper Hessenberg form by similarity modulo a prime p, and its
+characteristic polynomial mod p is read off the Hessenberg recurrence.
+Each reduction step pivots on the candidate row with the fewest nonzeros,
+the lowest on a tie, and touches only the pivot row's nonzeros and the
+columns with a nonzero multiplier u: O(nnz(pivot row) * #u + k * #u)
+products mod p, so O(k^3) operations mod p at worst.  Let B be the
+block's Hadamard bound on the coefficients and t the bit length of 2B.
+For t <= 511 one prime larger than 2B is used, so the block costs one
+pass; a larger bound combines ceil(t/511) or fewer primes above 2^511 by
+the Chinese remainder theorem.
 Either way the modulus exceeds 2B and the symmetric lift is exact by
 proof.  The total cost is O(n + nnz) for Tarjan on that index plus O(k^3)
 per prime on each block.  The realization matrices are direct sums of
@@ -257,32 +261,53 @@ def _charpoly_mod(rows, p: int) -> list[int]:
     (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9), and
     the characteristic polynomials p_m of H's leading m x m submatrices obey
     p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im (h_(i+1,i) ... h_(m,m-1)) p_(i-1).
+
+    Step j pivots on the row i > j with h_ij != 0 and the fewest nonzeros,
+    the lowest such i on a tie, to keep the fill-in low (Markowitz's rule).
+    Only the pivot row's nonzeros and the nonzero multipliers u_i enter the
+    updates, so a step costs O(nnz(pivot row) * #u + k * #u) products mod p,
+    at most O(k^2) on a dense block.
     """
     n = len(rows)
     h = [[x % p for x in row] for row in rows]
     for j in range(n - 2):
         col = j + 1
-        pivot = next((i for i in range(col, n) if h[i][j]), None)
-        if pivot is None:
+        candidates = [i for i in range(col, n) if h[i][j]]
+        if not candidates:
             continue
+        # Rows below j are zero left of column j, so the most zeros is the
+        # fewest nonzeros; max keeps the first, lowest, row of a tie.
+        pivot = max(candidates, key=lambda i: h[i].count(0))
         if pivot != col:
             h[pivot], h[col] = h[col], h[pivot]
             for row in h:
                 row[pivot], row[col] = row[col], row[pivot]
-        tail = h[col][col:]
-        inverse = pow(h[col][j], -1, p)
+        top = h[col]
+        tail = list(compress(range(col, n), top[col:]))
+        inverse = pow(top[j], -1, p)
         # Row i -= u_i * row col clears column j below the subdiagonal; the
         # inverse similarity then adds sum_i u_i * column i to column col.
-        us = [0] * (n - col - 1)
-        for i in range(col + 1, n):
+        cleared, us = [], []
+        for i in candidates:
             row = h[i]
-            if row[j]:
-                u = us[i - col - 1] = row[j] * inverse % p
-                row[col:] = [(x - u * y) % p for x, y in zip(row[col:], tail)]
-                row[j] = 0
-        if any(us):
+            if i == col or not row[j]:  # the swap may have put a zero at the pivot's index
+                continue
+            u = row[j] * inverse % p
+            for c in tail:
+                row[c] = (row[c] - u * top[c]) % p
+            row[j] = 0
+            cleared.append(i)
+            us.append(u)
+        if len(us) == 1:  # itemgetter of one index returns the bare entry
+            i, u = cleared[0], us[0]
             for row in h:
-                s = sum(map(operator.mul, us, row[col + 1 :]))
+                x = row[i]
+                if x:
+                    row[col] = (row[col] + u * x) % p
+        elif us:
+            gather = operator.itemgetter(*cleared)
+            for row in h:
+                s = sum(map(operator.mul, us, gather(row)))
                 if s:
                     row[col] = (row[col] + s) % p
     polys = [[1]]

@@ -207,6 +207,60 @@ def test_charpoly_matches_faddeev_leverrier_and_cofactor(monkeypatch):
     assert max(primes_used[: -len(huge)]) >= 2
 
 
+def sparse_transvection_conjugate(rng: random.Random, g: int) -> IntMatrix:
+    """S^-1 diag(M, M) S for a signed g x g permutation M and a product S of a few
+    symplectic transvections: a sparse matrix with a few dense rows and columns."""
+    perm = rng.sample(range(g), g)
+    signs = [rng.choice([-1, 1]) for _ in range(g)]
+    m = IntMatrix([[signs[i] if j == perm[i] else 0 for j in range(g)] for i in range(g)])
+    s, s_inv = random_symplectic_pair(rng, g, count=rng.randint(2, 6))
+    return mat_mul(mat_mul(s_inv, block_diag([m, m])), s)
+
+
+# A large Proth prime, and small primes that make entries vanish mid-reduction.
+KERNEL_PRIMES = (exactmat._prime(64, 0), 2, 3, 7, 101)
+
+
+def test_charpoly_mod_on_sparse_transvection_conjugates():
+    """The kernel, on the whole matrix and mod each prime, gives the oracle's residues,
+    also under a permutation similarity P^T A P, which pivots on other rows."""
+    rng = random.Random(16)
+    for dim in (10, 12, 16, 20, 24, 30, 36, 40):
+        a = sparse_transvection_conjugate(rng, dim // 2)
+        oracle = charpoly_by_faddeev_leverrier(a)
+        assert charpoly(a) == oracle
+        perm = rng.sample(range(dim), dim)
+        permuted = [[a.rows[i][j] for j in perm] for i in perm]
+        for p in KERNEL_PRIMES:
+            residues = [c % p for c in oracle.coeffs]
+            assert exactmat._charpoly_mod(a.rows, p) == residues, (dim, p)
+            assert exactmat._charpoly_mod(permuted, p) == residues, (dim, p)
+
+
+def test_charpoly_mod_pivot_and_update_cases():
+    """Hand-made first steps: each pivot rule and update branch against the cofactor oracle."""
+    cases = [
+        # Rows 1 and 2 tie at two nonzeros; row 1 is taken, and row 2 is the
+        # one multiplier, so the column update reads a bare itemgetter value.
+        [[1, 2, 0, 0], [3, 0, 1, 0], [4, 0, 0, 1], [0, 1, 0, 0]],
+        # Row 1's single nonzero is the pivot, so the rows it clears change only
+        # in column 0; rows 2 and 3 are two multipliers.
+        [[0, 1, 1, 1], [5, 0, 0, 0], [2, 3, 0, 1], [1, 0, 2, 0]],
+        # Row 1 is zero in column 0 and rows 2 and 3 tie: row 2 is swapped in,
+        # and the swap leaves a zero at index 2 that must not be cleared.
+        [[1, 1, 1, 1], [0, 1, 1, 1], [2, 0, 1, 0], [3, 1, 0, 0]],
+        # The sparsest candidate is the last row, whose single nonzero is the
+        # pivot; the swap moves the dense row 1 to index 4, which is cleared.
+        [[1, 2, 0, 1, 1], [2, 1, 1, 1, 1], [1, 1, 1, 0, 0], [-1, 0, 2, 1, 0], [3, 0, 0, 0, 0]],
+        # Column 0 is zero below row 0: the step is skipped.
+        [[1, 2, 3], [0, 4, 5], [0, 6, 7]],
+    ]
+    for rows in cases:
+        oracle = charpoly_cofactor(IntMatrix(rows))
+        for p in KERNEL_PRIMES:
+            assert exactmat._charpoly_mod(rows, p) == [c % p for c in oracle.coeffs], (rows, p)
+
+
 def _proth_certificate(p: int) -> tuple[int, int]:
     """(shift, a) for p = h * 2^shift + 1 with h odd, 2^(shift-1) < h < 2^shift, and
     a^((p-1)/2) = -1 (mod p) for a small a, which proves p prime by Proth's theorem."""

@@ -102,6 +102,29 @@ def test_preserving_homological_periodicity():
     assert mat_pow(sm.model.matrix, order) == IntMatrix.identity(sm.model.matrix.dim)
 
 
+def test_realizations_have_finite_order():
+    """A^L = I for L the lcm of the cyclotomic orders, for every kind and reversing
+    mode: the matrix is diagonalizable over C, as a periodic map's action must be."""
+    rng = random.Random(67)
+    runs = [
+        (t, kind, None)
+        for kind in (SurfaceKind.PRESERVING, SurfaceKind.NONORIENTABLE)
+        for t in random_targets(rng, 30, list(range(1, 9)), 3)
+    ]
+    runs += [
+        (t, SurfaceKind.REVERSING, mode)
+        for t in random_targets(rng, 30, [2, 4, 6, 8, 10], 3)
+        for mode in (Mode.FAITHFUL, Mode.CORRECTED)
+    ]
+    for target, kind, mode in runs:
+        sm = realize_target(target, kind, mode)
+        factorization = sm.analysis.factorization
+        assert factorization is not None, (target, kind, mode)
+        a = sm.model.matrix
+        order = math.lcm(*factorization)
+        assert mat_pow(a, order) == IntMatrix.identity(a.dim), (target, kind, mode)
+
+
 def test_reversing_rejects_odd():
     for target in ({3}, {2, 3}, {1}, {4, 6, 9}):
         with pytest.raises(OddTargetUnrealizable):
