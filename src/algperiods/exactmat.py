@@ -28,11 +28,11 @@ products mod p, so O(k^3) operations mod p at worst.  Let B be the
 block's Hadamard bound on the coefficients and t the bit length of 2B.
 For t <= 511 one prime larger than 2B is used, so the block costs one
 pass; a larger bound combines ceil(t/511) or fewer primes above 2^511 by
-the Chinese remainder theorem.
-Either way the modulus exceeds 2B and the symmetric lift is exact by
-proof.  The total cost is O(n + nnz) for Tarjan on that index plus O(k^3)
-per prime on each block.  The realization matrices are direct sums of
-cycles, swap-shift and companion blocks, so their blocks stay small.
+the Chinese remainder theorem.  Either way the modulus exceeds 2B and the
+symmetric lift is exact by proof.  The total cost is O(n + nnz) for
+Tarjan on that index plus O(k^3) per prime on each block.  The
+realization matrices are direct sums of cycles, swap-shift and companion
+blocks, so their blocks stay small.
 
 The primes are p = h * 2^s + 1 for odd h descending from 2^s - 1 to above
 2^(s-1), so p > 2^(2s-1), with one sequence for each shift s in 32, 64,
@@ -272,7 +272,7 @@ def _charpoly_mod(rows, p: int) -> list[int]:
     h = [[x % p for x in row] for row in rows]
     for j in range(n - 2):
         col = j + 1
-        candidates = [i for i in range(col, n) if h[i][j]]
+        candidates = list(compress(range(col, n), map(operator.itemgetter(j), h[col:])))
         if not candidates:
             continue
         # Rows below j are zero left of column j, so the most zeros is the
@@ -282,6 +282,8 @@ def _charpoly_mod(rows, p: int) -> list[int]:
             h[pivot], h[col] = h[col], h[pivot]
             for row in h:
                 row[pivot], row[col] = row[col], row[pivot]
+        if len(candidates) == 1:  # column j is already reduced
+            continue
         top = h[col]
         tail = list(compress(range(col, n), top[col:]))
         inverse = pow(top[j], -1, p)
