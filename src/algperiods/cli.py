@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from itertools import islice
@@ -389,7 +388,8 @@ def _load_dold(source: str) -> DoldClass:
 def _analysis_payload(analysis: Analysis, bound: Optional[int]) -> Dict[str, Any]:
     """Shared report body for realize/analyze."""
     qu = analysis.quasi_unipotent
-    default = 2 * math.lcm(1, *analysis.factorization) if qu else 12
+    # every algebraic period lies in {1, 2} and the divisors of the orders
+    default = max((2, *analysis.factorization)) if qu else 12
     n_max = bound if bound is not None else default
     if n_max > MAX_WINDOW:
         raise _UsageError(f"a Lefschetz window of {n_max} entries is above the cap of {MAX_WINDOW}")
@@ -636,8 +636,8 @@ def build_parser() -> _Parser:
         type=_size,
         default=None,
         metavar="N",
-        help=f"Lefschetz numbers to print, <= {MAX_WINDOW} (default: twice the lcm of orders,"
-        " or 12); a model that is not quasi-unipotent also needs N(N+1)/2 * bits(largest"
+        help=f"Lefschetz numbers to print, <= {MAX_WINDOW} (default: the largest cyclotomic"
+        " order, at least 2, which covers every algebraic period, or 12); a model that is not quasi-unipotent also needs N(N+1)/2 * bits(largest"
         f" absolute row sum) + N * (bits(dim) + 2) <= {MAX_OUTPUT_BITS}",
     )
     _add_format(analyze_p)

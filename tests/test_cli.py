@@ -286,10 +286,7 @@ def test_census_listing_builds_no_partition_or_dold_class(capsys, monkeypatch):
 def test_size_caps(capsys, tmp_path, monkeypatch):
     identity = write_matrix(tmp_path, "identity.json", [[1, 0], [0, 1]])
     analyze = ["analyze", "--matrix", identity, "--kind", "preserving", "--genus", "1"]
-    assert sum(range(2, 20)) <= MAX_SET_SUM
     over_cap = [
-        # default window 2 * lcm(2, ..., 19) = 465,585,120; the set sum 189 is under its cap
-        ["realize", "--set", ",".join(map(str, range(2, 20))), "--kind", "preserving"],
         analyze + ["--max-iter", str(MAX_WINDOW + 1)],
         ["census", "--genus", str(MAX_GENUS + 1)],
         ["zeta", "--factors", "+,1,1", "--series", str(MAX_SERIES + 1)],
@@ -312,6 +309,12 @@ def test_size_caps(capsys, tmp_path, monkeypatch):
     assert code == 0 and rep["exact_count"] == 53174 and len(rep["partitions"]) == 2
     code, rep, _ = run_json(capsys, analyze + ["--max-iter", str(MAX_WINDOW)])
     assert code == 0 and len(rep["lefschetz"]) == MAX_WINDOW and set(rep["lefschetz"]) == {0}
+    # lcm(2, ..., 19) = 232,792,560, but the default window is the largest order,
+    # 19; the set sum 189 is under its cap
+    assert sum(range(2, 20)) <= MAX_SET_SUM
+    code, rep, _ = run_json(capsys, ["realize", "--set", ",".join(map(str, range(2, 20))),
+                                     "--kind", "preserving"])
+    assert code == 0 and rep["achieved"] == list(range(2, 20)) and len(rep["lefschetz"]) == 19
 
     # The set-sum cap refuses before any matrix is built: 1..300 would be a
     # dense dim-90,298 preserving matrix.  Duplicates count once.  Building

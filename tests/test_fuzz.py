@@ -205,6 +205,57 @@ def test_fuzz_realize_sets(text, kind, mode, fmt, strict):
         assert err == "" and not (strict and fields["flags"])
 
 
+def is_prime_power(q: int) -> bool:
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+# Sets of primes and prime powers have the largest lcm for their sum.
+PRIME_POWERS = [q for q in range(2, MAX_SET_SUM + 1) if is_prime_power(q)]
+
+
+@st.composite
+def realizable_sets(draw):
+    """Distinct elements summing to at most the set-sum cap: drawn in order from
+    1..60 or from the prime powers, skipping any element that would pass the cap."""
+    pool = draw(st.sampled_from([range(1, 61), PRIME_POWERS]))
+    chosen, total = set(), 0
+    for n in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True)):
+        if total + n <= MAX_SET_SUM:
+            chosen.add(n)
+            total += n
+    return chosen
+
+
+@settings(FUZZ, max_examples=100)
+# lcms of 510,510, 4,849,845 and 7,420,738,134,810 with set sums of 59, 75 and 197
+@example(target={5, 6, 7, 11, 13, 17}, kind="preserving", mode="corrected")
+@example(target={3, 5, 7, 11, 13, 17, 19}, kind="nonorientable", mode="corrected")
+@example(target={2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}, kind="preserving",
+         mode="faithful")
+@given(
+    target=realizable_sets(),
+    kind=st.sampled_from(["preserving", "reversing", "nonorientable"]),
+    mode=st.sampled_from(["faithful", "corrected"]),
+)
+def test_fuzz_realize_every_small_set(target, kind, mode):
+    """Every set under the set-sum cap is realized, whatever its lcm, except one
+    with an odd element for the reversing kind; the default window holds every
+    algebraic period."""
+    argv = ["realize", "--set", ",".join(map(str, target)), "--kind", kind, "--mode", mode]
+    code, out, err = run(argv)
+    if kind == "reversing" and any(n % 2 for n in target):
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        return
+    report = json.loads(out)
+    assert (code, err) == (0, "") and report["target"] == sorted(target)
+    assert target <= set(report["achieved"]) <= target | {2}
+    window = max((2, *map(int, report["cyclotomic_factorization"])))
+    assert len(report["lefschetz"]) == window >= max(report["achieved"])
+
+
 DOLD_TEXTS = st.one_of(
     st.text(alphabet='{}[]":,.-+ 0123456789eéx٣\x00', max_size=30),
     st.dictionaries(

@@ -96,7 +96,8 @@ CASES = [
          ["census", "--genus", "5", "--list-partitions", "--limit", "0", "--format", fmt], 0)
         for fmt in ("json", "text")
     ),
-    # a Lefschetz window of 2 * lcm(11, 13, 18) = 5148 entries
+    # orders up to 18 with an lcm of 2,574: the default window is the largest
+    # order, 18 entries
     *(
         (f"realize_wide_window_{fmt}",
          ["realize", "--set", "11,13,18", "--kind", "preserving", "--format", fmt], 0)
