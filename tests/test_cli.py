@@ -11,7 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from algperiods import IntMatrix, Partition, census, partition_count
+from algperiods import (
+    DoldClass,
+    IntMatrix,
+    Partition,
+    census,
+    enumerate_partitions,
+    partition_count,
+    partition_to_dold_nonorientable,
+)
 from algperiods.cli import (
     MAX_GENUS,
     MAX_LISTED_PARTITIONS,
@@ -256,31 +264,120 @@ def test_census_listing_matches_library_rows(capsys):
                 assert code == 0 and out == text_by_writer(rep), argv
 
 
-def test_census_listing_builds_no_partition_or_dold_class(capsys, monkeypatch):
-    """census() builds a Partition and a DoldClass per row; the CLI listing writes
-    its rows from the partition walk and builds neither."""
+def test_census_listing_builds_no_partition_or_dold_class(capsys):
+    """The CLI listing writes its rows from the partition walk: it builds no
+    Partition or DoldClass and runs neither enumerate_partitions nor a
+    correspondence.  A profile hook sees every call to them, so nothing in the
+    library is patched."""
     # the package exports the function census under the module's name
     census_module = importlib.import_module("algperiods.census")
+    watched = {
+        f.__code__
+        for f in (census_module.enumerate_partitions, census_module._partition_to_dold,
+                  Partition.__init__, DoldClass.__init__)
+    }
     calls = []
 
-    def counted_new(cls, *args):
-        calls.append("Partition")
-        return object.__new__(cls)
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls.append(frame.f_code.co_name)
 
-    def counted_to_dold(p, scale, _fn=census_module._partition_to_dold):
-        calls.append("_partition_to_dold")
-        return _fn(p, scale)
+    def watch(fn):
+        calls.clear()
+        saved = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            return fn()
+        finally:
+            sys.setprofile(saved)
 
-    monkeypatch.setattr(Partition, "__new__", staticmethod(counted_new))
-    monkeypatch.setattr(census_module, "_partition_to_dold", counted_to_dold)
-    assert census(6, correspondence="nonorientable").exact_count == 11
-    assert calls.count("Partition") == calls.count("_partition_to_dold") == 11
+    # the hook sees the objects the library route builds: 11 partitions of 6
+    watch(lambda: [partition_to_dold_nonorientable(p) for p in enumerate_partitions(6)])
+    assert calls.count("_partition_to_dold") == 11 and "enumerate_partitions" in calls
+    watch(lambda: (Partition({2: 1}), DoldClass({1: 2})))
+    assert calls == ["__init__", "__init__"]
     listing = ["census", "--genus", "6", "--list-partitions"]
     for argv in (listing, listing + ["--format", "text"], listing + ["--limit", "3"],
                  listing + ["--correspondence", "nonorientable", "--format", "text"]):
-        calls.clear()
-        code, out, _ = run(capsys, argv)
+        code, out, _ = watch(lambda: run(capsys, argv))
         assert code == 0 and "partition" in out and calls == [], argv
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (name, argv, exit code, stderr) for each failure path; {golden} stands for the
+# golden corpus directory and {tmp} for a directory holding identity_g1.json (the
+# 2 x 2 identity), empty.json (dim 0) and broken.json (not JSON).
+FAILURE_CASES = [
+    ("realize_odd_reversing", ["realize", "--set", "3,4", "--kind", "reversing"], 2,
+     "error: orientation-reversing models admit only even algebraic periods;"
+     " target [3, 4] contains odd elements\n"),
+    ("realize_strict_mismatch",
+     ["realize", "--set", "4", "--kind", "reversing", "--mode", "faithful", "--strict"], 3,
+     "error: strict mode, achieved periods [2, 4] differ from target [4]\n"),
+    ("analyze_not_quasi_unipotent",
+     ["analyze", "--matrix", "{golden}/anosov_g1.json", "--kind", "preserving", "--genus", "1"],
+     4, ""),
+    ("certify_not_quasi_unipotent",
+     ["certify", "--matrix", "{golden}/anosov_g1.json", "--kind", "preserving", "--genus", "1"],
+     4, "error: not quasi-unipotent: residual x^2 - 3*x + 1\n"),
+    ("analyze_dimension",
+     ["analyze", "--matrix", "{golden}/anosov_g1.json", "--kind", "preserving", "--genus", "2"],
+     5, "error: orientable genus 2 needs a matrix of dimension 4, got 2\n"),
+    ("certify_dimension",
+     ["certify", "--matrix", "{golden}/anosov_g1.json", "--kind", "nonorientable", "--genus", "2"],
+     5, "error: non-orientable genus 2 needs a matrix of dimension 1, got 2\n"),
+    ("analyze_negative_genus",
+     ["analyze", "--matrix", "{tmp}/empty.json", "--kind", "reversing", "--genus", "-1"],
+     5, "error: genus must be nonnegative\n"),
+    ("certify_nonorientable_genus_0",
+     ["certify", "--matrix", "{tmp}/empty.json", "--kind", "nonorientable", "--genus", "0"],
+     5, "error: a non-orientable surface has genus at least 1\n"),
+    *(
+        (f"{command}_form_{kind}",
+         [command, "--matrix", matrix, "--kind", kind, "--genus", "1"], 5,
+         f"error: strict form check failed: {message}\n")
+        for command in ("analyze", "certify")
+        for kind, matrix, message in (
+            ("preserving", "{golden}/not_symplectic_g1.json",
+             "orientation-preserving matrix must be symplectic"),
+            ("reversing", "{tmp}/identity_g1.json",
+             "orientation-reversing matrix must be antisymplectic"),
+        )
+    ),
+    ("analyze_max_iter_usage",
+     ["analyze", "--matrix", "{tmp}/identity_g1.json", "--kind", "preserving", "--genus", "1",
+      "--max-iter", "0"], 1, "usage error: --max-iter must be positive\n"),
+    ("certify_matrix_usage", ["certify", "--matrix", "{tmp}/identity_g1.json", "--genus", "1"],
+     1, "usage error: --matrix needs --kind and --genus\n"),
+    ("census_usage", ["census", "--genus", "0"], 1, "usage error: --genus must be at least 1\n"),
+    ("analyze_missing_file",
+     ["analyze", "--matrix", "{tmp}/missing.json", "--kind", "preserving", "--genus", "1"], 1,
+     "input error: cannot read {tmp}/missing.json: [Errno 2] No such file or directory:"
+     " '{tmp}/missing.json'\n"),
+    ("certify_broken_file",
+     ["certify", "--matrix", "{tmp}/broken.json", "--kind", "preserving", "--genus", "1"], 1,
+     "input error: {tmp}/broken.json is not valid JSON: Expecting property name enclosed in"
+     " double quotes: line 1 column 2 (char 1)\n"),
+    ("certify_dold_input", ["certify", "--dold", '{"0": 1}'], 1,
+     "input error: period '0' is not a positive integer\n"),
+]
+
+
+@pytest.mark.parametrize("name,argv,exit_code,stderr", FAILURE_CASES,
+                         ids=[c[0] for c in FAILURE_CASES])
+def test_failure_exit_and_stderr(capsys, tmp_path, name, argv, exit_code, stderr):
+    """Each failure path ends with its exit code and exactly this stderr; the
+    golden corpus pins stdout only."""
+    write_matrix(tmp_path, "identity_g1.json", [[1, 0], [0, 1]])
+    write_matrix(tmp_path, "empty.json", [])
+    (tmp_path / "broken.json").write_text("{")
+
+    def fill(text):
+        return text.replace("{golden}", str(GOLDEN)).replace("{tmp}", str(tmp_path))
+
+    code, _, err = run(capsys, [fill(a) for a in argv])
+    assert (code, err) == (exit_code, fill(stderr))
 
 
 def test_size_caps(capsys, tmp_path, monkeypatch):
