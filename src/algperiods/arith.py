@@ -37,22 +37,26 @@ class DoldViolation(Exception):
     """Moebius inversion produced a non-integer coefficient."""
 
 
+def _prime_exponents(n: int) -> Dict[int, int]:
+    """The factorization of n >= 1 by trial division, prime -> exponent, in O(sqrt(n)) steps."""
+    exponents = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            exponents[p] = exponents.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        exponents[n] = 1
+    return exponents
+
+
 def moebius(n: int) -> int:
     """Moebius function: 0 if a square divides n, else (-1)^(number of prime factors)."""
     if n < 1:
         raise ValueError("moebius is defined for positive integers")
-    sign = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
-        p += 1 if p == 2 else 2
-    if n > 1:
-        sign = -sign
-    return sign
+    exponents = _prime_exponents(n).values()
+    return 0 if max(exponents, default=1) > 1 else (-1) ** len(exponents)
 
 
 def divisors(n: int) -> list[int]:

@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import islice
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Iterator, Mapping
 
 from .arith import DoldClass
 
@@ -114,26 +113,23 @@ def partition_count(n: int) -> int:
     return ways[n]
 
 
-def _walk(n: int) -> Iterator[tuple[list[tuple[int, int]], int]]:
+def _walk(n: int) -> Iterator[list[tuple[int, int]]]:
     """The partitions of n, each exactly once, in decreasing lexicographic order,
     from one loop over a stack of (part, multiplicity) levels, largest part first.
 
-    Yields the live stack, which the next step changes in place, and the lowest
-    level that changed since the previous yield (0 at the first); the levels
-    below it are the same pairs as before.  Only the last level can have part 1.
+    Yields the live stack, which the next step changes in place.  Only the last
+    level can have part 1.
     """
     if n < 1:
         raise ValueError("enumeration needs a positive integer")
     stack = [(n, 1)]
-    low = 0
     while True:
-        yield stack, low
+        yield stack
         freed = stack.pop()[1] if stack[-1][0] == 1 else 0
         if not stack:
             return
-        low = len(stack) - 1
-        part, count = stack[low]
-        stack[low:] = [(part, count - 1)] if count > 1 else []
+        part, count = stack[-1]
+        stack[-1:] = [(part, count - 1)] if count > 1 else []
         # give back the ones and one part p as parts p - 1 and one remainder
         copies, rest = divmod(freed + part, part - 1)
         stack.append((part - 1, copies))
@@ -143,7 +139,7 @@ def _walk(n: int) -> Iterator[tuple[list[tuple[int, int]], int]]:
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, each exactly once, in decreasing lexicographic order."""
-    for stack, _ in _walk(n):
+    for stack in _walk(n):
         p = Partition.__new__(Partition)  # the stack is valid and its parts decrease
         p._parts = dict(reversed(stack))
         yield p
@@ -189,40 +185,26 @@ def partition_to_dold_nonorientable(p: Partition) -> DoldClass:
 
 @dataclass(frozen=True)
 class CensusReport:
-    """P(genus) with its asymptotic diagnostic and optional class samples."""
+    """P(genus) with its asymptotic diagnostic."""
 
     genus: int
     exact_count: int
     hr_estimate: float
     ratio: float
     statement: str
-    sample_dold_classes: Optional[tuple[tuple[Partition, DoldClass], ...]] = None
 
 
-def census(
-    genus: int,
-    correspondence: Optional[str] = None,
-    limit: Optional[int] = None,
-) -> CensusReport:
-    """The partition census at a given genus.
-
-    ``correspondence`` ("orientable" or "nonorientable") requests sample
-    Dold classes, one per partition, truncated to ``limit`` entries.  A genus
-    above 76,567 is refused with ValueError before P(genus) is counted.
+def census(genus: int) -> CensusReport:
+    """The partition census at a given genus: P(genus), its Hardy-Ramanujan
+    estimate and their ratio.  A genus above 76,567 is refused with ValueError
+    before P(genus) is counted.  The partitions themselves, with their Dold
+    classes, are ``enumerate_partitions`` with ``partition_to_dold_orientable``
+    or ``partition_to_dold_nonorientable``.
     """
     if genus < 1:
         raise ValueError("the census needs genus at least 1")
     estimate = hardy_ramanujan_estimate(genus)
     exact = partition_count(genus)
-    samples = None
-    if correspondence is not None:
-        if correspondence not in _SCALES:
-            raise ValueError(f"unknown correspondence {correspondence!r}")
-        scale = _SCALES[correspondence]
-        rows = enumerate_partitions(genus)
-        if limit is not None:
-            rows = islice(rows, max(limit, 0))
-        samples = tuple([(p, _partition_to_dold(p, scale)) for p in rows])
     return CensusReport(
         genus=genus,
         exact_count=exact,
@@ -233,5 +215,4 @@ def census(
             " classes of mapping classes (orientable and non-orientable alike)"
             " containing Morse-Smale diffeomorphisms"
         ),
-        sample_dold_classes=samples,
     )

@@ -14,9 +14,10 @@ comes before "5".  One recursive pass writes the bytes of
 ``json.dumps(sort_keys=True, indent=2)`` on the string-keyed report, with no
 converted copy and one join per list of plain integers.  Two row writers
 skip that pass: a census listing is written from the levels of the partition
-walk, each level formatted once and no object built per row, and a matrix's
-rows are written from its nonzero index, a run of zeros by one string
-repetition, so about one nonzero per row costs O(dim) Python steps.
+walk, each level formatted once and a row's levels joined with no object
+built, and a matrix's rows are written from its nonzero index, a run of zeros
+by one string repetition, so about one nonzero per row costs O(dim) Python
+steps.
 
 Stable exit codes:
 
@@ -26,6 +27,11 @@ Stable exit codes:
     3  strict-mode mismatch between requested and achieved data
     4  matrix is not quasi-unipotent
     5  model validation failure (dimension/genus or form check)
+
+A failure before any report (exits 1, 2 and 5) raises a subclass of
+``_UsageError`` that carries its exit code and stderr prefix, and ``main``
+writes it as one line; ``analyze`` and ``certify --matrix`` load, build and
+analyze a model through one helper.
 """
 
 from __future__ import annotations
@@ -89,11 +95,21 @@ MAX_SIZE_CHARS = 20
 
 
 class _UsageError(Exception):
-    pass
+    """Ends the run: main writes prefix + message as one line on stderr and returns code."""
+
+    code, prefix = EXIT_USAGE, "usage error: "
 
 
-class _InputError(Exception):
-    pass
+class _InputError(_UsageError):
+    prefix = "input error: "
+
+
+class _UnrealizableError(_UsageError):
+    code, prefix = EXIT_UNREALIZABLE, "error: "
+
+
+class _ModelError(_UsageError):
+    code, prefix = EXIT_MODEL, "error: "
 
 
 def _check_output_bits(bits: int, what: str) -> None:
@@ -129,12 +145,11 @@ class _CensusRows:
     Each distinct level (part, count) of the walk's stack is formatted once: its
     parts, each after a separator, and its dold entry '"n": a_n'.  For the part-1
     level that entry is a_1 = 2 + scale * p_1, and none when it is zero; with no
-    ones, a_1 = 2.  Each position of the stack keeps the partition text through
-    it and its entry, so a row redoes only the levels from the lowest one that
-    changed, and sorts its few entries: they sort as their keys do, since '"'
-    sorts below every digit, and "1" sorts first.  Text writes the entries without
-    the quotes.  Parts and coefficients stay below twice the genus cap, far below
-    2^53, so every number is written bare."""
+    ones, a_1 = 2.  A row joins the cached texts of its levels and sorts its few
+    entries: they sort as their keys do, since '"' sorts below every digit, and
+    "1" sorts first.  Text writes the entries without the quotes.  Parts and
+    coefficients stay below twice the genus cap, far below 2^53, so every number
+    is written bare."""
 
     __slots__ = ("genus", "scale", "limit")
 
@@ -143,27 +158,24 @@ class _CensusRows:
 
     def _rows(self, sep: str):
         """(partition text joined by sep, sorted dold entries) for each row."""
-        scale, no_ones = self.scale, f'"1": {_A1_SHIFT}'
         levels = {}  # (part, count) -> (its parts, each after a sep; its entry or None)
-        texts = [""]  # texts[i + 1]: the parts of stack levels 0..i
-        entries = []  # the entries of the stack levels; only the last level can lack one
-        for stack, low in islice(_walk(self.genus), self.limit):
-            del texts[low + 1 :], entries[low:]
-            for level in stack[low:]:
+        for stack in islice(_walk(self.genus), self.limit):
+            text, row = "", []
+            for level in stack:
                 cached = levels.get(level)
                 if cached is None:
                     part, count = level
-                    a = scale * count + (_A1_SHIFT if part == 1 else 0)
+                    a = self.scale * count + (_A1_SHIFT if part == 1 else 0)
                     entry = f'"{part}": {a}' if a else None
                     cached = levels[level] = ((sep + str(part)) * count, entry)
                 piece, entry = cached
-                texts.append(texts[-1] + piece)
+                text += piece
                 if entry:
-                    entries.append(entry)
-            row = sorted(entries)
+                    row.append(entry)
+            row.sort()
             if stack[-1][0] != 1:
-                row.insert(0, no_ones)
-            yield texts[-1][len(sep) :], row
+                row.insert(0, f'"1": {_A1_SHIFT}')
+            yield text[len(sep) :], row
 
     def json(self, item: str) -> list[str]:
         field, cell = item + "  ", item + "    "
@@ -449,12 +461,10 @@ def _cmd_realize(args) -> int:
     total = sum(set(elements))
     if total > MAX_SET_SUM:
         raise _UsageError(f"--set elements sum to {total}, above the cap of {MAX_SET_SUM}")
-    kind = SurfaceKind(args.kind)
     try:
-        sm = realize_target(set(elements), kind, mode=Mode(args.mode))
+        sm = realize_target(set(elements), SurfaceKind(args.kind), mode=Mode(args.mode))
     except OddTargetUnrealizable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREALIZABLE
+        raise _UnrealizableError(exc) from None
     _emit(_model_report(sm), args.format)
     if args.strict and sm.flags:
         print(
@@ -466,27 +476,23 @@ def _cmd_realize(args) -> int:
     return EXIT_OK
 
 
-def _build_model(matrix: IntMatrix, kind: SurfaceKind, genus: int, strict: bool):
-    """HomologyModel or an exit code (5) with a message on stderr."""
+def _analyze_matrix(args) -> Analysis:
+    """The analysis of the model of --matrix, --kind and --genus, checked against
+    its form unless --no-strict."""
+    matrix = _load_matrix(args.matrix)
     try:
-        return HomologyModel(kind, matrix, genus, strict=strict)
+        model = HomologyModel(SurfaceKind(args.kind), matrix, args.genus, strict=not args.no_strict)
     except (DimensionMismatch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        raise _ModelError(exc) from None
     except FormViolation as exc:
-        print(f"error: strict form check failed: {exc}", file=sys.stderr)
-        return None
+        raise _ModelError(f"strict form check failed: {exc}") from None
+    return analyze(model)
 
 
 def _cmd_analyze(args) -> int:
     if args.max_iter is not None and args.max_iter < 1:
         raise _UsageError("--max-iter must be positive")
-    matrix = _load_matrix(args.matrix)
-    kind = SurfaceKind(args.kind)
-    model = _build_model(matrix, kind, args.genus, strict=not args.no_strict)
-    if model is None:
-        return EXIT_MODEL
-    analysis = analyze(model)
+    analysis = _analyze_matrix(args)
     _emit(_analysis_payload(analysis, bound=args.max_iter), args.format)
     return EXIT_OK if analysis.quasi_unipotent else EXIT_NOT_QUASI_UNIPOTENT
 
@@ -565,20 +571,13 @@ def _cmd_certify(args) -> int:
     else:
         if args.kind is None or args.genus is None:
             raise _UsageError("--matrix needs --kind and --genus")
-        matrix = _load_matrix(args.matrix)
-        model = _build_model(matrix, SurfaceKind(args.kind), args.genus, strict=not args.no_strict)
-        if model is None:
-            return EXIT_MODEL
-        analysis = analyze(model)
+        analysis = _analyze_matrix(args)
         if not analysis.quasi_unipotent:
             print(f"error: not quasi-unipotent: residual {analysis.residual}", file=sys.stderr)
             return EXIT_NOT_QUASI_UNIPOTENT
         dold = analysis.dold
-        report = {
-            "kind": model.kind.value,
-            "genus": model.genus,
-            "dold": dold.as_dict(),
-        }
+        model = analysis.model
+        report = {"kind": model.kind.value, "genus": model.genus, "dold": dold.as_dict()}
     report["certificates"] = [vars(c) for c in periodic_point_certificate(dold)]
     _emit(report, args.format)
     return EXIT_OK
@@ -718,11 +717,8 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        print(f"{exc.prefix}{exc}", file=sys.stderr)
+        return exc.code
     except OSError as exc:  # stdout closed early (BrokenPipeError) or full
         print(f"output error: {exc.strerror or exc}", file=sys.stderr)
         if isinstance(exc, BrokenPipeError) and sys.stdout is sys.__stdout__:

@@ -106,11 +106,12 @@ class HomologyModel:
     torsion-free rank genus - 1.  With ``strict=True`` the constructor
     additionally enforces the form predicate of the kind (symplectic for
     preserving, antisymplectic for reversing); analysis of arbitrary
-    matrices should leave it off.  ``strict`` records that the check passed,
-    so an :class:`Analysis` of the model does not run it again.
+    matrices should leave it off.  A strict orientable model keeps the pair
+    of predicates it computed, so an :class:`Analysis` of the model reads
+    its form checks from there and does not compute them again.
     """
 
-    __slots__ = ("kind", "matrix", "genus", "strict")
+    __slots__ = ("kind", "matrix", "genus", "_forms")
 
     def __init__(self, kind: SurfaceKind, matrix: IntMatrix, genus: int, strict: bool = False):
         genus = operator.index(genus)
@@ -130,8 +131,9 @@ class HomologyModel:
                     f"orientable genus {genus} needs a matrix of dimension {2 * genus},"
                     f" got {matrix.dim}"
                 )
+        self._forms = None  # (symplectic, antisymplectic) once computed
         if strict and kind is not SurfaceKind.NONORIENTABLE:
-            symplectic, antisymplectic = form_predicates(matrix)
+            symplectic, antisymplectic = self._forms = form_predicates(matrix)
             if kind is SurfaceKind.PRESERVING and not symplectic:
                 raise FormViolation("orientation-preserving matrix must be symplectic")
             if kind is SurfaceKind.REVERSING and not antisymplectic:
@@ -139,7 +141,6 @@ class HomologyModel:
         self.kind = kind
         self.matrix = matrix
         self.genus = genus
-        self.strict = strict
 
     def __eq__(self, other: object):
         if isinstance(other, HomologyModel):
@@ -193,17 +194,14 @@ class Analysis:
     def form_checks(self) -> Optional[Dict[str, bool]]:
         """Symplectic and antisymplectic predicates; None for non-orientable models.
 
-        For dim > 0 at most one predicate holds.  A strict model already
-        passed the predicate of its kind, so it needs no second check; any
-        other model takes one ``form_predicates`` call for both.
+        For dim > 0 at most one predicate holds.  A strict model computed
+        both when it was built; any other model takes one ``form_predicates``
+        call for both.
         """
         m = self.model
         if m.kind is SurfaceKind.NONORIENTABLE:
             return None
-        if m.strict and m.matrix.dim:
-            symplectic = m.kind is SurfaceKind.PRESERVING
-            return {"symplectic": symplectic, "antisymplectic": not symplectic}
-        symplectic, antisymplectic = form_predicates(m.matrix)
+        symplectic, antisymplectic = m._forms or form_predicates(m.matrix)
         return {"symplectic": symplectic, "antisymplectic": antisymplectic}
 
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from math import prod
 from typing import Dict, Iterable
 
-from .arith import divisors
+from .arith import _prime_exponents, divisors
 
 __all__ = [
     "NonMonicInput",
@@ -200,18 +201,7 @@ def cyclotomic(d: int) -> IntPolynomial:
 
 @lru_cache(maxsize=None)
 def _totient(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
-    return result
+    return prod((p - 1) * p ** (e - 1) for p, e in _prime_exponents(n).items())
 
 
 def cyclotomic_factorization(p: IntPolynomial) -> Dict[int, int]:

@@ -14,7 +14,8 @@ series passes, the recursive descent is the oracle for the partition
 enumeration loop, and ``json.dumps`` with indent over a converted copy is
 the oracle for the one-pass JSON writer of the CLI, the dense product
 A^T Omega A is the oracle for the form check read off the nonzero pairs,
-and the library's census() rows, as payload dicts through the generic
+and the library's partitions from ``enumerate_partitions`` with their Dold
+classes from ``partition_to_dold_*``, as payload dicts through the generic
 writers, are the oracle for the census listing written from the partition
 walk).
 The small matrix, sequence and polynomial helpers here (trace, transpose,
@@ -27,7 +28,7 @@ from __future__ import annotations
 import json
 import operator
 import random
-from itertools import compress
+from itertools import compress, islice
 from math import comb
 from typing import Sequence
 
@@ -44,13 +45,15 @@ from algperiods import (
     SurfaceKind,
     ZetaFactorization,
     block_diag,
-    census,
     charpoly,
     cyclic_permutation,
     cyclotomic,
     cyclotomic_factorization,
     divisors,
     dold_coefficients,
+    enumerate_partitions,
+    partition_to_dold_nonorientable,
+    partition_to_dold_orientable,
     realize_target,
     trace_sequence_from_charpoly,
 )
@@ -426,11 +429,13 @@ def json_by_dumps(report) -> str:
 
 
 def census_listing_by_objects(genus: int, correspondence: str, limit=None) -> list[dict]:
-    """The "partitions" of a census listing, from the Partition and DoldClass rows of census()."""
-    rows = census(genus, correspondence=correspondence, limit=limit).sample_dold_classes
+    """The "partitions" of a census listing, from the first ``limit`` partitions of
+    enumerate_partitions and their Dold classes under the correspondence."""
+    to_dold = {"orientable": partition_to_dold_orientable,
+               "nonorientable": partition_to_dold_nonorientable}[correspondence]
     return [
-        {"dold": {str(n): a for n, a in d.as_dict().items()}, "partition": p.as_list()}
-        for p, d in rows
+        {"dold": {str(n): a for n, a in to_dold(p).as_dict().items()}, "partition": p.as_list()}
+        for p in islice(enumerate_partitions(genus), limit)
     ]
 
 

@@ -1,6 +1,7 @@
 import importlib
 import math
 import time
+from itertools import islice
 
 import pytest
 
@@ -83,7 +84,7 @@ def test_census_refuses_beyond_float_range(monkeypatch):
     start = time.perf_counter()
     for genus in (76_568, 10**6):
         with pytest.raises(ValueError, match="float range"):
-            census(genus, correspondence="orientable")
+            census(genus)
     assert time.perf_counter() - start < 1.0
 
 
@@ -147,7 +148,7 @@ def test_correspondence_agrees_with_realized_models():
 
 def test_census_reports():
     rep = census(5)
-    assert rep.exact_count == 7 and rep.sample_dold_classes is None
+    assert rep.exact_count == 7
     assert rep.exact_count >= 1
     assert "lower bound" in rep.statement
 
@@ -155,14 +156,10 @@ def test_census_reports():
     assert rep.exact_count == 190569292
     assert 0.9 <= rep.ratio <= 1.1
 
-    rep = census(2, correspondence="orientable")
-    classes = [d.as_dict() for _, d in rep.sample_dold_classes]
+    classes = [partition_to_dold_orientable(p).as_dict() for p in enumerate_partitions(2)]
     assert classes == [{1: 2, 2: -2}, {1: -2}]
-
-    rep = census(6, correspondence="nonorientable", limit=3)
-    assert len(rep.sample_dold_classes) == 3
+    first = [partition_to_dold_nonorientable(p) for p in islice(enumerate_partitions(6), 3)]
+    assert [d.as_dict() for d in first] == [{1: 2, 6: -1}, {1: 1, 5: -1}, {1: 2, 4: -1, 2: -1}]
 
     with pytest.raises(ValueError):
         census(0)
-    with pytest.raises(ValueError):
-        census(3, correspondence="bogus")

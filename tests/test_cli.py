@@ -15,7 +15,6 @@ from algperiods import (
     DoldClass,
     IntMatrix,
     Partition,
-    census,
     enumerate_partitions,
     partition_count,
     partition_to_dold_nonorientable,
@@ -247,7 +246,7 @@ def test_census_command(capsys):
 
 
 def test_census_listing_matches_library_rows(capsys):
-    """A listing in JSON is the census() rows as payload dicts, and in text what
+    """A listing in JSON is the library's partition rows as payload dicts, and in text what
     the generic text writer gives for that payload: every genus to 20, both
     correspondences, the edge limits and no limit."""
     for genus in range(1, 21):

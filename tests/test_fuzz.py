@@ -12,8 +12,9 @@ checked in ``test_cli.py::test_size_caps``.  ``form_predicates`` must agree with
 the dense product A^T Omega A of ``conftest`` on every drawn matrix.  The
 matrix rows of a realize or analyze report must be the bytes that the
 standard encoder writes for plain-list rows, and in text the entries of each
-row joined by spaces.  A census listing must hold the census() rows, and its
-text must be what the generic text writer gives for the same report.
+row joined by spaces.  A census listing must hold the rows of
+``enumerate_partitions`` with ``partition_to_dold_*``, and its text must be
+what the generic text writer gives for the same report.
 """
 
 from __future__ import annotations
