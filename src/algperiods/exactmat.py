@@ -22,9 +22,10 @@ own, and ``charpoly`` multiplies them.  Each k-dimensional block is
 reduced to upper Hessenberg form by similarity modulo a prime p, and its
 characteristic polynomial mod p is read off the Hessenberg recurrence.
 Each reduction step pivots on the candidate row with the fewest nonzeros,
-the lowest on a tie, and touches only the pivot row's nonzeros and the
-columns with a nonzero multiplier u: O(nnz(pivot row) * #u + k * #u)
-products mod p, so O(k^3) operations mod p at worst.  Let B be the
+the lowest on a tie.  A column-major copy of the block, kept equal to it,
+lists each column's nonzeros, so a step with #u nonzero multipliers u
+costs O(nnz(pivot row) * #u + sum over cleared i of nnz(column i) + k)
+operations mod p, and a block O(k^3) at worst.  Let B be the
 block's Hadamard bound on the coefficients and t the bit length of 2B.
 For t <= 511 one prime larger than 2B is used, so the block costs one
 pass; a larger bound combines ceil(t/511) or fewer primes above 2^511 by
@@ -264,24 +265,28 @@ def _charpoly_mod(rows, p: int) -> list[int]:
 
     Step j pivots on the row i > j with h_ij != 0 and the fewest nonzeros,
     the lowest such i on a tie, to keep the fill-in low (Markowitz's rule).
-    Only the pivot row's nonzeros and the nonzero multipliers u_i enter the
-    updates, so a step costs O(nnz(pivot row) * #u + k * #u) products mod p,
-    at most O(k^2) on a dense block.
+    A column-major copy ``hc`` of H, written by every update and swap, lists
+    the candidates and each cleared column's nonzeros, so a step costs
+    O(nnz(pivot row) * #u + sum over cleared i of nnz(column i) + k)
+    operations mod p, at most O(k^2) on a dense block.
     """
     n = len(rows)
     h = [[x % p for x in row] for row in rows]
+    hc = [list(column) for column in zip(*h)]  # h by columns, kept equal to h
+    indices = range(n)
     for j in range(n - 2):
         col = j + 1
-        candidates = list(compress(range(col, n), map(operator.itemgetter(j), h[col:])))
+        candidates = list(compress(range(col, n), hc[j][col:]))
         if not candidates:
             continue
         # Rows below j are zero left of column j, so the most zeros is the
         # fewest nonzeros; max keeps the first, lowest, row of a tie.
         pivot = max(candidates, key=lambda i: h[i].count(0))
         if pivot != col:
-            h[pivot], h[col] = h[col], h[pivot]
-            for row in h:
-                row[pivot], row[col] = row[col], row[pivot]
+            for m in h, hc:
+                m[pivot], m[col] = m[col], m[pivot]
+                for line in m:
+                    line[pivot], line[col] = line[col], line[pivot]
         if len(candidates) == 1:  # column j is already reduced
             continue
         top = h[col]
@@ -289,29 +294,26 @@ def _charpoly_mod(rows, p: int) -> list[int]:
         inverse = pow(top[j], -1, p)
         # Row i -= u_i * row col clears column j below the subdiagonal; the
         # inverse similarity then adds sum_i u_i * column i to column col.
-        cleared, us = [], []
+        cleared = []
         for i in candidates:
             row = h[i]
             if i == col or not row[j]:  # the swap may have put a zero at the pivot's index
                 continue
             u = row[j] * inverse % p
             for c in tail:
-                row[c] = (row[c] - u * top[c]) % p
-            row[j] = 0
-            cleared.append(i)
-            us.append(u)
-        if len(us) == 1:  # itemgetter of one index returns the bare entry
-            i, u = cleared[0], us[0]
-            for row in h:
-                x = row[i]
-                if x:
-                    row[col] = (row[col] + u * x) % p
-        elif us:
-            gather = operator.itemgetter(*cleared)
-            for row in h:
-                s = sum(map(operator.mul, us, gather(row)))
-                if s:
-                    row[col] = (row[col] + s) % p
+                row[c] = hc[c][i] = (row[c] - u * top[c]) % p
+            row[j] = hc[j][i] = 0
+            cleared.append((i, u))
+        # Unreduced sums over the cleared columns' nonzeros; a row is touched
+        # exactly when its sum is positive.
+        sums = [0] * n
+        for i, u in cleared:
+            column = hc[i]
+            for r in compress(indices, column):
+                sums[r] += u * column[r]
+        target = hc[col]
+        for r in compress(indices, sums):
+            h[r][col] = target[r] = (target[r] + sums[r]) % p
     polys = [[1]]
     for m in range(1, n + 1):
         prev = polys[-1]
@@ -452,18 +454,20 @@ def form_predicates(a: IntMatrix) -> tuple[bool, bool]:
         return True, True
     g = n // 2
     rows = a.rows
-    upper: dict[tuple[int, int], int] = {}
+    upper: dict[int, int] = {}  # entry (i, j) under the key i * n + j
     for top, bottom, top_nz, bottom_nz in zip(rows[:g], rows[g:], a.nonzero[:g], a.nonzero[g:]):
         pairs = [(j, bottom[j]) for j in bottom_nz]
         for i in top_nz:
             x = top[i]
             for j, y in pairs:
                 if i < j:
-                    upper[i, j] = upper.get((i, j), 0) + x * y
+                    key = i * n + j
+                    upper[key] = upper.get(key, 0) + x * y
                 elif j < i:
-                    upper[j, i] = upper.get((j, i), 0) - x * y
-    entries = {ij: v for ij, v in upper.items() if v}
-    if len(entries) != g or any(j - i != g for i, j in entries):
+                    key = j * n + i
+                    upper[key] = upper.get(key, 0) - x * y
+    entries = {key: v for key, v in upper.items() if v}
+    if len(entries) != g or any(key % n - key // n != g for key in entries):
         return False, False
     signs = set(entries.values())
     return signs == {1}, signs == {-1}

@@ -58,6 +58,7 @@ from algperiods import (
     trace_sequence_from_charpoly,
 )
 from algperiods.cli import _text_lines
+from algperiods.exactmat import _prime
 
 
 def trace(a: IntMatrix) -> int:
@@ -336,6 +337,20 @@ def random_symplectic_pair(rng: random.Random, g: int, count: int = 3):
         s = mat_mul(s, symplectic_transvection(v, lam))
         s_inv = mat_mul(symplectic_transvection(v, -lam), s_inv)
     return s, s_inv
+
+
+def sparse_transvection_conjugate(rng: random.Random, g: int) -> IntMatrix:
+    """S^-1 diag(M, M) S for a signed g x g permutation M and a product S of a few
+    symplectic transvections: a sparse matrix with a few dense rows and columns."""
+    perm = rng.sample(range(g), g)
+    signs = [rng.choice([-1, 1]) for _ in range(g)]
+    m = IntMatrix([[signs[i] if j == perm[i] else 0 for j in range(g)] for i in range(g)])
+    s, s_inv = random_symplectic_pair(rng, g, count=rng.randint(2, 6))
+    return mat_mul(mat_mul(s_inv, block_diag([m, m])), s)
+
+
+# A large Proth prime, and small primes that make entries vanish mid-reduction.
+KERNEL_PRIMES = (_prime(64, 0), 2, 3, 7, 101)
 
 
 def random_antisymplectic_quasiunipotent(rng: random.Random) -> IntMatrix:

@@ -37,6 +37,7 @@ from algperiods import (
 )
 
 from conftest import (
+    KERNEL_PRIMES,
     charpoly_by_faddeev_leverrier,
     charpoly_cofactor,
     form_predicates_by_product,
@@ -48,6 +49,7 @@ from conftest import (
     random_matrix,
     random_symplectic_pair,
     reg,
+    sparse_transvection_conjugate,
     standard_symplectic_form,
     symplectic_transvection,
     trace,
@@ -207,20 +209,6 @@ def test_charpoly_matches_faddeev_leverrier_and_cofactor(monkeypatch):
     assert max(primes_used[: -len(huge)]) >= 2
 
 
-def sparse_transvection_conjugate(rng: random.Random, g: int) -> IntMatrix:
-    """S^-1 diag(M, M) S for a signed g x g permutation M and a product S of a few
-    symplectic transvections: a sparse matrix with a few dense rows and columns."""
-    perm = rng.sample(range(g), g)
-    signs = [rng.choice([-1, 1]) for _ in range(g)]
-    m = IntMatrix([[signs[i] if j == perm[i] else 0 for j in range(g)] for i in range(g)])
-    s, s_inv = random_symplectic_pair(rng, g, count=rng.randint(2, 6))
-    return mat_mul(mat_mul(s_inv, block_diag([m, m])), s)
-
-
-# A large Proth prime, and small primes that make entries vanish mid-reduction.
-KERNEL_PRIMES = (exactmat._prime(64, 0), 2, 3, 7, 101)
-
-
 def test_charpoly_mod_on_sparse_transvection_conjugates():
     """The kernel, on the whole matrix and mod each prime, gives the oracle's residues,
     also under a permutation similarity P^T A P, which pivots on other rows."""
@@ -241,7 +229,7 @@ def test_charpoly_mod_pivot_and_update_cases():
     """Hand-made first steps: each pivot rule and update branch against the cofactor oracle."""
     cases = [
         # Rows 1 and 2 tie at two nonzeros; row 1 is taken, and row 2 is the
-        # one multiplier, so the column update reads a bare itemgetter value.
+        # one multiplier, so the column update walks one cleared column.
         [[1, 2, 0, 0], [3, 0, 1, 0], [4, 0, 0, 1], [0, 1, 0, 0]],
         # Row 1's single nonzero is the pivot, so the rows it clears change only
         # in column 0; rows 2 and 3 are two multipliers.
@@ -254,6 +242,17 @@ def test_charpoly_mod_pivot_and_update_cases():
         [[1, 2, 0, 1, 1], [2, 1, 1, 1, 1], [1, 1, 1, 0, 0], [-1, 0, 2, 1, 0], [3, 0, 0, 0, 0]],
         # Column 0 is zero below row 0: the step is skipped.
         [[1, 2, 3], [0, 4, 5], [0, 6, 7]],
+        # Row 1 clears row 2, and column 1 += column 2 makes h_31 = 1 + 2,
+        # zero mod 3: the column index must record the zero, or step 1 would
+        # list row 3 and pivot on it.
+        [[0, 1, 1, 1], [1, 0, 0, 0], [1, 1, 0, 1], [0, 1, 2, 0]],
+        # Clearing row 2 with the pivot row 1 writes -2 into h_21, where row 2
+        # was zero, so step 1 has two candidates in column 1 and must clear one.
+        [[1, 1, 1, 1], [1, 1, 0, 0], [2, 0, 0, 1], [0, 1, 0, 1]],
+        # Step 1 pivots on row 4 and swaps it with row 2, which moves row 2's
+        # zero into column 1 at index 4; that row is not cleared, but the
+        # column update fills its column 2, so step 2 lists it.
+        [[1, 1, 1, 0, 0], [1, 0, 1, 1, 0], [0, 0, 0, 1, 1], [0, 2, 1, 0, 1], [0, 1, 0, 0, 1]],
     ]
     for rows in cases:
         oracle = charpoly_cofactor(IntMatrix(rows))
@@ -486,6 +485,19 @@ def test_form_predicates_match_the_products():
         rows[i][j] = v
         a = IntMatrix(rows)
         assert form_predicates(a) == form_predicates_by_product(a) == expected, rows
+    # One entry moved at every position (i, j) of a symplectic and an
+    # antisymplectic matrix of each dimension 2-12: every key i * n + j of the
+    # accumulator is hit, so keys that a wrong stride would merge disagree.
+    for g in range(1, 7):
+        s, s_inv = random_symplectic_pair(rng, g, count=rng.randint(1, 4))
+        for base in (s, mat_mul(mat_mul(s_inv, plus_minus_identity(g)), s)):
+            assert form_predicates(base) == form_predicates_by_product(base) != (False, False)
+            for i in range(2 * g):
+                for j in range(2 * g):
+                    rows = [list(row) for row in base.rows]
+                    rows[i][j] += rng.choice([-2, -1, 1, 2])
+                    a = IntMatrix(rows)
+                    assert form_predicates(a) == form_predicates_by_product(a), (rows, i, j)
     assert form_predicates(IntMatrix(())) == (True, True)
     with pytest.raises(OddDimension):
         form_predicates(IntMatrix([[1]]))

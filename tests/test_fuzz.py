@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 
 import pytest
 
@@ -29,6 +30,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import algperiods.exactmat as exactmat
 from algperiods import (
     HomologyModel,
     IntMatrix,
@@ -49,12 +51,16 @@ from algperiods.cli import (
 
 from conftest import (
     JSON_INT_LIMIT,
+    KERNEL_PRIMES,
+    charpoly_by_faddeev_leverrier,
     census_listing_by_objects,
     form_predicates_by_product,
     json_by_dumps,
     mat_mul,
     negated,
     plus_minus_identity,
+    random_matrix,
+    sparse_transvection_conjugate,
     standard_symplectic_form,
     symplectic_transvection,
     text_by_writer,
@@ -522,3 +528,32 @@ def test_fuzz_realize_rows_match_standard_encoder(target, kind, mode):
             "--mode", mode.value]
     sm = realize_target(target, kind, mode)
     check_rows_written(argv, _model_report(sm), [list(row) for row in sm.model.matrix.rows])
+
+
+@st.composite
+def sparse_conjugates(draw):
+    return sparse_transvection_conjugate(draw(st.randoms(use_true_random=False)), draw(st.integers(4, 20)))
+
+
+@st.composite
+def dense_matrices(draw):
+    bound = draw(st.sampled_from([1, 3, 10**6]))
+    return random_matrix(draw(st.randoms(use_true_random=False)), draw(st.integers(2, 16)), -bound, bound)
+
+
+@st.composite
+def permuted(draw, matrices):
+    """P^T A P for a drawn matrix A and a drawn permutation P, the identity among them."""
+    a = draw(matrices)
+    perm = draw(st.permutations(range(a.dim)))
+    return IntMatrix([[a.rows[i][j] for j in perm] for i in perm])
+
+
+@settings(FUZZ, max_examples=100)
+@given(a=permuted(st.one_of(sparse_conjugates(), dense_matrices())))
+def test_fuzz_charpoly_mod_matches_faddeev_leverrier(a):
+    """The kernel's residues mod each of ``KERNEL_PRIMES`` equal the oracle's, on
+    sparse transvection conjugates of dimension 8-40 and on dense matrices."""
+    oracle = charpoly_by_faddeev_leverrier(a)
+    for p in KERNEL_PRIMES:
+        assert exactmat._charpoly_mod(a.rows, p) == [c % p for c in oracle.coeffs], p
