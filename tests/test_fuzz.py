@@ -1,4 +1,5 @@
-"""Fuzz every command through ``cli.main``, and the form check against its oracle.
+"""Fuzz every command through ``cli.main``, and the form check and the charpoly
+kernel against their oracles.
 
 Every zeta, census and certify --dold input must end with exit 0 and a
 JSON report, or exit 1 with one line on stderr; realize may also end with
@@ -9,7 +10,9 @@ one line on stderr.  An exception escaping ``main`` fails the test.  Examples
 are derandomized and the database is off, so runs repeat exactly.  Drawn
 sizes stay where a run takes milliseconds; the caps themselves are
 checked in ``test_cli.py::test_size_caps``.  ``form_predicates`` must agree with
-the dense product A^T Omega A of ``conftest`` on every drawn matrix.  The
+the dense product A^T Omega A of ``conftest`` on every drawn matrix, and
+``exactmat._charpoly_mod`` the Faddeev-LeVerrier residues mod each prime of
+``KERNEL_PRIMES`` on drawn sparse and dense matrices.  The
 matrix rows of a realize or analyze report must be the bytes that the
 standard encoder writes for plain-list rows, and in text the entries of each
 row joined by spaces.  A census listing must hold the rows of
