@@ -243,7 +243,7 @@ def test_charpoly_mod_pivot_and_update_cases():
         # Column 0 is zero below row 0: the step is skipped.
         [[1, 2, 3], [0, 4, 5], [0, 6, 7]],
         # Row 1 clears row 2, and column 1 += column 2 makes h_31 = 1 + 2,
-        # zero mod 3: the column index must record the zero, or step 1 would
+        # zero mod 3: the column copy must record the zero, or step 1 would
         # list row 3 and pivot on it.
         [[0, 1, 1, 1], [1, 0, 0, 0], [1, 1, 0, 1], [0, 1, 2, 0]],
         # Clearing row 2 with the pivot row 1 writes -2 into h_21, where row 2

@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import random
 
 import pytest
 
