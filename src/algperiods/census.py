@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping
+from typing import Dict, Iterator, Mapping, Optional
 
 from .arith import DoldClass
 
@@ -113,35 +113,42 @@ def partition_count(n: int) -> int:
     return ways[n]
 
 
-def _walk(n: int) -> Iterator[list[tuple[int, int]]]:
-    """The partitions of n, each exactly once, in decreasing lexicographic order,
-    from one loop over a stack of (part, multiplicity) levels, largest part first.
+def _walk(n: int, cut: int = 2, top: Optional[int] = None) -> Iterator[tuple[list, int]]:
+    """The partitions of n into parts of at most top (default n), in decreasing
+    lexicographic order, from one loop over a stack of (part, multiplicity)
+    levels, largest part first.
 
-    Yields the live stack, which the next step changes in place.  Only the last
-    level can have part 1.
+    Only the parts of at least cut (>= 2) are stacked.  Each step yields the
+    live stack, which the next step changes in place, and the rest: n less the
+    stacked parts, to be made of parts below cut.  With cut 2 the rest is the
+    number of ones and each partition comes once; with a larger cut each stack
+    comes once, and the partitions it starts are those of its rest into parts
+    below cut, which follow one another in the order above.
     """
-    if n < 1:
-        raise ValueError("enumeration needs a positive integer")
-    stack = [(n, 1)]
+    # start as if one part top + 1 had just been given back
+    stack, rest, part = [], n, min(n, n if top is None else top) + 1
     while True:
-        yield stack
-        freed = stack.pop()[1] if stack[-1][0] == 1 else 0
+        if part > cut:  # the rest as parts part - 1, and what is left as one part
+            copies, rest = divmod(rest, part - 1)
+            stack.append((part - 1, copies))
+            if rest >= cut:
+                stack.append((rest, 1))
+                rest = 0
+        yield stack, rest
         if not stack:
             return
         part, count = stack[-1]
         stack[-1:] = [(part, count - 1)] if count > 1 else []
-        # give back the ones and one part p as parts p - 1 and one remainder
-        copies, rest = divmod(freed + part, part - 1)
-        stack.append((part - 1, copies))
-        if rest:
-            stack.append((rest, 1))
+        rest += part
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, each exactly once, in decreasing lexicographic order."""
-    for stack in _walk(n):
+    if n < 1:
+        raise ValueError("enumeration needs a positive integer")
+    for stack, ones in _walk(n):
         p = Partition.__new__(Partition)  # the stack is valid and its parts decrease
-        p._parts = dict(reversed(stack))
+        p._parts = dict([(1, ones), *reversed(stack)] if ones else reversed(stack))
         yield p
 
 

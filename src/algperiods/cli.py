@@ -10,14 +10,17 @@ holds the library's own records as they are: Dold classes, factorizations and
 canonical forms as dicts with integer keys, certificates and pieces as their
 attribute dicts (``vars``), zeta factors as ``_asdict()``.  The writers only
 read them: both turn keys into strings and sort them as strings, so "10"
-comes before "5".  One recursive pass writes the bytes of
-``json.dumps(sort_keys=True, indent=2)`` on the string-keyed report, with no
-converted copy and one join per list of plain integers.  Two row writers
-skip that pass: a census listing is written from the levels of the partition
-walk, each level formatted once and a row's levels joined with no object
-built, and a matrix's rows are written from its nonzero index, a run of zeros
-by one string repetition, so about one nonzero per row costs O(dim) Python
-steps.
+comes before "5".  A report goes to standard output in pieces and is never
+one string: JSON in the bytes of ``json.dumps(sort_keys=True, indent=2)`` on
+the string-keyed report, with no converted copy, a dict field by field and a
+list of plain integers in one join; text line by line.  Two row writers hand
+over their rows a batch at a time.  A census listing comes one block at a
+time, the rows that share their parts of at least _CUT: each row is one
+f-string of the block's stack texts and an entry of a suffix table made for
+the call, with no object built.  A matrix comes _ROW_BATCH rows at a time
+from its nonzero index, a run of zeros by one string repetition, so about one
+nonzero per row costs O(dim) Python steps.  A write that fails ends the run
+with what was written so far, a prefix of the report.
 
 Stable exit codes:
 
@@ -41,7 +44,7 @@ import functools
 import json
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -136,66 +139,100 @@ class _Parser(argparse.ArgumentParser):
             (file or sys.stderr).flush()
 
 
+# A census listing stacks the parts of at least _CUT and takes the parts below it,
+# with their dold keys "1" to "4", from tables; 5 measured faster than 4.
+_CUT = 5
+
+
 class _CensusRows:
     """The rows of a census listing, one per partition of the genus in the order
     of the partition walk, written straight to JSON or text with the bytes that a
     payload dict per row would give, {"dold": {str(n): a_n}, "partition": [parts
     in decreasing order]}, with no Partition, DoldClass or dict built.
 
-    Each distinct level (part, count) of the walk's stack is formatted once: its
-    parts, each after a separator, and its dold entry '"n": a_n'.  For the part-1
-    level that entry is a_1 = 2 + scale * p_1, and none when it is zero; with no
-    ones, a_1 = 2.  A row joins the cached texts of its levels and sorts its few
-    entries: they sort as their keys do, since '"' sorts below every digit, and
-    "1" sorts first.  Text writes the entries without the quotes.  Parts and
-    coefficients stay below twice the genus cap, far below 2^53, so every number
-    is written bare."""
+    The walk yields each stack of the parts >= _CUT once, with its rest.  The rows
+    that stack starts form one block: one row per entry of the table of suffixes
+    of its rest, the partitions of the rest into parts below _CUT in walk order.
+    An entry holds its dold texts for the keys 1 to _CUT - 1 (a_1 = 2 + scale *
+    p_1, none when zero, as every 1 is in the suffix; a_n = scale * p_n) and its
+    parts, each text after its separator.  Dold keys sort as strings, so the
+    suffix key d goes just before the stack's keys that start with the digit d:
+    a block splits its stack's entries into one bucket per first digit, and each
+    row is one f-string with the suffix's texts between the buckets.  Tables and
+    level texts are made per call, and a table never holds more entries than
+    the rows the limit still allows.  Text writes the entries without quotes.
+    Parts and coefficients stay below twice the genus cap, far below 2^53, so
+    every number is written bare."""
 
     __slots__ = ("genus", "scale", "limit")
 
     def __init__(self, genus: int, correspondence: str, limit: Optional[int]):
         self.genus, self.scale, self.limit = genus, _SCALES[correspondence], limit
 
-    def _rows(self, sep: str):
-        """(partition text joined by sep, sorted dold entries) for each row."""
-        levels = {}  # (part, count) -> (its parts, each after a sep; its entry or None)
-        for stack in islice(_walk(self.genus), self.limit):
-            text, row = "", []
+    def _blocks(self, item: str, json: bool):
+        """(buckets, stack parts, table) for each block, in the layout of JSON or
+        text items at indent item.  In JSON the key-1 text follows the opening
+        brace of the map.  The stack parts start bare, as do the entry parts of
+        the table of the empty stack, which is the last block."""
+        cell = item + "    "
+        sep = "," + cell if json else "\n" + cell
+        quote, first, part_sep = ('"', cell, sep) if json else ("", sep, " ")
+        scale, tables, levels = self.scale, {}, {}
+        left = sys.maxsize if self.limit is None else self.limit
+        for stack, rest in _walk(self.genus, _CUT):
+            if not left:
+                return
+            table = tables.get(rest)
+            if table is None:
+                table = tables[rest] = []
+                for suffix, ones in islice(_walk(rest, 2, _CUT - 1), left):
+                    a1 = _A1_SHIFT + scale * ones
+                    dold = [f"{first}{quote}1{quote}: {a1}" if a1 else ""] + [""] * (_CUT - 2)
+                    parts = ""
+                    for part, count in suffix:
+                        dold[part - 1] = f"{sep}{quote}{part}{quote}: {scale * count}"
+                        parts += (part_sep + str(part)) * count
+                    parts += (part_sep + "1") * ones
+                    table.append((*dold, parts if stack else parts[len(part_sep) :]))
+            table = table[:left] if len(table) > left else table
+            left -= len(table)
             for level in stack:
-                cached = levels.get(level)
-                if cached is None:
+                if level not in levels:
                     part, count = level
-                    a = self.scale * count + (_A1_SHIFT if part == 1 else 0)
-                    entry = f'"{part}": {a}' if a else None
-                    cached = levels[level] = ((sep + str(part)) * count, entry)
-                piece, entry = cached
-                text += piece
-                if entry:
-                    row.append(entry)
-            row.sort()
-            if stack[-1][0] != 1:
-                row.insert(0, f'"1": {_A1_SHIFT}')
-            yield text[len(sep) :], row
+                    key = str(part)
+                    slot = min(int(key[0]), _CUT - 1) - 1
+                    entry = f"{sep}{quote}{key}{quote}: {scale * count}"
+                    levels[level] = (key, slot, entry, (part_sep + key) * count)
+            texts = [levels[level] for level in stack]
+            buckets = [""] * (_CUT - 1)
+            for _, slot, entry, _ in sorted(texts):
+                buckets[slot] += entry
+            yield buckets, "".join([text[3] for text in texts])[len(part_sep) :], table
 
-    def json(self, item: str) -> list[str]:
-        field, cell = item + "  ", item + "    "
-        sep = "," + cell
-        head, tail = "{" + field + '"dold": ', field + "]" + item + "}"
-        middle = "," + field + '"partition": [' + cell
-        out = []
-        for parts, row in self._rows(sep):
-            dold = "{" + cell + sep.join(row) + field + "}" if row else "{}"
-            out.append(head + dold + middle + parts + tail)
-        return out
+    def json(self, item: str):
+        """The rows as JSON items joined by commas, one block at a time."""
+        field = item + "  "
+        head, close, tail = "{" + field + '"dold": {', field + "}", field + "]" + item + "}"
+        mid, rows_sep = "," + field + '"partition": [' + item + "    ", "," + item
+        for (b1, b2, b3, b4), pp, table in self._blocks(item, True):
+            yield rows_sep.join([
+                f"{head}{s1}{b1}{s2}{b2}{s3}{b3}{s4}{b4}{close}{mid}{pp}{parts}{tail}" if s1
+                # no key 1: the first text in the map loses its comma, and an empty map its lines
+                else f"{head}{d[1:] + close if (d := b1 + s2 + b2 + s3 + b3 + s4 + b4) else '}'}"
+                f"{mid}{pp}{parts}{tail}"
+                for s1, s2, s3, s4, parts in table
+            ])
 
-    def text_lines(self, item: str) -> list[str]:
-        """One text per row, its lines joined by newlines."""
-        field, line = item + "  ", "\n" + item + "    "
-        out = []
-        for i, (parts, row) in enumerate(self._rows(" ")):
-            dold = (line + line.join(row)).replace('"', "") if row else ""
-            out.append(f"{item}[{i}]:\n{field}dold:{dold}\n{field}partition: [{parts}]")
-        return out
+    def text_lines(self, item: str):
+        """The rows as text, their lines joined by newlines, one block at a time."""
+        field, start = item + "  ", 0
+        for (b1, b2, b3, b4), pp, table in self._blocks(item, False):
+            yield "\n".join([
+                f"{item}[{i}]:\n{field}dold:{s1}{b1}{s2}{b2}{s3}{b3}{s4}{b4}\n"
+                f"{field}partition: [{pp}{parts}]"
+                for i, (s1, s2, s3, s4, parts) in enumerate(table, start)
+            ])
+            start += len(table)
 
 
 class _MatrixRows:
@@ -224,12 +261,26 @@ class _MatrixRows:
             parts.append(zero * (len(row) - start))
             yield "".join(parts)[: -len(sep)]
 
-    def json(self, item: str) -> list[str]:
+    def json(self, item: str):
+        """The rows as JSON items joined by commas, _ROW_BATCH rows at a time."""
         cell = item + "  "
-        return [f"[{cell}{r}{item}]" for r in self._row_texts("," + cell, True)]
+        rows = (f"[{cell}{r}{item}]" for r in self._row_texts("," + cell, True))
+        return _batches(rows, "," + item)
 
-    def text_lines(self, item: str) -> list[str]:
-        return [f"{item}[{i}]: [{r}]" for i, r in enumerate(self._row_texts(" ", False))]
+    def text_lines(self, item: str):
+        """The rows as text lines joined by newlines, _ROW_BATCH rows at a time."""
+        rows = (f"{item}[{i}]: [{r}]" for i, r in enumerate(self._row_texts(" ", False)))
+        return _batches(rows, "\n")
+
+
+_ROW_WRITERS = (_CensusRows, _MatrixRows)
+_ROW_BATCH = 64
+
+
+def _batches(rows, sep: str):
+    """The row texts joined by sep, _ROW_BATCH rows to a text."""
+    while batch := sep.join(islice(rows, _ROW_BATCH)):  # a row text is never empty
+        yield batch
 
 
 def _json_text(value: Any, pad: str = "\n") -> str:
@@ -238,49 +289,76 @@ def _json_text(value: Any, pad: str = "\n") -> str:
         return encode_basestring_ascii(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return int.__repr__(value) if abs(value) <= _JSON_INT_LIMIT else f'"{value}"'
-    inner = pad + "  "
     if isinstance(value, dict) and value:
-        d = {str(k): v for k, v in value.items()}
-        body = (f"{encode_basestring_ascii(k)}: {_json_text(d[k], inner)}" for k in sorted(d))
-        return "{" + inner + ("," + inner).join(body) + pad + "}"
+        return "".join(_json_pieces(value, pad))
     if isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
         plain = set(map(type, value)) == {int} and max(map(abs, value)) <= _JSON_INT_LIMIT
         body = map(int.__repr__, value) if plain else (_json_text(x, inner) for x in value)
         return "[" + inner + ("," + inner).join(body) + pad + "]"
-    if isinstance(value, (_CensusRows, _MatrixRows)):  # row writers give the items
-        items = value.json(inner)
-        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     return json.dumps(value)  # empty containers, bool, None, float; others raise TypeError
 
 
-def _text_lines(key: str, value: Any, indent: int) -> list[str]:
+def _json_pieces(value: Any, pad: str = "\n"):
+    """The JSON text of a nonempty dict or a row writer, in pieces: a dict field
+    by field, a nested dict or row writer again in pieces, and a row writer's
+    items one batch at a time."""
+    inner = pad + "  "
+    if isinstance(value, _ROW_WRITERS):
+        opener = "["
+        for batch in value.json(inner):
+            yield opener + inner
+            yield batch
+            opener = ","
+        yield "[]" if opener == "[" else pad + "]"
+        return
+    d = {str(k): v for k, v in value.items()}
+    opener = "{"
+    for k in sorted(d):
+        v = d[k]
+        key = f"{opener}{inner}{encode_basestring_ascii(k)}: "
+        opener = ","
+        if isinstance(v, _ROW_WRITERS) or isinstance(v, dict) and v:
+            yield key
+            yield from _json_pieces(v, inner)
+        else:
+            yield key + _json_text(v, inner)
+    yield pad + "}"
+
+
+def _text_lines(key: str, value: Any, indent: int):
+    """The text lines of one field; a row writer's lines come a batch at a time."""
     pad = "  " * indent
     if isinstance(value, dict):
-        lines = [f"{pad}{key}:"]
+        yield f"{pad}{key}:"
         for k in sorted(value, key=str):
-            lines.extend(_text_lines(str(k), value[k], indent + 1))
-        return lines
-    if isinstance(value, (list, tuple)):
+            yield from _text_lines(str(k), value[k], indent + 1)
+    elif isinstance(value, (list, tuple)):
         if all(not isinstance(x, (dict, list, tuple)) for x in value):
-            return [f"{pad}{key}: [" + " ".join(str(x) for x in value) + "]"]
-        lines = [f"{pad}{key}:"]
-        for i, x in enumerate(value):
-            lines.extend(_text_lines(f"[{i}]", x, indent + 1))
-        return lines
-    if isinstance(value, (_CensusRows, _MatrixRows)):
-        lines = value.text_lines(pad + "  ")
-        return [f"{pad}{key}:", *lines] if lines else [f"{pad}{key}: []"]
-    return [f"{pad}{key}: {value}"]
+            yield f"{pad}{key}: [" + " ".join(str(x) for x in value) + "]"
+        else:
+            yield f"{pad}{key}:"
+            for i, x in enumerate(value):
+                yield from _text_lines(f"[{i}]", x, indent + 1)
+    elif isinstance(value, _ROW_WRITERS):
+        head = f"{pad}{key}:"
+        for batch in value.text_lines(pad + "  "):
+            yield f"{head}\n{batch}" if head else batch
+            head = ""
+        if head:
+            yield head + " []"
+    else:
+        yield f"{pad}{key}: {value}"
 
 
 def _emit(report: Dict[str, Any], fmt: str) -> None:
+    """Write the report to stdout in pieces, a row writer's rows a batch at a time."""
     if fmt == "json":
-        print(_json_text(report))
+        pieces = chain(_json_pieces(report), ["\n"])
     else:
-        lines = []
-        for key in sorted(report):
-            lines.extend(_text_lines(key, report[key], 0))
-        print("\n".join(lines))
+        fields = (_text_lines(key, report[key], 0) for key in sorted(report))
+        pieces = (f"{lines}\n" for field in fields for lines in field)
+    sys.stdout.writelines(pieces)
 
 
 def _size(text: str) -> int:
@@ -668,7 +746,7 @@ def build_parser() -> _Parser:
         "--list-partitions",
         action="store_true",
         help=f"list partitions with their Dold classes; at most {MAX_LISTED_PARTITIONS} may be"
-        " listed (genus 41, 44,583 partitions: 0.4 s and 13 MB as JSON, 0.3 s and 5.4 MB as text)",
+        " listed (genus 41, 44,583 partitions: 0.17 s and 13 MB as JSON, 0.15 s and 5.4 MB as text)",
     )
     census_p.add_argument(
         "--correspondence", choices=["orientable", "nonorientable"], default="orientable"

@@ -302,6 +302,111 @@ def test_census_listing_builds_no_partition_or_dold_class(capsys):
         assert code == 0 and "partition" in out and calls == [], argv
 
 
+def test_census_listing_across_digit_boundaries():
+    """Dold keys sort as strings, so a suffix key such as "1" or "4" sits between
+    the multi-digit keys of the parts above it.  Genera next to 10, 100, 1000
+    and 10,000, and genus 120, whose rows from about the 2,100th on hold both
+    "100" and a key from "10" to "19"; both correspondences, limits that end
+    inside a block of rows sharing their parts >= _CUT, and full listings down
+    to the all-small-parts tail; in JSON and text, against the library's rows."""
+    from algperiods.cli import _CUT, _CensusRows, _json_pieces
+
+    def stack(row):
+        return [part for part in row["partition"] if part >= _CUT]
+
+    cuts_inside = 0
+    for genus in (9, 10, 11, 12, 30, 99, 100, 101, 120, 999, 1000, 1001, 9999, 10_000, 10_001):
+        for correspondence in ("orientable", "nonorientable"):
+            limits = {30: (None,), 120: (2400,)}.get(genus, (1, 2, 37, 800))
+            for limit in limits:
+                expected = census_listing_by_objects(genus, correspondence, limit)
+                following = census_listing_by_objects(genus, correspondence, (limit or 0) + 1)
+                if limit and len(following) > limit:
+                    cuts_inside += stack(following[limit - 1]) == stack(following[limit])
+                rows = _CensusRows(genus, correspondence, limit)
+                report = {"partitions": rows}
+                text = "".join(_json_pieces(report))
+                assert text == json_by_dumps({"partitions": expected}), (genus, correspondence, limit)
+                assert text_by_writer(report) == text_by_writer({"partitions": expected})
+    assert cuts_inside >= 20
+
+
+def test_census_listing_leaves_no_reference_cycles(capsys):
+    """A listing makes no reference cycle, which would outlive the call until a
+    full collection, and caches nothing across calls: with the collector off,
+    gc.collect() finds no more unreachable objects after a listing than after a
+    census without one, and after the 44,583 rows of genus 41 in JSON and text
+    less than 1 MB stays traced to the package's files.  What stays is CPython's
+    free lists, up to 2,000 tuples of each small size (about 0.16 MB here); the
+    suffix tables of those two listings, kept across calls, would be 5 MB."""
+    import gc
+    import tracemalloc
+
+    census = ["census", "--genus", "40"]
+    listing = census + ["--list-partitions", "--limit", "3000"]
+
+    def unreachable_after(argv):
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(capsys, argv)[0] == 0
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    unreachable_after(census)  # a first run leaves garbage of its own
+    baseline = unreachable_after(census)
+    for fmt in ("json", "text"):
+        assert unreachable_after(listing + ["--format", fmt]) <= baseline, fmt
+    tracemalloc.start()
+    try:
+        for fmt in ("json", "text"):
+            assert run(capsys, ["census", "--genus", "41", "--list-partitions", "--format", fmt])[0] == 0
+        package = tracemalloc.Filter(True, str(Path(main.__code__.co_filename).parent / "*"))
+        kept = tracemalloc.take_snapshot().filter_traces([package]).traces
+    finally:
+        tracemalloc.stop()
+    assert sum(trace.size for trace in kept) < 1_000_000
+
+
+def test_output_failing_mid_listing_ends_in_one_line(capsys, monkeypatch):
+    """The report is written in pieces, so a device that fills up in the middle
+    of a listing fails at a write there: the run exits 1 with one line on
+    stderr, and what was written before is a prefix of the whole report."""
+
+    class FillingStream(io.StringIO):
+        """Takes `room` writes, then fails each with ENOSPC."""
+
+        def __init__(self, room):
+            super().__init__()
+            self.room, self.writes = room, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > self.room:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return super().write(text)
+
+    def run_into(stream, argv):
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stream)
+            return main(argv)
+
+    for fmt in ("json", "text"):
+        argv = ["census", "--genus", "25", "--list-partitions", "--format", fmt]
+        code, whole, _ = run(capsys, argv)
+        counting = FillingStream(sys.maxsize)
+        assert code == 0 and run_into(counting, argv) == 0 and counting.getvalue() == whole
+        assert counting.writes > 20, counting.writes
+        for room in (0, 1, 5, counting.writes // 2, counting.writes - 1):
+            stream = FillingStream(room)
+            assert run_into(stream, argv) == 1, (fmt, room)
+            assert capsys.readouterr().err == "output error: No space left on device\n"
+            written = stream.getvalue()
+            assert whole.startswith(written) and len(written) < len(whole), (fmt, room)
+            assert written or room == 0
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # (name, argv, exit code, stderr) for each failure path; {golden} stands for the
@@ -603,7 +708,8 @@ def test_closed_or_full_stdout_ends_in_one_line():
     assert err == "output error: Broken pipe\n"
     if not Path("/dev/full").exists():
         return
-    # The big listing fails inside print, a small report only at the final flush.
+    # The listing fails at a write in the middle of the report, a small report
+    # only at the final flush.
     for args in (argv, argv[:6]):
         with open("/dev/full", "w") as full:
             done = subprocess.run(args, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
