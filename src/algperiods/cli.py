@@ -12,15 +12,19 @@ attribute dicts (``vars``), zeta factors as ``_asdict()``.  The writers only
 read them: both turn keys into strings and sort them as strings, so "10"
 comes before "5".  A report goes to standard output in pieces and is never
 one string: JSON in the bytes of ``json.dumps(sort_keys=True, indent=2)`` on
-the string-keyed report, with no converted copy, a dict field by field and a
-list of plain integers in one join; text line by line.  Two row writers hand
-over their rows a batch at a time.  A census listing comes one block at a
-time, the rows that share their parts of at least _CUT: each row is one
-f-string of the block's stack texts and an entry of a suffix table made for
-the call, with no object built.  A matrix comes _ROW_BATCH rows at a time
-from its nonzero index, a run of zeros by one string repetition, so about one
-nonzero per row costs O(dim) Python steps.  A write that fails ends the run
-with what was written so far, a prefix of the report.
+the string-keyed report, with no converted copy, from one recursive writer,
+``_json_pieces``, a dict field by field; text line by line.  Each of the two
+row writers has one method, ``rows(item, json)``, that hands over its rows
+in batches of item texts, and the two emitters own all framing: the JSON
+writer joins a batch with commas inside one bracket pair, as it does the
+items of a plain list, and the text writer puts each item after its running
+index "[i]:".  A census listing comes one block at a time, the rows that
+share their parts of at least _CUT: each row is one f-string of the block's
+stack texts and an entry of a suffix table made for the call, with no object
+built.  A matrix comes _ROW_BATCH rows at a time from its nonzero index, a
+run of zeros by one string repetition, so about one nonzero per row costs
+O(dim) Python steps.  A write that fails ends the run with what was written
+so far, a prefix of the report.
 
 Stable exit codes:
 
@@ -50,7 +54,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from .arith import DoldClass
-from .census import _A1_SHIFT, _SCALES, _walk, census, partition_count
+from .census import _A1_SHIFT, _SCALES, _walk, census
 from .exactmat import DimensionMismatch, IntMatrix
 from .lefschetz import (
     Analysis,
@@ -209,30 +213,23 @@ class _CensusRows:
                 buckets[slot] += entry
             yield buckets, "".join([text[3] for text in texts])[len(part_sep) :], table
 
-    def json(self, item: str):
-        """The rows as JSON items joined by commas, one block at a time."""
+    def rows(self, item: str, json: bool):
+        """The rows in batches of item texts, one block to a batch: in JSON a
+        row's map, in text the lines that follow the row's index."""
         field = item + "  "
-        head, close, tail = "{" + field + '"dold": {', field + "}", field + "]" + item + "}"
-        mid, rows_sep = "," + field + '"partition": [' + item + "    ", "," + item
-        for (b1, b2, b3, b4), pp, table in self._blocks(item, True):
-            yield rows_sep.join([
-                f"{head}{s1}{b1}{s2}{b2}{s3}{b3}{s4}{b4}{close}{mid}{pp}{parts}{tail}" if s1
-                # no key 1: the first text in the map loses its comma, and an empty map its lines
+        head, close, mid, tail = (
+            ("{" + field + '"dold": {', field + "}", "," + field + '"partition": [' + item + "    ",
+             field + "]" + item + "}")
+            if json else ("\n" + field + "dold:", "", "\n" + field + "partition: [", "]")
+        )
+        for (b1, b2, b3, b4), pp, table in self._blocks(item, json):
+            yield [
+                f"{head}{s1}{b1}{s2}{b2}{s3}{b3}{s4}{b4}{close}{mid}{pp}{parts}{tail}" if s1 or not json
+                # JSON with no key 1: the first text in the map loses its comma, and an empty map its lines
                 else f"{head}{d[1:] + close if (d := b1 + s2 + b2 + s3 + b3 + s4 + b4) else '}'}"
                 f"{mid}{pp}{parts}{tail}"
                 for s1, s2, s3, s4, parts in table
-            ])
-
-    def text_lines(self, item: str):
-        """The rows as text, their lines joined by newlines, one block at a time."""
-        field, start = item + "  ", 0
-        for (b1, b2, b3, b4), pp, table in self._blocks(item, False):
-            yield "\n".join([
-                f"{item}[{i}]:\n{field}dold:{s1}{b1}{s2}{b2}{s3}{b3}{s4}{b4}\n"
-                f"{field}partition: [{pp}{parts}]"
-                for i, (s1, s2, s3, s4, parts) in enumerate(table, start)
-            ])
-            start += len(table)
+            ]
 
 
 class _MatrixRows:
@@ -246,84 +243,65 @@ class _MatrixRows:
     def __init__(self, matrix: IntMatrix):
         self.matrix = matrix
 
-    def _row_texts(self, sep: str, quote: bool):
-        zero = "0" + sep
-        limit = _JSON_INT_LIMIT
-        for row, cols in zip(self.matrix.rows, self.matrix.nonzero):
-            parts = []
-            start = 0
-            for j in cols:
-                if j > start:
-                    parts.append(zero * (j - start))
-                x = row[j]
-                parts.append(f'"{x}"{sep}' if quote and not -limit <= x <= limit else f"{x}{sep}")
-                start = j + 1
-            parts.append(zero * (len(row) - start))
-            yield "".join(parts)[: -len(sep)]
-
-    def json(self, item: str):
-        """The rows as JSON items joined by commas, _ROW_BATCH rows at a time."""
+    def rows(self, item: str, json: bool):
+        """The rows in batches of _ROW_BATCH item texts: in JSON a row's list, in
+        text the bracketed entries that follow the row's index."""
         cell = item + "  "
-        rows = (f"[{cell}{r}{item}]" for r in self._row_texts("," + cell, True))
-        return _batches(rows, "," + item)
-
-    def text_lines(self, item: str):
-        """The rows as text lines joined by newlines, _ROW_BATCH rows at a time."""
-        rows = (f"{item}[{i}]: [{r}]" for i, r in enumerate(self._row_texts(" ", False)))
-        return _batches(rows, "\n")
+        sep, head, tail = ("," + cell, "[" + cell, item + "]") if json else (" ", " [", "]")
+        zero, limit = "0" + sep, _JSON_INT_LIMIT
+        rows = zip(self.matrix.rows, self.matrix.nonzero)
+        while batch := list(islice(rows, _ROW_BATCH)):
+            texts = []
+            for row, cols in batch:
+                parts, start = [head], 0
+                for j in cols:
+                    if j > start:
+                        parts.append(zero * (j - start))
+                    x = row[j]
+                    parts.append(f'"{x}"{sep}' if json and not -limit <= x <= limit else f"{x}{sep}")
+                    start = j + 1
+                parts.append(zero * (len(row) - start))
+                texts.append("".join(parts)[: -len(sep)] + tail)
+            yield texts
 
 
 _ROW_WRITERS = (_CensusRows, _MatrixRows)
 _ROW_BATCH = 64
 
 
-def _batches(rows, sep: str):
-    """The row texts joined by sep, _ROW_BATCH rows to a text."""
-    while batch := sep.join(islice(rows, _ROW_BATCH)):  # a row text is never empty
-        yield batch
-
-
-def _json_text(value: Any, pad: str = "\n") -> str:
-    """``value`` as JSON with two-space indent; ``pad`` is the newline and indent of its level."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value) if abs(value) <= _JSON_INT_LIMIT else f'"{value}"'
-    if isinstance(value, dict) and value:
-        return "".join(_json_pieces(value, pad))
-    if isinstance(value, (list, tuple)) and value:
-        inner = pad + "  "
-        plain = set(map(type, value)) == {int} and max(map(abs, value)) <= _JSON_INT_LIMIT
-        body = map(int.__repr__, value) if plain else (_json_text(x, inner) for x in value)
-        return "[" + inner + ("," + inner).join(body) + pad + "]"
-    return json.dumps(value)  # empty containers, bool, None, float; others raise TypeError
-
-
 def _json_pieces(value: Any, pad: str = "\n"):
-    """The JSON text of a nonempty dict or a row writer, in pieces: a dict field
-    by field, a nested dict or row writer again in pieces, and a row writer's
-    items one batch at a time."""
+    """``value`` as JSON with two-space indent, in pieces; ``pad`` is the newline
+    and indent of its level.  A dict comes field by field, and a list or a row
+    writer a batch of items at a time: a list is one batch, a row writer hands
+    over its own."""
     inner = pad + "  "
-    if isinstance(value, _ROW_WRITERS):
+    if isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
+        yield int.__repr__(value) if abs(value) <= _JSON_INT_LIMIT else f'"{value}"'
+    elif isinstance(value, dict) and value:
+        d = {str(k): v for k, v in value.items()}
+        opener = "{"
+        for k in sorted(d):
+            yield f"{opener}{inner}{encode_basestring_ascii(k)}: "
+            yield from _json_pieces(d[k], inner)
+            opener = ","
+        yield pad + "}"
+    elif isinstance(value, _ROW_WRITERS) or isinstance(value, (list, tuple)) and value:
+        if isinstance(value, _ROW_WRITERS):
+            batches = value.rows(inner, True)
+        elif set(map(type, value)) == {int} and max(map(abs, value)) <= _JSON_INT_LIMIT:
+            batches = [map(int.__repr__, value)]
+        else:
+            batches = [["".join(_json_pieces(x, inner)) for x in value]]
         opener = "["
-        for batch in value.json(inner):
+        for batch in map(("," + inner).join, batches):  # drops a batch's items before writing it
             yield opener + inner
             yield batch
             opener = ","
         yield "[]" if opener == "[" else pad + "]"
-        return
-    d = {str(k): v for k, v in value.items()}
-    opener = "{"
-    for k in sorted(d):
-        v = d[k]
-        key = f"{opener}{inner}{encode_basestring_ascii(k)}: "
-        opener = ","
-        if isinstance(v, _ROW_WRITERS) or isinstance(v, dict) and v:
-            yield key
-            yield from _json_pieces(v, inner)
-        else:
-            yield key + _json_text(v, inner)
-    yield pad + "}"
+    else:
+        yield json.dumps(value)  # empty containers, bool, None, float; others raise TypeError
 
 
 def _text_lines(key: str, value: Any, indent: int):
@@ -341,12 +319,12 @@ def _text_lines(key: str, value: Any, indent: int):
             for i, x in enumerate(value):
                 yield from _text_lines(f"[{i}]", x, indent + 1)
     elif isinstance(value, _ROW_WRITERS):
-        head = f"{pad}{key}:"
-        for batch in value.text_lines(pad + "  "):
-            yield f"{head}\n{batch}" if head else batch
-            head = ""
-        if head:
-            yield head + " []"
+        item, head, i = pad + "  ", f"{pad}{key}:\n", 0
+        for batch in value.rows(item, False):
+            yield head + "\n".join([f"{item}[{j}]:{text}" for j, text in enumerate(batch, i)])
+            head, i = "", i + len(batch)
+        if not i:
+            yield f"{pad}{key}: []"
     else:
         yield f"{pad}{key}: {value}"
 
@@ -619,13 +597,13 @@ def _cmd_census(args) -> int:
         raise _UsageError(f"--genus {args.genus} is above the cap of {MAX_GENUS}")
     if args.limit is not None and args.limit < 0:
         raise _UsageError("--limit must be nonnegative")
+    rep = census(args.genus)
     if args.list_partitions and (args.limit is None or args.limit > MAX_LISTED_PARTITIONS):
-        if partition_count(args.genus) > MAX_LISTED_PARTITIONS:
+        if rep.exact_count > MAX_LISTED_PARTITIONS:
             raise _UsageError(
                 f"--list-partitions would list P({args.genus}) partitions, above the cap of"
                 f" {MAX_LISTED_PARTITIONS}; pass --limit K with K <= {MAX_LISTED_PARTITIONS}"
             )
-    rep = census(args.genus)
     report: Dict[str, Any] = {
         "genus": rep.genus,
         "exact_count": rep.exact_count,

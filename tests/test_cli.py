@@ -302,6 +302,41 @@ def test_census_listing_builds_no_partition_or_dold_class(capsys):
         assert code == 0 and "partition" in out and calls == [], argv
 
 
+def test_census_counts_the_genus_once(capsys):
+    """A census request counts P(genus) once, also when a listing without a
+    limit, or with one above the cap, is checked against the listing cap.  A
+    profile hook sees every call, under whatever name the caller holds."""
+    counted = importlib.import_module("algperiods.census").partition_count.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is counted:
+            calls.append(frame.f_locals["n"])
+
+    over = str(MAX_LISTED_PARTITIONS + 1)
+    cases = [
+        (["census", "--genus", "30"], 0),
+        (["census", "--genus", "30", "--list-partitions"], 0),
+        (["census", "--genus", "30", "--list-partitions", "--limit", "3"], 0),
+        (["census", "--genus", "30", "--list-partitions", "--limit", over, "--format", "text"], 0),
+        (["census", "--genus", "42", "--list-partitions"], 1),
+        (["census", "--genus", "42", "--list-partitions", "--limit", over], 1),
+    ]
+    for argv, exit_code in cases:
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            code, out, err = run(capsys, argv)
+        finally:
+            sys.setprofile(None)
+        assert code == exit_code and calls == [int(argv[2])], argv
+        if exit_code:
+            assert out == "" and err == (
+                "usage error: --list-partitions would list P(42) partitions, above the cap of"
+                f" {MAX_LISTED_PARTITIONS}; pass --limit K with K <= {MAX_LISTED_PARTITIONS}\n"
+            ), argv
+
+
 def test_census_listing_across_digit_boundaries():
     """Dold keys sort as strings, so a suffix key such as "1" or "4" sits between
     the multi-digit keys of the parts above it.  Genera next to 10, 100, 1000
@@ -901,7 +936,7 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
         if expected[2]:
             readers.add("form_predicates")
         if argv[0] != "certify":
-            readers.add("_row_texts")
+            readers.add("rows")  # _MatrixRows.rows
         if argv[0] == "realize":
             readers.add("block_diag")
         assert {name for name, _, _ in reads} == readers, argv
@@ -1003,15 +1038,36 @@ def random_payload(rng, depth=0):
 
 
 def test_json_writer_matches_standard_encoder():
-    from algperiods.cli import _json_text
+    from algperiods.cli import _CensusRows, _MatrixRows, _json_pieces
+
+    def json_text(value):
+        return "".join(_json_pieces(value))
 
     rng = random.Random(71)
     for _ in range(400):
         payload = {str(i): random_payload(rng) for i in range(rng.randint(0, 4))}
-        assert _json_text(payload) == json_by_dumps(payload), payload
-    assert _json_text({2: "two", 10: "ten"}) == '{\n  "10": "ten",\n  "2": "two"\n}'
-    assert _json_text([2**53, -(2**53), 2**53 + 1]) == (
+        assert json_text(payload) == json_by_dumps(payload), payload
+    assert json_text({2: "two", 10: "ten"}) == '{\n  "10": "ten",\n  "2": "two"\n}'
+    assert json_text([2**53, -(2**53), 2**53 + 1]) == (
         '[\n  9007199254740992,\n  -9007199254740992,\n  "9007199254740993"\n]'
     )
     with pytest.raises(TypeError):
-        _json_text({"a": object()})
+        json_text({"a": object()})
+
+    # both row writers, empty and not, nested in dicts and lists next to plain
+    # values; 65 matrix rows are two batches
+    rows = [[0] * 65 for _ in range(65)]
+    for i in range(0, 65, 3):
+        rows[i][i * 7 % 65] = (-1) ** i * (2**53 + i)
+    listing = census_listing_by_objects(7, "orientable", 4)
+    payload = {
+        "a": [_MatrixRows(IntMatrix([])), 3, {"m": _MatrixRows(IntMatrix(rows)), "s": "x"}],
+        "c": {"none": _CensusRows(7, "orientable", 0), "some": [None, _CensusRows(7, "orientable", 4)]},
+        "z": [2**60, -1],
+    }
+    plain = {
+        "a": [[], 3, {"m": rows, "s": "x"}],
+        "c": {"none": [], "some": [None, listing]},
+        "z": [2**60, -1],
+    }
+    assert json_text(payload) == json_by_dumps(plain)

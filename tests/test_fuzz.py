@@ -46,6 +46,7 @@ from algperiods.cli import (
     MAX_GENUS,
     MAX_SERIES,
     MAX_SET_SUM,
+    _ROW_BATCH,
     _analysis_payload,
     _model_report,
     main,
@@ -489,6 +490,19 @@ def writer_matrices(draw):
     return rows
 
 
+def batch_edge_rows(n):
+    """A dim-n matrix, zero but for +-(2^53 + 1) in the first row of each batch
+    of _ROW_BATCH rows, in the last column, and in the last row of each batch and
+    of the matrix, in the first column."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        if i % _ROW_BATCH == 0:
+            rows[i][n - 1] = JSON_INT_LIMIT + 1
+        elif i % _ROW_BATCH == _ROW_BATCH - 1 or i == n - 1:
+            rows[i][0] = -JSON_INT_LIMIT - 1
+    return rows
+
+
 def check_rows_written(argv, report, rows):
     """JSON stdout is the standard encoder's for the report with plain-list rows,
     and each text row is its entries joined by spaces."""
@@ -506,6 +520,10 @@ def check_rows_written(argv, report, rows):
 @example(rows=[])
 @example(rows=[[JSON_INT_LIMIT + 1]])
 @example(rows=[[0, 0, 0], [-JSON_INT_LIMIT - 1, 0, JSON_INT_LIMIT], [0, 0, 0]])
+# one batch filled, one row past it, and two batches and one row
+@example(rows=batch_edge_rows(_ROW_BATCH))
+@example(rows=batch_edge_rows(_ROW_BATCH + 1))
+@example(rows=batch_edge_rows(2 * _ROW_BATCH + 1))
 @given(rows=writer_matrices())
 def test_fuzz_analyze_rows_match_standard_encoder(tmp_path_factory, rows):
     n = len(rows)
