@@ -519,6 +519,21 @@ def test_failure_exit_and_stderr(capsys, tmp_path, name, argv, exit_code, stderr
     assert (code, err) == (exit_code, fill(stderr))
 
 
+@pytest.mark.parametrize("command", [None, "realize", "analyze", "zeta", "census", "certify"])
+def test_help_text_matches_record(capsys, monkeypatch, command):
+    """``--help`` at 80 columns prints exactly ``golden/help_<name>.out``.
+
+    These records stay out of ``golden_corpus.CASES``: CPython 3.13 wraps some
+    usage lines differently from 3.10-3.12.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"help_{command or 'algperiods'}.out").read_text()
+
+
 def test_size_caps(capsys, tmp_path, monkeypatch):
     identity = write_matrix(tmp_path, "identity.json", [[1, 0], [0, 1]])
     analyze = ["analyze", "--matrix", identity, "--kind", "preserving", "--genus", "1"]
