@@ -652,6 +652,7 @@ def build_parser() -> _Parser:
         description="Exact algebraic periods of surface homology models",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    kinds = [k.value for k in SurfaceKind]
 
     realize_p = sub.add_parser(
         "realize", help="construct a model whose algebraic periods are a given set"
@@ -663,12 +664,10 @@ def build_parser() -> _Parser:
         help=f"target period set with distinct elements summing to <= {MAX_SET_SUM} (0.4 s and"
         " 7 MB of JSON at the cap for --set 200 --kind reversing, a dim-802 matrix)",
     )
-    realize_p.add_argument(
-        "--kind", required=True, choices=["preserving", "reversing", "nonorientable"]
-    )
+    realize_p.add_argument("--kind", required=True, choices=kinds)
     realize_p.add_argument(
         "--mode",
-        choices=["faithful", "corrected"],
+        choices=[m.value for m in Mode],
         default="corrected",
         help="reversing case only: faithful follows the literal doubled construction",
     )
@@ -679,9 +678,7 @@ def build_parser() -> _Parser:
 
     analyze_p = sub.add_parser("analyze", help="full analysis of a matrix model")
     analyze_p.add_argument("--matrix", required=True, metavar="FILE")
-    analyze_p.add_argument(
-        "--kind", required=True, choices=["preserving", "reversing", "nonorientable"]
-    )
+    analyze_p.add_argument("--kind", required=True, choices=kinds)
     analyze_p.add_argument("--genus", required=True, type=_size)
     analyze_p.add_argument(
         "--no-strict", action="store_true", help="skip the symplectic/antisymplectic form check"
@@ -726,9 +723,7 @@ def build_parser() -> _Parser:
         help=f"list partitions with their Dold classes; at most {MAX_LISTED_PARTITIONS} may be"
         " listed (genus 41, 44,583 partitions: 0.17 s and 13 MB as JSON, 0.15 s and 5.4 MB as text)",
     )
-    census_p.add_argument(
-        "--correspondence", choices=["orientable", "nonorientable"], default="orientable"
-    )
+    census_p.add_argument("--correspondence", choices=list(_SCALES), default="orientable")
     census_p.add_argument(
         "--limit", type=_size, default=None, metavar="K", help="list only the first K partitions"
     )
@@ -737,7 +732,7 @@ def build_parser() -> _Parser:
     certify_p = sub.add_parser("certify", help="periodic-point guarantees from a Dold class")
     certify_p.add_argument("--dold", metavar="FILE|JSON")
     certify_p.add_argument("--matrix", metavar="FILE")
-    certify_p.add_argument("--kind", choices=["preserving", "reversing", "nonorientable"])
+    certify_p.add_argument("--kind", choices=kinds)
     certify_p.add_argument("--genus", type=_size, default=None)
     certify_p.add_argument("--no-strict", action="store_true")
     _add_format(certify_p)

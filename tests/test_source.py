@@ -5,6 +5,8 @@ from pathlib import Path
 
 import algperiods
 
+from code_lines import code_lines
+
 
 def test_library_has_no_assert_statements():
     """python -O strips assert statements, so no check in the library may be one."""
@@ -17,3 +19,38 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_code_line_rule_on_a_synthetic_source():
+    """``code_lines`` counts lines with a token, other than comments and the
+    docstrings of modules, classes and functions."""
+    source = '''"""Module docstring
+over two lines."""
+
+# a comment line
+import os  # code with a trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    x = """a string that is not a docstring
+    spans two lines"""
+
+    def f(self,
+          y):
+        """Function
+        docstring."""
+        return (y +
+                1)
+
+
+async def g():
+    """Async docstring."""
+    "a second string statement is not a docstring"
+'''
+    # import, class, the two lines of x, the two def lines, the two return
+    # lines, async def and the second string statement
+    assert code_lines(source) == 10
+    assert code_lines("") == 0
+    assert code_lines('"""Only a docstring."""\n') == 0
