@@ -9,15 +9,21 @@ containing Morse-Smale diffeomorphisms.  The correspondences:
     non-orientable:   a_n = -p_n  (n != 1),    a_1 = 2 - p_1
 
 where p_n is the multiplicity of the part n.  Exact counting uses Euler's
-pentagonal-number recurrence, O(n^(3/2)) big-integer additions for P(n);
-the Hardy-Ramanujan asymptotic is a float-valued diagnostic and never
-feeds exact outputs.
+pentagonal-number recurrence into one table of P(0), P(1), ... kept for
+the process: the first count to n costs O(n^(3/2)) big-integer additions,
+any n already reached is a list index, and a larger n costs only the new
+entries.  The table grows under a lock and is only appended to, each entry
+once final, so a count cut short leaves a shorter table that is still
+right.  The Hardy-Ramanujan asymptotic is a float-valued diagnostic and
+never feeds exact outputs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional
 
@@ -87,29 +93,43 @@ class Partition:
         return f"Partition({self.as_list()!r})"
 
 
+# P(0), P(1), ... up to the largest n counted in this process, appended to
+# only under _GROWING.
+_WAYS = [1]
+_GROWING = threading.Lock()
+
+
 def partition_count(n: int) -> int:
     """Exact P(n) by Euler's pentagonal-number recurrence; P(0) = 1.
 
     P(m) = sum_{k >= 1} (-1)^(k+1) [P(m - k(3k-1)/2) + P(m - k(3k+1)/2)],
     with P of a negative argument zero (Andrews, The Theory of Partitions,
     Cor. 1.8).  Each P(m) sums the O(sqrt(m)) generalized pentagonal numbers
-    up to m, so P(n) costs O(n^(3/2)) big-integer additions and O(n) memory.
+    up to m.  The values are kept for the process: the first count to n costs
+    O(n^(3/2)) big-integer additions and O(n) memory, any n already reached
+    is a list index, and a larger n costs only the entries it adds.
     """
     if n < 0:
         raise ValueError("partition counts are defined for nonnegative integers")
-    ways = [1]
-    get = ways.__getitem__
-    # -g for each generalized pentagonal number g <= m, one list per sign of its
-    # terms; while P(m) is summed, len(ways) == m, so ways[-g] is P(m - g).
-    plus, minus = [], []
-    k = 1
-    for m in range(1, n + 1):
-        if m == k * (3 * k - 1) // 2:
-            (plus if k % 2 else minus).append(-m)
-        elif m == k * (3 * k + 1) // 2:
-            (plus if k % 2 else minus).append(-m)
-            k += 1
-        ways.append(sum(map(get, plus)) - sum(map(get, minus)))
+    ways = _WAYS
+    if n < len(ways):
+        return ways[n]
+    with _GROWING:
+        get = ways.__getitem__
+        # The generalized pentagonal numbers k(3k-1)/2, k(3k+1)/2 in order, each
+        # with the list for the sign (-1)^(k+1) of its terms.
+        plus, minus = [], []
+        offsets = zip((k * (3 * k + s) // 2 for k in itertools.count(1) for s in (-1, 1)),
+                      itertools.cycle((plus, plus, minus, minus)))
+        g, signed = next(offsets)
+        # -g for each g <= m; the first m rebuilds those below len(ways) in
+        # O(sqrt(len(ways))).  While P(m) is summed, len(ways) == m, so
+        # ways[-g] is P(m - g), and P(m) is appended only once it is summed.
+        for m in range(len(ways), n + 1):
+            while g <= m:
+                signed.append(-g)
+                g, signed = next(offsets)
+            ways.append(sum(map(get, plus)) - sum(map(get, minus)))
     return ways[n]
 
 

@@ -1,5 +1,9 @@
 import importlib
 import math
+import random
+import subprocess
+import sys
+import threading
 import time
 from itertools import islice
 
@@ -16,6 +20,7 @@ from algperiods import (
     partition_to_dold_nonorientable,
     partition_to_dold_orientable,
 )
+from algperiods.cli import main
 
 from conftest import (
     partition_counts_by_dp,
@@ -43,6 +48,83 @@ def test_partition_count_values():
     assert [partition_count(n) for n in range(601)] == partition_counts_by_dp(600)
     with pytest.raises(ValueError):
         partition_count(-1)
+
+
+# the package exports the function census under the module's name
+census_module = importlib.import_module("algperiods.census")
+
+
+def test_partition_count_resumes_from_any_prefix(monkeypatch):
+    """The process-wide table resumes from a fresh [1] and from correct prefixes
+    of random length, with counts asked ascending, descending and in random
+    order; each value and the table afterwards are the oracle's, and a count
+    below the table's length appends nothing."""
+    oracle = partition_counts_by_dp(600)
+    rng = random.Random(23)
+    starts = [1] + [rng.randint(2, 600) for _ in range(12)]
+    for start in starts:
+        asks = rng.sample(range(601), 40)
+        for order in (sorted(asks), sorted(asks, reverse=True), asks):
+            table = oracle[:start]
+            monkeypatch.setattr(census_module, "_WAYS", table)
+            for n in order:
+                before = len(table)
+                assert partition_count(n) == oracle[n], (start, n)
+                assert len(table) == max(before, n + 1), (start, n)
+            assert census_module._WAYS is table and table == oracle[:len(table)], start
+
+
+def test_fresh_process_starts_with_one_count():
+    script = ("import importlib, algperiods, algperiods.cli\n"
+              "print(importlib.import_module('algperiods.census')._WAYS)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[1]"
+
+
+def test_partition_table_grows_safely_across_threads(monkeypatch):
+    # Threads that extend a fresh table at the same time, to different n and in
+    # both orders, must all get the oracle's counts and leave its prefix.
+    oracle = partition_counts_by_dp(900)
+    sizes = (200, 340, 480, 620, 760, 900)
+    interval = sys.getswitchinterval()
+    for _ in range(5):
+        table = [1]
+        monkeypatch.setattr(census_module, "_WAYS", table)
+        results, errors = [], []
+
+        def work(order):
+            try:
+                results.extend((n, partition_count(n)) for n in order)
+            except Exception as exc:  # recorded and asserted below
+                errors.append(exc)
+
+        orders = [sizes[t:] + sizes[:t] for t in range(6)]
+        threads = [threading.Thread(target=work, args=(o if t % 2 else o[::-1],))
+                   for t, o in enumerate(orders)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert sorted(results) == sorted((n, oracle[n]) for n in sizes for _ in threads)
+        assert table == oracle
+
+
+def test_refusals_count_nothing(monkeypatch, capsys):
+    """A census refused in the library or at the CLI's genus cap adds no entry."""
+    table = [1, 1, 2]
+    monkeypatch.setattr(census_module, "_WAYS", table)
+    with pytest.raises(ValueError, match="float range"):
+        census(76_568)
+    assert main(["census", "--genus", "50001"]) == 1
+    assert "above the cap" in capsys.readouterr().err
+    assert table == [1, 1, 2]
 
 
 def test_count_matches_enumeration():
