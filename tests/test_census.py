@@ -28,6 +28,9 @@ from conftest import (
     preserving_model_from_multiplicities,
 )
 
+# the package exports the function census under the module's name
+census_module = importlib.import_module("algperiods.census")
+
 
 def test_partition_type():
     p = Partition({3: 1, 1: 2})
@@ -48,10 +51,6 @@ def test_partition_count_values():
     assert [partition_count(n) for n in range(601)] == partition_counts_by_dp(600)
     with pytest.raises(ValueError):
         partition_count(-1)
-
-
-# the package exports the function census under the module's name
-census_module = importlib.import_module("algperiods.census")
 
 
 def test_partition_count_resumes_from_any_prefix(monkeypatch):
