@@ -51,6 +51,29 @@ def test_divisors():
     assert divisors(49) == [1, 7, 49]
 
 
+def test_divisors_against_brute_force():
+    """divisors(n) equals a sieve's divisor lists for every n <= 5,000, and the
+    products of prime powers for every 2^a 3^b 5^c <= 10^7; 0 and -1 are refused."""
+    limit = 5_000
+    sieve = [[] for _ in range(limit + 1)]
+    for d in range(1, limit + 1):
+        for n in range(d, limit + 1, d):
+            sieve[n].append(d)
+    for n in range(1, limit + 1):
+        assert divisors(n) == sieve[n], n
+    powers = {p: [p**k for k in range(24) if p**k <= 10**7] for p in (2, 3, 5)}
+    for a, x in enumerate(powers[2]):
+        for b, y in enumerate(powers[3]):
+            for c, z in enumerate(powers[5]):
+                if x * y * z <= 10**7:
+                    expected = sorted(2**i * 3**j * 5**k
+                                      for i in range(a + 1) for j in range(b + 1) for k in range(c + 1))
+                    assert divisors(x * y * z) == expected, (a, b, c)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            divisors(n)
+
+
 def test_reg():
     assert reg(3, 6) == 3
     assert reg(3, 4) == 0

@@ -112,6 +112,66 @@ def test_charpoly_examples():
     assert charpoly(shift) == IntPolynomial([0] * n + [1])
 
 
+
+def _components_by_closure(succ) -> set[int]:
+    """The strong components of i -> j for j in succ[i], each as a bitset: the
+    vertices that i reaches and that reach i, from both transitive closures,
+    each swept to a fixed point in both vertex orders."""
+    n = len(succ)
+    pred = [[] for _ in range(n)]
+    for i, targets in enumerate(succ):
+        for j in targets:
+            pred[j].append(i)
+
+    def closure(edges):
+        reach = [1 << i for i in range(n)]
+        changed = True
+        while changed:
+            changed = False
+            for order in (range(n - 1, -1, -1), range(n)):
+                for i in order:
+                    new = reach[i]
+                    for j in edges[i]:
+                        new |= reach[j]
+                    if new != reach[i]:
+                        reach[i], changed = new, True
+        return reach
+
+    return {forward & backward for forward, backward in zip(closure(succ), closure(pred))}
+
+
+def test_strong_components_match_mutual_reachability():
+    """The components equal the classes of mutual reachability from the transitive
+    closure, each sorted, together a partition of range(n): about 300 seeded
+    digraphs with n up to 40 and densities up to 0.5 (self-loops included),
+    graphs with isolated vertices, single cycles, and the dim-2000 chain."""
+    rng = random.Random(20241)
+    graphs = []
+    for _ in range(240):
+        n, density = rng.randint(0, 40), rng.choice([0, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5])
+        graphs.append([[j for j in range(n) if rng.random() < density] for _ in range(n)])
+    for _ in range(30):  # isolated vertices: no edge in or out
+        n = rng.randint(1, 40)
+        isolated = set(rng.sample(range(n), rng.randint(1, n)))
+        graphs.append([[] if i in isolated else
+                       [j for j in range(n) if j not in isolated and rng.random() < 0.1]
+                       for i in range(n)])
+    for _ in range(30):  # one cycle through a random subset, the rest possibly isolated
+        n = rng.randint(1, 40)
+        cycle = rng.sample(range(n), rng.randint(1, n))
+        succ = [[] for _ in range(n)]
+        for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+            succ[v].append(w)
+        graphs.append([sorted(targets) for targets in succ])
+    graphs.append([[i + 1] for i in range(1999)] + [[]])
+    for succ in graphs:
+        n = len(succ)
+        components = exactmat._strong_components(succ)
+        assert all(c == sorted(c) for c in components), succ
+        assert sorted(v for c in components for v in c) == list(range(n)), succ
+        assert {sum(1 << v for v in c) for c in components} == _components_by_closure(succ), succ
+
+
 def test_block_diag():
     assert block_diag([]) == IntMatrix(())
     p2, p3 = cyclic_permutation(2), cyclic_permutation(3)
