@@ -60,19 +60,14 @@ def moebius(n: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, sorted increasingly."""
+    """All positive divisors of n, sorted increasingly: the products of the prime
+    powers of ``_prime_exponents(n)``."""
     if n < 1:
         raise ValueError("divisors are defined for positive integers")
-    small = []
-    large = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    found = [1]
+    for p, e in _prime_exponents(n).items():
+        found = [d * p**k for d in found for k in range(e + 1)]
+    return sorted(found)
 
 
 class LefschetzSequence:

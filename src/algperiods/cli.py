@@ -173,14 +173,21 @@ class _CensusRows:
     def __init__(self, genus: int, correspondence: str, limit: Optional[int]):
         self.genus, self.scale, self.limit = genus, _SCALES[correspondence], limit
 
-    def _blocks(self, item: str, json: bool):
-        """(buckets, stack parts, table) for each block, in the layout of JSON or
-        text items at indent item.  In JSON the key-1 text follows the opening
-        brace of the map.  The stack parts start bare, as do the entry parts of
-        the table of the empty stack, which is the last block."""
-        cell = item + "    "
+    def rows(self, item: str, json: bool):
+        """The rows in batches of item texts, one block to a batch: in JSON a
+        row's map, in text the lines that follow the row's index.  A block's
+        table entries and stack texts are laid out for items at indent item: in
+        JSON the key-1 text follows the opening brace of the map, and the stack
+        parts start bare, as do the entry parts of the table of the empty stack,
+        which is the last block."""
+        field, cell = item + "  ", item + "    "
         sep = "," + cell if json else "\n" + cell
         quote, first, part_sep = ('"', cell, sep) if json else ("", sep, " ")
+        head, close, mid, tail = (
+            ("{" + field + '"dold": {', field + "}", "," + field + '"partition": [' + cell,
+             field + "]" + item + "}")
+            if json else ("\n" + field + "dold:", "", "\n" + field + "partition: [", "]")
+        )
         scale, tables, levels = self.scale, {}, {}
         left = sys.maxsize if self.limit is None else self.limit
         for stack, rest in _walk(self.genus, _CUT):
@@ -211,18 +218,8 @@ class _CensusRows:
             buckets = [""] * (_CUT - 1)
             for _, slot, entry, _ in sorted(texts):
                 buckets[slot] += entry
-            yield buckets, "".join([text[3] for text in texts])[len(part_sep) :], table
-
-    def rows(self, item: str, json: bool):
-        """The rows in batches of item texts, one block to a batch: in JSON a
-        row's map, in text the lines that follow the row's index."""
-        field = item + "  "
-        head, close, mid, tail = (
-            ("{" + field + '"dold": {', field + "}", "," + field + '"partition": [' + item + "    ",
-             field + "]" + item + "}")
-            if json else ("\n" + field + "dold:", "", "\n" + field + "partition: [", "]")
-        )
-        for (b1, b2, b3, b4), pp, table in self._blocks(item, json):
+            b1, b2, b3, b4 = buckets
+            pp = "".join([text[3] for text in texts])[len(part_sep) :]
             yield [
                 f"{head}{s1}{b1}{s2}{b2}{s3}{b3}{s4}{b4}{close}{mid}{pp}{parts}{tail}" if s1 or not json
                 # JSON with no key 1: the first text in the map loses its comma, and an empty map its lines
@@ -675,6 +672,7 @@ def build_parser() -> _Parser:
         "--strict", action="store_true", help="exit 3 if achieved periods differ from the target"
     )
     _add_format(realize_p)
+    realize_p.set_defaults(run=_cmd_realize)
 
     analyze_p = sub.add_parser("analyze", help="full analysis of a matrix model")
     analyze_p.add_argument("--matrix", required=True, metavar="FILE")
@@ -693,6 +691,7 @@ def build_parser() -> _Parser:
         f" absolute row sum) + N * (bits(dim) + 2) <= {MAX_OUTPUT_BITS}",
     )
     _add_format(analyze_p)
+    analyze_p.set_defaults(run=_cmd_analyze)
 
     zeta_p = sub.add_parser("zeta", help="manipulate zeta-function factorizations")
     zeta_p.add_argument("--dold", metavar="FILE|JSON", help="Dold class as a JSON map")
@@ -712,6 +711,7 @@ def build_parser() -> _Parser:
     )
     zeta_p.add_argument("--mper", action="store_true")
     _add_format(zeta_p)
+    zeta_p.set_defaults(run=_cmd_zeta)
 
     census_p = sub.add_parser("census", help="partition census at a given genus")
     census_p.add_argument(
@@ -728,6 +728,7 @@ def build_parser() -> _Parser:
         "--limit", type=_size, default=None, metavar="K", help="list only the first K partitions"
     )
     _add_format(census_p)
+    census_p.set_defaults(run=_cmd_census)
 
     certify_p = sub.add_parser("certify", help="periodic-point guarantees from a Dold class")
     certify_p.add_argument("--dold", metavar="FILE|JSON")
@@ -736,17 +737,9 @@ def build_parser() -> _Parser:
     certify_p.add_argument("--genus", type=_size, default=None)
     certify_p.add_argument("--no-strict", action="store_true")
     _add_format(certify_p)
+    certify_p.set_defaults(run=_cmd_certify)
 
     return parser
-
-
-_COMMANDS = {
-    "realize": _cmd_realize,
-    "analyze": _cmd_analyze,
-    "zeta": _cmd_zeta,
-    "census": _cmd_census,
-    "certify": _cmd_certify,
-}
 
 
 def main(argv=None) -> int:
@@ -764,7 +757,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
-        code = _COMMANDS[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except _UsageError as exc:

@@ -4,7 +4,7 @@ Matrices are immutable tuples of tuples of Python integers, so traces of
 high powers never overflow.  Dimension 0 is a first-class citizen (trace
 0, characteristic polynomial 1); the genus-0 models need it.  One O(n^2)
 scan on first use builds ``IntMatrix.nonzero``, the nonzero column indices
-of each row; the form check, the Tarjan scan and the report writer read it.
+of each row; the form check, the block search and the report writer read it.
 
 The form check builds neither A^T Omega A nor Omega.  It reads the
 product's entries above the diagonal off the pairs of nonzeros in rows k
@@ -14,11 +14,13 @@ one nonzero per row, so they take O(dim) products.
 
 The characteristic polynomial splits the index set into the strongly
 connected components of the directed nonzero pattern (i -> j when
-A[i][j] != 0).  Ordered as Tarjan's algorithm emits them, the components
-put A in block-triangular form, so det(xI - A) is the product of the
-components' characteristic polynomials; ``charpoly_blocks`` returns them
-one by one, so that the analysis can factor each distinct block on its
-own, and ``charpoly`` multiplies them.  Each k-dimensional block is
+A[i][j] != 0), found by Kosaraju's two passes: a depth-first pass lists
+the vertices as they finish, and a pass over the reversed edges, from the
+last to finish, collects one component at a time.  They come out in
+topological order, which puts A in block-triangular form, so det(xI - A)
+is the product of the components' characteristic polynomials;
+``charpoly_blocks`` returns them one by one, so that the analysis can
+factor each distinct block on its own, and ``charpoly`` multiplies them.  Each k-dimensional block is
 reduced to upper Hessenberg form by similarity modulo a prime p, and its
 characteristic polynomial mod p is read off the Hessenberg recurrence.
 Each reduction step pivots on the candidate row with the fewest nonzeros,
@@ -31,7 +33,7 @@ For t <= 511 one prime larger than 2B is used, so the block costs one
 pass; a larger bound combines ceil(t/511) or fewer primes above 2^511 by
 the Chinese remainder theorem.  Either way the modulus exceeds 2B and the
 symmetric lift is exact by proof.  The total cost is O(n + nnz) for
-Tarjan on that index plus O(k^3) per prime on each block.  The
+the two passes over that index plus O(k^3) per prime on each block.  The
 realization matrices are direct sums of cycles, swap-shift and companion
 blocks, so their blocks stay small.
 
@@ -144,53 +146,49 @@ class IntMatrix:
 def _strong_components(succ) -> list[list[int]]:
     """Strongly connected components of the graph i -> j for j in succ[i].
 
-    Iterative Tarjan, so a long chain cannot exhaust the recursion limit.  A
-    self-loop i -> i changes nothing, since low[i] <= index[i] already.
-    Components come out in reverse topological order, each as a sorted list.
+    Kosaraju's two passes, each with an explicit stack, so a long chain cannot
+    exhaust the recursion limit.  A depth-first pass over succ lists the
+    vertices as they finish; a second pass over the predecessor lists, from the
+    last vertex to finish, collects the vertices that reach it and are not yet
+    taken: its component.  Components come out in topological order, each as a
+    sorted list.
     """
     n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components = []
-    counter = 0
+    seen = [False] * n
+    finished = []
     for root in range(n):
-        if index[root] >= 0:
+        if seen[root]:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
+        seen[root] = True
         work = [(root, iter(succ[root]))]
         while work:
             v, edges = work[-1]
             for w in edges:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
+                if not seen[w]:
+                    seen[w] = True
                     work.append((w, iter(succ[w])))
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
             else:
                 work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        component.append(w)
-                        if w == v:
-                            break
-                    component.sort()
-                    components.append(component)
+                finished.append(v)
+    pred = [[] for _ in range(n)]
+    for v, targets in enumerate(succ):
+        for w in targets:
+            pred[w].append(v)
+    components = []
+    for root in reversed(finished):
+        if seen[root]:  # not yet taken: the second pass clears seen as it takes vertices
+            seen[root] = False
+            component, stack = [], [root]
+            while stack:
+                v = stack.pop()
+                component.append(v)
+                for w in pred[v]:
+                    if seen[w]:
+                        seen[w] = False
+                        stack.append(w)
+            component.sort()
+            components.append(component)
     return components
 
 
@@ -370,12 +368,15 @@ def _block_charpoly(rows) -> IntPolynomial:
 def charpoly_blocks(a: IntMatrix) -> list[IntPolynomial]:
     """det(xI - B) for each diagonal block B of A's block-triangular form.
 
-    The strongly connected components of the nonzero pattern of A put it
-    in block-triangular form, so det(xI - A) is the product of the listed
-    polynomials, one per component in Tarjan's order; the empty matrix has
-    none.  Each block's principal submatrix is reduced to Hessenberg form
-    modulo proven primes whose product exceeds 2B for the block's Hadamard
-    bound B, so the cost is O(n + nnz) for Tarjan on ``a.nonzero`` plus
+    The strongly connected components of the nonzero pattern of A, from
+    Kosaraju's two passes (a depth-first pass over the edges that lists the
+    vertices as they finish, then a pass over the reversed edges from the
+    last to finish), come out in topological order and put A in
+    block-triangular form, so det(xI - A) is the product of the listed
+    polynomials, one per component in that order; the empty matrix has none.
+    Each block's principal submatrix is reduced to Hessenberg form modulo
+    proven primes whose product exceeds 2B for the block's Hadamard bound
+    B, so the cost is O(n + nnz) for the two passes over ``a.nonzero`` plus
     O(k^3) operations per prime on each k-dim block: one prime while 2B
     has at most 511 bits, ceil(log2(2B)/511) or fewer above.  An
     irreducible matrix is a single block.

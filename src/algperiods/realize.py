@@ -4,13 +4,14 @@ Each construction assembles a homology model from periodic pieces: a
 piece with label n carries a periodic homeomorphism of order tau(n) that
 cyclically permutes handle curves.  :func:`realize_target` is the one
 construction: a short branch per surface kind lists the pieces and their
-blocks, and one shared tail assembles the matrix, reads the genus off its
-dimension (dim / 2 for orientable kinds, dim + 1 for the non-orientable
-kind), analyses it and compares the achieved periods with the target.
-Orientable matrices are written in the basis (all a-curves, then all
-b-curves), diag(H, H) preserving and diag(H, -H) reversing for the direct
-sum H of the blocks, so the form check of :mod:`algperiods.exactmat`
-applies directly.
+blocks, and one shared tail assembles the matrix with one direct sum,
+reads the genus off the blocks' dimensions (their sum for orientable
+kinds, the sum + 1 for the non-orientable kind), analyses it and compares
+the achieved periods with the target.  Orientable matrices are written in
+the basis (all a-curves, then all b-curves), diag(H, H) preserving and
+diag(H, -H) reversing for the direct sum H of the blocks: the one direct
+sum takes the blocks and then their copies, negated when reversing.  So
+the form check of :mod:`algperiods.exactmat` applies directly.
 
 Orientation-preserving case.  Pieces for n in the working set (the
 target with 1 toggled) each contribute an n-cycle permutation.
@@ -191,14 +192,14 @@ def realize_target(
         pieces = [PieceSpec(1, 2, 1)] + [PieceSpec(n, n, 1) for n in target]
         blocks = [cyclic_permutation(n) for n in target] + [IntMatrix.identity(1)]
 
-    half = block_diag(blocks)
+    genus = sum(b.dim for b in blocks)
     if kind is SurfaceKind.NONORIENTABLE:
-        model = HomologyModel(kind, half, half.dim + 1)
+        model = HomologyModel(kind, block_diag(blocks), genus + 1)
     else:
-        other = half
+        mirror = blocks
         if kind is SurfaceKind.REVERSING:
-            other = IntMatrix._raw([[-x for x in row] for row in half.rows])
-        model = HomologyModel(kind, block_diag([half, other]), half.dim, strict=True)
+            mirror = [IntMatrix._raw([[-x for x in row] for row in b.rows]) for b in blocks]
+        model = HomologyModel(kind, block_diag(blocks + mirror), genus, strict=True)
     analysis = analyze(model)
     achieved = analysis.dold.support()  # sorted, like target
     flags: tuple[str, ...] = ()

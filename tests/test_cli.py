@@ -892,7 +892,7 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
     """charpoly_blocks runs once per model, cyclotomic_factorization once per distinct
     block polynomial, and form_predicates runs once per orientable model: in the
     strict constructor, or else in form_checks; never for a non-orientable one.
-    The model's nonzero index is built once, and the form check, the Tarjan scan
+    The model's nonzero index is built once, and the form check, the block search
     in charpoly_blocks and the matrix row writer all read that one index; realize
     builds it in block_diag from the blocks' indices, the only other reads."""
     import algperiods.lefschetz as lefschetz
