@@ -66,7 +66,9 @@ from .lefschetz import (
 )
 from .realize import Mode, SurfaceModel, OddTargetUnrealizable, realize_target
 from .zeta import (
+    MAX_SIZE_CHARS,
     ZetaFactorization,
+    _echo,
     canonicalize,
     format_factors,
     mper_from_factorization,
@@ -95,10 +97,6 @@ MAX_SET_SUM = 200  # realize: the matrix dimension is at most 4 * sum + 2, its p
 # an upper bound computed before any number is (about 5 million decimal digits);
 # README, "Size caps", states both bounds.
 MAX_OUTPUT_BITS = 2**24
-# Size values (set elements, genus, window, limit, series order, matrix dim) longer
-# than this are refused before int(), whose cost grows with the square of the
-# digit count once main() lifts the digit limit; every cap above has 7 digits or fewer.
-MAX_SIZE_CHARS = 20
 
 
 class _UsageError(Exception):
@@ -349,16 +347,6 @@ def _size(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _echo(value: Any) -> str:
-    """repr(value) for an error message, cut to MAX_SIZE_CHARS characters and the
-    length of the whole, so that no message grows with the input."""
-    text = repr(value)
-    if len(text) <= MAX_SIZE_CHARS:
-        return text
-    size = len(value) if isinstance(value, str) else len(text)
-    return f"{text[:MAX_SIZE_CHARS]}... (a value of {size} characters)"
-
-
 def _parse_int(value: Any) -> int:
     if isinstance(value, bool):
         raise _InputError("booleans are not integers")
@@ -372,16 +360,16 @@ def _parse_int(value: Any) -> int:
     raise _InputError(f"{_echo(value)} is not an integer")
 
 
-def _parse_json(text: str, source: str) -> Any:
+def _parse_json(text: str, source: str, pairs=None) -> Any:
     """json.loads with CPython's default digit limit back in force, so that a
     number literal of more than 4,300 digits is refused in linear time rather
     than converted by the quadratic int(); integers written as strings have no
-    such limit."""
+    such limit.  ``pairs`` is json's object_pairs_hook: None makes dicts."""
     lifted = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     if lifted is not None:
         sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=pairs)
     except json.JSONDecodeError as exc:
         raise _InputError(f"{source} is not valid JSON: {exc}") from exc
     except ValueError:  # a number literal beyond the digit limit
@@ -391,12 +379,12 @@ def _parse_json(text: str, source: str) -> Any:
             sys.set_int_max_str_digits(lifted)
 
 
-def _load_json(path: str) -> Any:
+def _load_json(path: str, pairs=None) -> Any:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    return _parse_json(text, path)
+    return _parse_json(text, path, pairs)
 
 
 def _load_matrix(path: str) -> IntMatrix:
@@ -426,11 +414,13 @@ def _load_dold(source: str) -> DoldClass:
     """Accept either an inline JSON object or a path to a JSON map.
 
     Input starting with "{" is inline JSON and is never probed as a path:
-    a long inline map would make the probe fail with ENAMETOOLONG.
+    a long inline map would make the probe fail with ENAMETOOLONG.  Objects
+    are read as tuples of their (key, value) pairs, so that two keys for one
+    period ("2" twice, "2" and "02", or "2" and "+2") are refused.
     """
     stripped = source.strip()
     if stripped.startswith("{"):
-        data = _parse_json(stripped, "inline Dold map")
+        data = _parse_json(stripped, "inline Dold map", tuple)
     else:
         try:
             is_file = Path(source).exists()
@@ -438,14 +428,16 @@ def _load_dold(source: str) -> DoldClass:
             raise _InputError(f"cannot read {_echo(source)}: {exc.strerror}") from exc
         if not is_file:
             raise _InputError(f"{_echo(source)} is neither a file nor an inline JSON object")
-        data = _load_json(source)
-    if not isinstance(data, dict):
+        data = _load_json(source, tuple)
+    if not isinstance(data, tuple):
         raise _InputError("a Dold class must be a JSON object of period -> coefficient")
     coeffs = {}
-    for k, v in data.items():
+    for k, v in data:
         n = _parse_int(k)
         if n < 1:
             raise _InputError(f"period {_echo(k)} is not a positive integer")
+        if n in coeffs:
+            raise _InputError(f"period {_echo(n)} is given by more than one key")
         coeffs[n] = _parse_int(v)
     return DoldClass(coeffs)
 

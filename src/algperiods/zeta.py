@@ -45,6 +45,25 @@ __all__ = [
     "format_factors",
 ]
 
+# Input texts (factor terms here; Dold keys and values, matrix entries and size
+# values on the command line) longer than this many characters are never echoed
+# whole.  The command line also refuses longer size values before int(), whose cost
+# grows with the square of the digit count once main() lifts the digit limit;
+# every cap there has 7 digits or fewer.
+MAX_SIZE_CHARS = 20
+
+
+def _echo(value) -> str:
+    """repr(value) for an error message, whole for a string of at most
+    MAX_SIZE_CHARS characters or a shorter repr, else cut to MAX_SIZE_CHARS
+    characters and the length of the whole, so that no message grows with the
+    input."""
+    text = repr(value)
+    size = len(value) if isinstance(value, str) else len(text)
+    if size <= MAX_SIZE_CHARS:
+        return text
+    return f"{text[:MAX_SIZE_CHARS]}... (a value of {size} characters)"
+
 
 class Factor(NamedTuple):
     delta: int  # +1 or -1
@@ -201,30 +220,24 @@ def mper_from_factorization(f: ZetaFactorization) -> set[int]:
 
 
 def parse_factors(text: str) -> ZetaFactorization:
-    """Parse the "SIGN,r,m;..." factor grammar."""
+    """Parse the "SIGN,r,m;..." factor grammar.  A refusal echoes a term or sign
+    of more than MAX_SIZE_CHARS characters cut to that many and its length."""
     compact = "".join(text.split())
     if not compact:
         raise ValueError("empty factor string")
     factors = []
-    for term in compact.split(";"):
-        if not term:
-            continue
+    for term in filter(None, compact.split(";")):
         fields = term.split(",")
         if len(fields) != 3:
-            raise ValueError(f"factor term {term!r} is not SIGN,r,m")
+            raise ValueError(f"factor term {_echo(term)} is not SIGN,r,m")
         sign, r_text, m_text = fields
-        if sign in ("+",):
-            delta = 1
-        elif sign in ("-", "−"):
-            delta = -1
-        else:
-            raise ValueError(f"factor sign {sign!r} must be + or -")
+        delta = {"+": 1, "-": -1, "−": -1}.get(sign)
+        if delta is None:
+            raise ValueError(f"factor sign {_echo(sign)} must be + or -")
         try:
-            r = int(r_text)
-            m = int(m_text)
+            factors.append((delta, int(r_text), int(m_text)))
         except ValueError as exc:
-            raise ValueError(f"factor term {term!r} has non-integer fields") from exc
-        factors.append((delta, r, m))
+            raise ValueError(f"factor term {_echo(term)} has non-integer fields") from exc
     if not factors:
         raise ValueError("factor string contains no terms")
     return ZetaFactorization(factors)

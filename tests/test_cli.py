@@ -713,6 +713,48 @@ def test_rejected_values_echoed_short(capsys, tmp_path):
     assert code == 1 and "'3x' is not an integer" in err
 
 
+
+def test_dold_map_with_two_keys_for_one_period_refused(capsys, tmp_path):
+    """A Dold map that names one period by two keys, the same key twice, a leading
+    zero or a plus sign, exits 1 from certify --dold and zeta --dold, inline and
+    from a file, with one input error line that names the period."""
+    maps = [('{"1": 2, "01": 3}', 1), ('{"2": 1, "+2": 5}', 2), ('{"2": 1, "2": -1}', 2),
+            ('{"5": 1, "3": 0, "003": 0}', 3)]
+    for i, (text, period) in enumerate(maps):
+        path = tmp_path / f"dold_{i}.json"
+        path.write_text(text)
+        for command in ("certify", "zeta"):
+            for source in (text, str(path)):
+                code, out, err = run(capsys, [command, "--dold", source])
+                assert (code, out) == (1, ""), (command, source)
+                assert err == f"input error: period {period} is given by more than one key\n"
+    # One key per period is still read, in whatever form each key takes.
+    code, rep, _ = run_json(capsys, ["certify", "--dold", '{"01": 2, "+2": 3}'])
+    assert code == 0 and rep["dold"] == {"1": 2, "2": 3}
+
+
+def test_factor_refusals_echoed_short(capsys):
+    """Each refusal of a factor term, a bad sign, a non-integer field or a term
+    without three fields, exits 1 with one stderr line under 200 bytes when a field
+    has 100,000 characters; a term or sign of at most MAX_SIZE_CHARS characters
+    is echoed whole."""
+    junk = "x" * 100_000
+    for factors, size in ((f"{junk},1,1", len(junk)), (f"+,1,{junk}", len(junk) + 4),
+                          (f"+,1,1,{junk}", len(junk) + 6), (f"+,{junk}", len(junk) + 2)):
+        code, out, err = run(capsys, ["zeta", "--factors", factors])
+        assert (code, out) == (1, ""), factors[:10]
+        assert err.count("\n") == 1 and len(err.encode()) < 200, err[:300]
+        assert f"... (a value of {size} characters)" in err, err
+    # Terms of exactly MAX_SIZE_CHARS characters: a bad sign, a non-integer field, four fields.
+    x = "x" * MAX_SIZE_CHARS
+    cases = [
+        (f"{x},1,1", f"factor sign {x!r} must be + or -"),
+        (f"+,1,{x[4:]}", f"factor term '+,1,{x[4:]}' has non-integer fields"),
+        (f"+,1,1,{x[6:]}", f"factor term '+,1,1,{x[6:]}' is not SIGN,r,m"),
+    ]
+    for factors, message in cases:
+        assert run(capsys, ["zeta", "--factors", factors])[2] == f"usage error: {message}\n"
+
 def test_huge_json_numbers_refused_while_parsing(capsys, tmp_path):
     """A JSON number of more than 4300 digits, as a matrix file's dim, a matrix entry
     or a Dold value, exits 1 with one short line before int() converts it; the same

@@ -282,10 +282,14 @@ DOLD_TEXTS = st.one_of(
 @FUZZ
 @example(text='{"0": 1}')
 @example(text='{"3": -2, "03": 0, "4": 1}')
+@example(text='{"2": 1, "+2": 5, "2": -1}')
 @given(text=DOLD_TEXTS)
 def test_fuzz_certify_dold(text):
     report = check_outcome(*run(["certify", f"--dold={text}"]))
     if report:
+        # two keys for one period are refused, so an accepted map names each once
+        keys = [int(k) for k, _ in json.loads(text, object_pairs_hook=list)]
+        assert len(keys) == len(set(keys))
         periods = [c["period"] for c in report["certificates"]]
         assert periods == sorted(map(int, report["dold"])) == sorted(set(periods))
         assert 0 not in report["dold"].values()
