@@ -20,11 +20,11 @@ last to finish, collects one component at a time.  They come out in
 topological order, which puts A in block-triangular form, so det(xI - A)
 is the product of the components' characteristic polynomials;
 ``charpoly_blocks`` returns them one by one, so that the analysis can
-factor each distinct block on its own, and ``charpoly`` multiplies them.  Each k-dimensional block is
-reduced to upper Hessenberg form by similarity modulo a prime p, and its
-characteristic polynomial mod p is read off the Hessenberg recurrence.
-Each reduction step pivots on the candidate row with the fewest nonzeros,
-the lowest on a tie.  A column-major copy of the block, kept equal to it,
+factor each distinct block on its own, and ``charpoly`` multiplies them.
+Each k-dimensional block is reduced to upper Hessenberg form by similarity
+modulo a prime p, and its characteristic polynomial mod p is read off the
+Hessenberg recurrence.  Each reduction step pivots on the candidate row
+with the fewest nonzeros, the lowest on a tie.  A column-major copy of the block, kept equal to it,
 lists each column's nonzeros, so a step with #u nonzero multipliers u
 costs O(nnz(pivot row) * #u + sum over cleared i of nnz(column i) + k)
 operations mod p, and a block O(k^3) at worst.  Let B be the

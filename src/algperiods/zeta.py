@@ -54,10 +54,10 @@ MAX_SIZE_CHARS = 20
 
 
 def _echo(value) -> str:
-    """repr(value) for an error message, whole for a string of at most
-    MAX_SIZE_CHARS characters or a shorter repr, else cut to MAX_SIZE_CHARS
-    characters and the length of the whole, so that no message grows with the
-    input."""
+    """repr(value) for an error message: whole when the value has at most
+    MAX_SIZE_CHARS characters (a string its own, anything else its repr's), else
+    cut to MAX_SIZE_CHARS characters and the length of the whole, so that no
+    message grows with the input."""
     text = repr(value)
     size = len(value) if isinstance(value, str) else len(text)
     if size <= MAX_SIZE_CHARS:
