@@ -58,6 +58,32 @@ def test_model_dimension_validation():
         HomologyModel(SurfaceKind.NONORIENTABLE, IntMatrix(()), 0)
 
 
+def test_model_needs_the_rank_of_h1():
+    """Each kind takes exactly the rank of its H_1, 2g orientable and g - 1
+    non-orientable: one dimension less or more raises DimensionMismatch with its
+    exact text, and a genus below the kind's least raises ValueError first."""
+    for kind in SurfaceKind:
+        orientable = kind is not SurfaceKind.NONORIENTABLE
+        for genus in (1, 2, 5):
+            rank = 2 * genus if orientable else genus - 1
+            HomologyModel(kind, IntMatrix.identity(rank), genus)
+            for dim in (rank - 1, rank + 1):
+                if dim < 0:
+                    continue
+                with pytest.raises(DimensionMismatch) as info:
+                    HomologyModel(kind, IntMatrix.identity(dim), genus)
+                name = "orientable" if orientable else "non-orientable"
+                assert str(info.value) == (
+                    f"{name} genus {genus} needs a matrix of dimension {rank}, got {dim}"
+                )
+        with pytest.raises(ValueError) as info:
+            HomologyModel(kind, IntMatrix(()), -1)
+        assert str(info.value) == "genus must be nonnegative"
+    with pytest.raises(ValueError) as info:
+        HomologyModel(SurfaceKind.NONORIENTABLE, IntMatrix(()), 0)
+    assert str(info.value) == "a non-orientable surface has genus at least 1"
+
+
 def test_model_strict_form_checks():
     not_symplectic = IntMatrix([[2, 0], [0, 1]])
     with pytest.raises(FormViolation):
