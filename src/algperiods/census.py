@@ -24,6 +24,7 @@ import itertools
 import math
 import operator
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional
 
@@ -58,10 +59,7 @@ class Partition:
 
     @classmethod
     def from_parts(cls, parts: list[int]) -> "Partition":
-        counts: Dict[int, int] = {}
-        for k in parts:
-            counts[k] = counts.get(k, 0) + 1
-        return cls(counts)
+        return cls(Counter(parts))
 
     @property
     def number(self) -> int:
@@ -167,9 +165,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     if n < 1:
         raise ValueError("enumeration needs a positive integer")
     for stack, ones in _walk(n):
-        p = Partition.__new__(Partition)  # the stack is valid and its parts decrease
-        p._parts = dict([(1, ones), *reversed(stack)] if ones else reversed(stack))
-        yield p
+        yield Partition(dict([(1, ones), *stack]))
 
 
 def hardy_ramanujan_estimate(n: int) -> float:
@@ -189,15 +185,10 @@ _A1_SHIFT = 2
 
 
 def _partition_to_dold(p: Partition, scale: int) -> DoldClass:
-    """The Dold class of p under the correspondence with this scale.  Built
-    unchecked: the parts of a Partition are positive and ascending, each p_n is
-    positive, and a zero a_1 is dropped, so the coefficients are what
-    DoldClass(...) would keep."""
-    a1 = _A1_SHIFT + scale * p._parts.get(1, 0)
-    rest = {n: scale * m for n, m in p._parts.items() if n != 1}
-    d = DoldClass.__new__(DoldClass)
-    d._coeffs = {1: a1, **rest} if a1 else rest
-    return d
+    """The Dold class of p under the correspondence with this scale."""
+    coeffs = {n: scale * m for n, m in p._parts.items()}
+    coeffs[1] = _A1_SHIFT + scale * p._parts.get(1, 0)
+    return DoldClass(coeffs)
 
 
 def partition_to_dold_orientable(p: Partition) -> DoldClass:

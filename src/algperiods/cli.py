@@ -13,12 +13,13 @@ read them: both turn keys into strings and sort them as strings, so "10"
 comes before "5".  A report goes to standard output in pieces and is never
 one string: JSON in the bytes of ``json.dumps(sort_keys=True, indent=2)`` on
 the string-keyed report, with no converted copy, from one recursive writer,
-``_json_pieces``, a dict field by field; text line by line.  Each of the two
-row writers has one method, ``rows(item, json)``, that hands over its rows
-in batches of item texts, and the two emitters own all framing: the JSON
-writer joins a batch with commas inside one bracket pair, as it does the
-items of a plain list, and the text writer puts each item after its running
-index "[i]:".  A census listing comes one block at a time, the rows that
+``_json_pieces``, a dict field by field; text line by line.  The two row
+writers are generator functions, ``_census_rows`` and ``_matrix_rows``, that a
+report holds bound to their data with ``functools.partial``.  Called with
+``(item, json)``, each hands over its rows in batches of item texts, and the
+two emitters own all framing: the JSON writer joins a batch with commas
+inside one bracket pair, as it does the items of a plain list, and the text
+writer puts each item after its running index "[i]:".  A census listing comes one block at a time, the rows that
 share their parts of at least _CUT: each row is one f-string of the block's
 stack texts and an entry of a suffix table made for the call, with no object
 built.  A matrix comes _ROW_BATCH rows at a time from its nonzero index, a
@@ -146,7 +147,7 @@ class _Parser(argparse.ArgumentParser):
 _CUT = 5
 
 
-class _CensusRows:
+def _census_rows(genus: int, correspondence: str, limit: Optional[int], item: str, json: bool):
     """The rows of a census listing, one per partition of the genus in the order
     of the partition walk, written straight to JSON or text with the bytes that a
     payload dict per row would give, {"dold": {str(n): a_n}, "partition": [parts
@@ -164,111 +165,97 @@ class _CensusRows:
     level texts are made per call, and a table never holds more entries than
     the rows the limit still allows.  Text writes the entries without quotes.
     Parts and coefficients stay below twice the genus cap, far below 2^53, so
-    every number is written bare."""
+    every number is written bare.
 
-    __slots__ = ("genus", "scale", "limit")
-
-    def __init__(self, genus: int, correspondence: str, limit: Optional[int]):
-        self.genus, self.scale, self.limit = genus, _SCALES[correspondence], limit
-
-    def rows(self, item: str, json: bool):
-        """The rows in batches of item texts, one block to a batch: in JSON a
-        row's map, in text the lines that follow the row's index.  A block's
-        table entries and stack texts are laid out for items at indent item: in
-        JSON the key-1 text follows the opening brace of the map, and the stack
-        parts start bare, as do the entry parts of the table of the empty stack,
-        which is the last block."""
-        field, cell = item + "  ", item + "    "
-        sep = "," + cell if json else "\n" + cell
-        quote, first, part_sep = ('"', cell, sep) if json else ("", sep, " ")
-        head, close, mid, tail = (
-            ("{" + field + '"dold": {', field + "}", "," + field + '"partition": [' + cell,
-             field + "]" + item + "}")
-            if json else ("\n" + field + "dold:", "", "\n" + field + "partition: [", "]")
-        )
-        scale, tables, levels = self.scale, {}, {}
-        left = sys.maxsize if self.limit is None else self.limit
-        for stack, rest in _walk(self.genus, _CUT):
-            if not left:
-                return
-            table = tables.get(rest)
-            if table is None:
-                table = tables[rest] = []
-                for suffix, ones in islice(_walk(rest, 2, _CUT - 1), left):
-                    a1 = _A1_SHIFT + scale * ones
-                    dold = [f"{first}{quote}1{quote}: {a1}" if a1 else ""] + [""] * (_CUT - 2)
-                    parts = ""
-                    for part, count in suffix:
-                        dold[part - 1] = f"{sep}{quote}{part}{quote}: {scale * count}"
-                        parts += (part_sep + str(part)) * count
-                    parts += (part_sep + "1") * ones
-                    table.append((*dold, parts if stack else parts[len(part_sep) :]))
-            table = table[:left] if len(table) > left else table
-            left -= len(table)
-            for level in stack:
-                if level not in levels:
-                    part, count = level
-                    key = str(part)
-                    slot = min(int(key[0]), _CUT - 1) - 1
-                    entry = f"{sep}{quote}{key}{quote}: {scale * count}"
-                    levels[level] = (key, slot, entry, (part_sep + key) * count)
-            texts = [levels[level] for level in stack]
-            buckets = [""] * (_CUT - 1)
-            for _, slot, entry, _ in sorted(texts):
-                buckets[slot] += entry
-            b1, b2, b3, b4 = buckets
-            pp = "".join([text[3] for text in texts])[len(part_sep) :]
-            yield [
-                f"{head}{s1}{b1}{s2}{b2}{s3}{b3}{s4}{b4}{close}{mid}{pp}{parts}{tail}" if s1 or not json
-                # JSON with no key 1: the first text in the map loses its comma, and an empty map its lines
-                else f"{head}{d[1:] + close if (d := b1 + s2 + b2 + s3 + b3 + s4 + b4) else '}'}"
-                f"{mid}{pp}{parts}{tail}"
-                for s1, s2, s3, s4, parts in table
-            ]
+    The rows come in batches of item texts, one block to a batch: in JSON a
+    row's map, in text the lines that follow the row's index.  A block's table
+    entries and stack texts are laid out for items at indent item: in JSON the
+    key-1 text follows the opening brace of the map, and the stack parts start
+    bare, as do the entry parts of the table of the empty stack, which is the
+    last block."""
+    field, cell = item + "  ", item + "    "
+    sep = "," + cell if json else "\n" + cell
+    quote, first, part_sep = ('"', cell, sep) if json else ("", sep, " ")
+    head, close, mid, tail = (
+        ("{" + field + '"dold": {', field + "}", "," + field + '"partition": [' + cell,
+         field + "]" + item + "}")
+        if json else ("\n" + field + "dold:", "", "\n" + field + "partition: [", "]")
+    )
+    scale, tables, levels = _SCALES[correspondence], {}, {}
+    left = sys.maxsize if limit is None else limit
+    for stack, rest in _walk(genus, _CUT):
+        if not left:
+            return
+        table = tables.get(rest)
+        if table is None:
+            table = tables[rest] = []
+            for suffix, ones in islice(_walk(rest, 2, _CUT - 1), left):
+                a1 = _A1_SHIFT + scale * ones
+                dold = [f"{first}{quote}1{quote}: {a1}" if a1 else ""] + [""] * (_CUT - 2)
+                parts = ""
+                for part, count in suffix:
+                    dold[part - 1] = f"{sep}{quote}{part}{quote}: {scale * count}"
+                    parts += (part_sep + str(part)) * count
+                parts += (part_sep + "1") * ones
+                table.append((*dold, parts if stack else parts[len(part_sep) :]))
+        table = table[:left] if len(table) > left else table
+        left -= len(table)
+        for level in stack:
+            if level not in levels:
+                part, count = level
+                key = str(part)
+                slot = min(int(key[0]), _CUT - 1) - 1
+                entry = f"{sep}{quote}{key}{quote}: {scale * count}"
+                levels[level] = (key, slot, entry, (part_sep + key) * count)
+        texts = [levels[level] for level in stack]
+        buckets = [""] * (_CUT - 1)
+        for _, slot, entry, _ in sorted(texts):
+            buckets[slot] += entry
+        b1, b2, b3, b4 = buckets
+        pp = "".join([text[3] for text in texts])[len(part_sep) :]
+        yield [
+            f"{head}{s1}{b1}{s2}{b2}{s3}{b3}{s4}{b4}{close}{mid}{pp}{parts}{tail}" if s1 or not json
+            # JSON with no key 1: the first text in the map loses its comma, and an empty map its lines
+            else f"{head}{d[1:] + close if (d := b1 + s2 + b2 + s3 + b3 + s4 + b4) else '}'}"
+            f"{mid}{pp}{parts}{tail}"
+            for s1, s2, s3, s4, parts in table
+        ]
 
 
-class _MatrixRows:
+def _matrix_rows(matrix: IntMatrix, item: str, json: bool):
     """The rows of a report's matrix, written from its nonzero index with the
     bytes of a plain list of lists, by one row writer for JSON and text: a run
     of k zeros is one repetition, ("0" + sep) * k, and each nonzero is written
-    bare, or in JSON as a quoted decimal when |x| > 2^53."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: IntMatrix):
-        self.matrix = matrix
-
-    def rows(self, item: str, json: bool):
-        """The rows in batches of _ROW_BATCH item texts: in JSON a row's list, in
-        text the bracketed entries that follow the row's index."""
-        cell = item + "  "
-        sep, head, tail = ("," + cell, "[" + cell, item + "]") if json else (" ", " [", "]")
-        zero, limit = "0" + sep, _JSON_INT_LIMIT
-        rows = zip(self.matrix.rows, self.matrix.nonzero)
-        while batch := list(islice(rows, _ROW_BATCH)):
-            texts = []
-            for row, cols in batch:
-                parts, start = [head], 0
-                for j in cols:
-                    if j > start:
-                        parts.append(zero * (j - start))
-                    x = row[j]
-                    parts.append(f'"{x}"{sep}' if json and not -limit <= x <= limit else f"{x}{sep}")
-                    start = j + 1
-                parts.append(zero * (len(row) - start))
-                texts.append("".join(parts)[: -len(sep)] + tail)
-            yield texts
+    bare, or in JSON as a quoted decimal when |x| > 2^53.  The rows come in
+    batches of _ROW_BATCH item texts: in JSON a row's list, in text the
+    bracketed entries that follow the row's index."""
+    cell = item + "  "
+    sep, head, tail = ("," + cell, "[" + cell, item + "]") if json else (" ", " [", "]")
+    zero, limit = "0" + sep, _JSON_INT_LIMIT
+    rows = zip(matrix.rows, matrix.nonzero)
+    while batch := list(islice(rows, _ROW_BATCH)):
+        texts = []
+        for row, cols in batch:
+            parts, start = [head], 0
+            for j in cols:
+                if j > start:
+                    parts.append(zero * (j - start))
+                x = row[j]
+                parts.append(f'"{x}"{sep}' if json and not -limit <= x <= limit else f"{x}{sep}")
+                start = j + 1
+            parts.append(zero * (len(row) - start))
+            texts.append("".join(parts)[: -len(sep)] + tail)
+        yield texts
 
 
-_ROW_WRITERS = (_CensusRows, _MatrixRows)
 _ROW_BATCH = 64
 
 
 def _json_pieces(value: Any, pad: str = "\n"):
     """``value`` as JSON with two-space indent, in pieces; ``pad`` is the newline
     and indent of its level.  A dict comes field by field, and a list or a row
-    writer a batch of items at a time: a list is one batch, a row writer hands
-    over its own."""
+    writer a batch of items at a time: a list is one batch, and a row writer, a
+    callable value, hands over its own when called with ``(item, json)``."""
     inner = pad + "  "
     if isinstance(value, str):
         yield encode_basestring_ascii(value)
@@ -282,9 +269,9 @@ def _json_pieces(value: Any, pad: str = "\n"):
             yield from _json_pieces(d[k], inner)
             opener = ","
         yield pad + "}"
-    elif isinstance(value, _ROW_WRITERS) or isinstance(value, (list, tuple)) and value:
-        if isinstance(value, _ROW_WRITERS):
-            batches = value.rows(inner, True)
+    elif callable(value) or isinstance(value, (list, tuple)) and value:
+        if callable(value):
+            batches = value(inner, True)
         elif set(map(type, value)) == {int} and max(map(abs, value)) <= _JSON_INT_LIMIT:
             batches = [map(int.__repr__, value)]
         else:
@@ -300,7 +287,8 @@ def _json_pieces(value: Any, pad: str = "\n"):
 
 
 def _text_lines(key: str, value: Any, indent: int):
-    """The text lines of one field; a row writer's lines come a batch at a time."""
+    """The text lines of one field; a row writer, a callable value, gives its
+    lines a batch at a time."""
     pad = "  " * indent
     if isinstance(value, dict):
         yield f"{pad}{key}:"
@@ -313,9 +301,9 @@ def _text_lines(key: str, value: Any, indent: int):
             yield f"{pad}{key}:"
             for i, x in enumerate(value):
                 yield from _text_lines(f"[{i}]", x, indent + 1)
-    elif isinstance(value, _ROW_WRITERS):
+    elif callable(value):
         item, head, i = pad + "  ", f"{pad}{key}:\n", 0
-        for batch in value.rows(item, False):
+        for batch in value(item, False):
             yield head + "\n".join([f"{item}[{j}]:{text}" for j, text in enumerate(batch, i)])
             head, i = "", i + len(batch)
         if not i:
@@ -325,7 +313,8 @@ def _text_lines(key: str, value: Any, indent: int):
 
 
 def _emit(report: Dict[str, Any], fmt: str) -> None:
-    """Write the report to stdout in pieces, a row writer's rows a batch at a time."""
+    """Write the report to stdout in pieces, the rows of a row writer (a callable
+    value) a batch at a time."""
     if fmt == "json":
         pieces = chain(_json_pieces(report), ["\n"])
     else:
@@ -461,7 +450,7 @@ def _analysis_payload(analysis: Analysis, bound: Optional[int]) -> Dict[str, Any
     report = {
         "kind": model.kind.value,
         "genus": model.genus,
-        "matrix": {"dim": model.matrix.dim, "rows": _MatrixRows(model.matrix)},
+        "matrix": {"dim": model.matrix.dim, "rows": functools.partial(_matrix_rows, model.matrix)},
         "charpoly": list(analysis.charpoly.coeffs),
         "form_checks": analysis.form_checks,
         "quasi_unipotent": qu,
@@ -602,7 +591,8 @@ def _cmd_census(args) -> int:
     }
     if args.list_partitions:
         report["correspondence"] = args.correspondence
-        report["partitions"] = _CensusRows(args.genus, args.correspondence, args.limit)
+        report["partitions"] = functools.partial(
+            _census_rows, args.genus, args.correspondence, args.limit)
     _emit(report, args.format)
     return EXIT_OK
 

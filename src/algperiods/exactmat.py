@@ -483,7 +483,6 @@ def antisymplectic_charpoly_identity_check(a: IntMatrix) -> bool:
     if not form_predicates(a)[1]:
         raise NotAntisymplectic("the identity only applies to antisymplectic matrices")
     g = a.dim // 2
-    p = charpoly(a)
-    c = list(p.coeffs) + [0] * (a.dim + 1 - len(p.coeffs))
+    c = charpoly(a).coeffs
     return all(c[i] == (-1) ** (g + i) * c[a.dim - i] for i in range(a.dim + 1))
 

@@ -117,22 +117,17 @@ class HomologyModel:
         genus = operator.index(genus)
         if genus < 0:
             raise ValueError("genus must be nonnegative")
-        if kind is SurfaceKind.NONORIENTABLE:
-            if genus < 1:
-                raise ValueError("a non-orientable surface has genus at least 1")
-            if matrix.dim != genus - 1:
-                raise DimensionMismatch(
-                    f"non-orientable genus {genus} needs a matrix of dimension {genus - 1},"
-                    f" got {matrix.dim}"
-                )
-        else:
-            if matrix.dim != 2 * genus:
-                raise DimensionMismatch(
-                    f"orientable genus {genus} needs a matrix of dimension {2 * genus},"
-                    f" got {matrix.dim}"
-                )
+        orientable = kind is not SurfaceKind.NONORIENTABLE
+        if not orientable and genus < 1:
+            raise ValueError("a non-orientable surface has genus at least 1")
+        rank = 2 * genus if orientable else genus - 1
+        if matrix.dim != rank:
+            raise DimensionMismatch(
+                f"{'' if orientable else 'non-'}orientable genus {genus} needs a matrix"
+                f" of dimension {rank}, got {matrix.dim}"
+            )
         self._forms = None  # (symplectic, antisymplectic) once computed
-        if strict and kind is not SurfaceKind.NONORIENTABLE:
+        if strict and orientable:
             symplectic, antisymplectic = self._forms = form_predicates(matrix)
             if kind is SurfaceKind.PRESERVING and not symplectic:
                 raise FormViolation("orientation-preserving matrix must be symplectic")

@@ -249,9 +249,7 @@ def trace_sequence_from_charpoly(p: IntPolynomial, n_max: int) -> list[int]:
     if n_max < 1:
         raise ValueError("n_max must be positive")
     deg = p.degree
-    a = [0] * (deg + 1)
-    for i in range(1, deg + 1):
-        a[i] = p.coeffs[deg - i]
+    a = p.coeffs[::-1]
     sums: list[int] = []
     for k in range(1, n_max + 1):
         acc = -k * a[k] if k <= deg else 0

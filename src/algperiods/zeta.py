@@ -9,9 +9,13 @@ the exponent convention being pinned down by the series identity: taking
 z d/dz log of the product must reproduce L_n = sum_{k | n} k a_k, which
 the test suite checks term by term.
 
-Canonicalization rewrites every (1 + z^k) factor through
-(1 + z^k) = (1 - z^(2k)) / (1 - z^k), leaving the unique representation
-prod (1 - z^k)^(e_k):
+Canonicalization reads the factors one at a time and rewrites each
+(1 + z^r)^m through
+
+    (1 + z^r)^m = (1 - z^(2r))^m (1 - z^r)^(-m),
+
+adding its exponents into the unique representation prod (1 - z^k)^(e_k);
+a (1 - z^r)^m factor adds m to e_r as it stands.  Summed over the factors,
 
     e_k = c_k + d_(k/2) - d_k   (k even),      e_k = c_k - d_k   (k odd),
 
@@ -88,12 +92,8 @@ class ZetaFactorization:
                 raise ValueError(f"factor sign must be +1 or -1, got {delta}")
             if r < 1:
                 raise ValueError(f"factor degree must be positive, got {r}")
-            merged[(delta, r)] = merged.get((delta, r), 0) + m
-        self.factors = tuple(
-            Factor(delta, r, m)
-            for (delta, r), m in sorted(merged.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-            if m
-        )
+            merged[(r, delta)] = merged.get((r, delta), 0) + m
+        self.factors = tuple(Factor(delta, r, m) for (r, delta), m in sorted(merged.items()) if m)
 
     def __eq__(self, other: object):
         if isinstance(other, ZetaFactorization):
@@ -197,21 +197,17 @@ def lefschetz_from_zeta(f: ZetaFactorization, n_max: int) -> list[int]:
 
 
 def canonicalize(f: ZetaFactorization) -> Dict[int, int]:
-    """Exponents e_k of the unique representation prod (1 - z^k)^(e_k)."""
-    c: Dict[int, int] = {}
-    d: Dict[int, int] = {}
+    """Exponents e_k of the unique representation prod (1 - z^k)^(e_k), in ascending k.
+
+    Each factor is rewritten as it is read: (1 - z^r)^m adds m to e_r, and
+    (1 + z^r)^m = (1 - z^(2r))^m (1 - z^r)^(-m) adds -m to e_r and m to e_(2r).
+    """
+    e: Dict[int, int] = {}
     for delta, r, m in f.factors:
-        table = d if delta == 1 else c
-        table[r] = table.get(r, 0) + m
-    keys = set(c) | set(d) | {2 * k for k in d}
-    out: Dict[int, int] = {}
-    for k in sorted(keys):
-        e = c.get(k, 0) - d.get(k, 0)
-        if k % 2 == 0:
-            e += d.get(k // 2, 0)
-        if e:
-            out[k] = e
-    return out
+        e[r] = e.get(r, 0) + (m if delta == -1 else -m)
+        if delta == 1:
+            e[2 * r] = e.get(2 * r, 0) + m
+    return {k: e[k] for k in sorted(e) if e[k]}
 
 
 def mper_from_factorization(f: ZetaFactorization) -> set[int]:

@@ -185,9 +185,9 @@ def test_correspondence_examples():
 
 
 def test_correspondences_match_validating_constructor():
-    """The correspondences build their DoldClass unchecked; each must equal the
-    validated one with its support in the same ascending order, which dict
-    equality alone does not see but support(), hashing and the certificates do."""
+    """Each correspondence equals the DoldClass built from its formula, with its
+    support in the same ascending order, which dict equality alone does not see
+    but support(), hashing and the certificates do."""
     for n in range(1, 16):
         for p in enumerate_partitions(n):
             parts = p.parts()

@@ -1,4 +1,5 @@
 import errno
+import functools
 import importlib
 import io
 import json
@@ -344,7 +345,7 @@ def test_census_listing_across_digit_boundaries():
     "100" and a key from "10" to "19"; both correspondences, limits that end
     inside a block of rows sharing their parts >= _CUT, and full listings down
     to the all-small-parts tail; in JSON and text, against the library's rows."""
-    from algperiods.cli import _CUT, _CensusRows, _json_pieces
+    from algperiods.cli import _CUT, _census_rows, _json_pieces
 
     def stack(row):
         return [part for part in row["partition"] if part >= _CUT]
@@ -358,7 +359,7 @@ def test_census_listing_across_digit_boundaries():
                 following = census_listing_by_objects(genus, correspondence, (limit or 0) + 1)
                 if limit and len(following) > limit:
                     cuts_inside += stack(following[limit - 1]) == stack(following[limit])
-                rows = _CensusRows(genus, correspondence, limit)
+                rows = functools.partial(_census_rows, genus, correspondence, limit)
                 report = {"partitions": rows}
                 text = "".join(_json_pieces(report))
                 assert text == json_by_dumps({"partitions": expected}), (genus, correspondence, limit)
@@ -993,7 +994,7 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
         if expected[2]:
             readers.add("form_predicates")
         if argv[0] != "certify":
-            readers.add("rows")  # _MatrixRows.rows
+            readers.add("_matrix_rows")
         if argv[0] == "realize":
             readers.add("block_diag")
         assert {name for name, _, _ in reads} == readers, argv
@@ -1095,7 +1096,7 @@ def random_payload(rng, depth=0):
 
 
 def test_json_writer_matches_standard_encoder():
-    from algperiods.cli import _CensusRows, _MatrixRows, _json_pieces
+    from algperiods.cli import _census_rows, _json_pieces, _matrix_rows
 
     def json_text(value):
         return "".join(_json_pieces(value))
@@ -1118,8 +1119,15 @@ def test_json_writer_matches_standard_encoder():
         rows[i][i * 7 % 65] = (-1) ** i * (2**53 + i)
     listing = census_listing_by_objects(7, "orientable", 4)
     payload = {
-        "a": [_MatrixRows(IntMatrix([])), 3, {"m": _MatrixRows(IntMatrix(rows)), "s": "x"}],
-        "c": {"none": _CensusRows(7, "orientable", 0), "some": [None, _CensusRows(7, "orientable", 4)]},
+        "a": [
+            functools.partial(_matrix_rows, IntMatrix([])),
+            3,
+            {"m": functools.partial(_matrix_rows, IntMatrix(rows)), "s": "x"},
+        ],
+        "c": {
+            "none": functools.partial(_census_rows, 7, "orientable", 0),
+            "some": [None, functools.partial(_census_rows, 7, "orientable", 4)],
+        },
         "z": [2**60, -1],
     }
     plain = {
