@@ -19,13 +19,13 @@ report holds bound to their data with ``functools.partial``.  Called with
 ``(item, json)``, each hands over its rows in batches of item texts, and the
 two emitters own all framing: the JSON writer joins a batch with commas
 inside one bracket pair, as it does the items of a plain list, and the text
-writer puts each item after its running index "[i]:".  A census listing comes one block at a time, the rows that
-share their parts of at least _CUT: each row is one f-string of the block's
-stack texts and an entry of a suffix table made for the call, with no object
-built.  A matrix comes _ROW_BATCH rows at a time from its nonzero index, a
-run of zeros by one string repetition, so about one nonzero per row costs
-O(dim) Python steps.  A write that fails ends the run with what was written
-so far, a prefix of the report.
+writer puts each item after its running index "[i]:".  A census listing
+comes one block at a time, the rows that share their parts of at least _CUT:
+each row is one f-string of the block's stack texts and an entry of a suffix
+table made for the call, with no object built.  A matrix comes _ROW_BATCH
+rows at a time from its nonzero index, a run of zeros by one string
+repetition, so about one nonzero per row costs O(dim) Python steps.  A write
+that fails ends the run with what was written so far, a prefix of the report.
 
 Stable exit codes:
 
