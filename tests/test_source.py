@@ -1,6 +1,9 @@
 """Rules on the package's source that hold whatever the input."""
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import algperiods
@@ -19,6 +22,47 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _defined(owner, module):
+    """The functions, classes, methods and properties that ``module`` defines
+    in ``owner`` (the module or one of its classes), unwrapped, and the
+    classes' own members after each class."""
+    for name, value in vars(owner).items():
+        if isinstance(value, (staticmethod, classmethod)):
+            value = value.__func__
+        if isinstance(value, property):
+            yield from (f for f in (value.fget, value.fset, value.fdel) if f is not None)
+            continue
+        value = getattr(value, "func", value)  # functools.cached_property
+        value = inspect.unwrap(value) if callable(value) else value
+        if inspect.isfunction(value) and value.__module__ == module:
+            yield value
+        elif inspect.isclass(value) and value.__module__ == module and value is not owner:
+            yield value
+            yield from _defined(value, module)
+
+
+def test_every_annotation_resolves():
+    """Under ``from __future__ import annotations`` an annotation is a string that
+    nothing evaluates, so a name that lost its import would go unnoticed; here
+    ``typing.get_type_hints`` evaluates every annotation that a ``src/`` module
+    defines, in that module's namespace."""
+    paths = sorted(Path(algperiods.__file__).parent.glob("*.py"))
+    objects = []
+    for path in paths:
+        name = "algperiods" if path.stem == "__init__" else f"algperiods.{path.stem}"
+        # import_module, not attribute access: algperiods.census is also a function
+        module = importlib.import_module(name)
+        objects += _defined(module, name)
+    assert len(objects) >= 150
+    unresolved = []
+    for obj in objects:
+        try:
+            typing.get_type_hints(obj)
+        except Exception as exc:  # NameError, TypeError: the annotation names something missing
+            unresolved.append(f"{obj.__module__}.{obj.__qualname__}: {exc!r}")
+    assert unresolved == []
 
 
 def test_code_line_rule_on_a_synthetic_source():
