@@ -20,7 +20,7 @@ pure function.
 from __future__ import annotations
 
 import operator
-from typing import Dict, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 __all__ = [
     "DoldViolation",
@@ -37,7 +37,7 @@ class DoldViolation(Exception):
     """Moebius inversion produced a non-integer coefficient."""
 
 
-def _prime_exponents(n: int) -> Dict[int, int]:
+def _prime_exponents(n: int) -> dict[int, int]:
     """The factorization of n >= 1 by trial division, prime -> exponent, in O(sqrt(n)) steps."""
     exponents = {}
     p = 2
@@ -84,7 +84,7 @@ class LefschetzSequence:
     def __init__(self, values: Mapping[int, int]):
         if not values:
             raise ValueError("domain must be nonempty")
-        items: Dict[int, int] = {}
+        items: dict[int, int] = {}
         for n, v in values.items():
             n = operator.index(n)
             if n < 1:
@@ -131,7 +131,7 @@ class DoldClass:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Mapping[int, int] | None = None):
-        coeffs: Dict[int, int] = {}
+        coeffs: dict[int, int] = {}
         if coefficients:
             for n, a in coefficients.items():
                 n, a = operator.index(n), operator.index(a)
@@ -164,7 +164,7 @@ class DoldClass:
     def items(self):
         return self._coeffs.items()
 
-    def as_dict(self) -> Dict[int, int]:
+    def as_dict(self) -> dict[int, int]:
         return dict(self._coeffs)
 
 

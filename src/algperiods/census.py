@@ -25,8 +25,8 @@ import math
 import operator
 import threading
 from collections import Counter
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Optional
 
 from .arith import DoldClass
 
@@ -48,7 +48,7 @@ class Partition:
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Mapping[int, int]):
-        cleaned: Dict[int, int] = {}
+        cleaned: dict[int, int] = {}
         for k, p in parts.items():
             k, p = operator.index(k), operator.index(p)
             if k < 1 or p < 0:
@@ -69,7 +69,7 @@ class Partition:
     def multiplicity(self, k: int) -> int:
         return self._parts.get(k, 0)
 
-    def parts(self) -> Dict[int, int]:
+    def parts(self) -> dict[int, int]:
         return dict(self._parts)
 
     def as_list(self) -> list[int]:
@@ -131,7 +131,7 @@ def partition_count(n: int) -> int:
     return ways[n]
 
 
-def _walk(n: int, cut: int = 2, top: Optional[int] = None) -> Iterator[tuple[list, int]]:
+def _walk(n: int, cut: int = 2, top: int | None = None) -> Iterator[tuple[list, int]]:
     """The partitions of n into parts of at most top (default n), in decreasing
     lexicographic order, from one loop over a stack of (part, multiplicity)
     levels, largest part first.

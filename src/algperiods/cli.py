@@ -51,8 +51,6 @@ import os
 import sys
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
-from typing import Any, Dict, Optional
 
 from .arith import DoldClass
 from .census import _A1_SHIFT, _SCALES, _walk, census
@@ -147,7 +145,7 @@ class _Parser(argparse.ArgumentParser):
 _CUT = 5
 
 
-def _census_rows(genus: int, correspondence: str, limit: Optional[int], item: str, json: bool):
+def _census_rows(genus: int, correspondence: str, limit: int | None, item: str, json: bool):
     """The rows of a census listing, one per partition of the genus in the order
     of the partition walk, written straight to JSON or text with the bytes that a
     payload dict per row would give, {"dold": {str(n): a_n}, "partition": [parts
@@ -251,7 +249,7 @@ def _matrix_rows(matrix: IntMatrix, item: str, json: bool):
 _ROW_BATCH = 64
 
 
-def _json_pieces(value: Any, pad: str = "\n"):
+def _json_pieces(value: object, pad: str = "\n"):
     """``value`` as JSON with two-space indent, in pieces; ``pad`` is the newline
     and indent of its level.  A dict comes field by field, and a list or a row
     writer a batch of items at a time: a list is one batch, and a row writer, a
@@ -286,7 +284,7 @@ def _json_pieces(value: Any, pad: str = "\n"):
         yield json.dumps(value)  # empty containers, bool, None, float; others raise TypeError
 
 
-def _text_lines(key: str, value: Any, indent: int):
+def _text_lines(key: str, value: object, indent: int):
     """The text lines of one field; a row writer, a callable value, gives its
     lines a batch at a time."""
     pad = "  " * indent
@@ -312,7 +310,7 @@ def _text_lines(key: str, value: Any, indent: int):
         yield f"{pad}{key}: {value}"
 
 
-def _emit(report: Dict[str, Any], fmt: str) -> None:
+def _emit(report: dict[str, object], fmt: str) -> None:
     """Write the report to stdout in pieces, the rows of a row writer (a callable
     value) a batch at a time."""
     if fmt == "json":
@@ -336,7 +334,7 @@ def _size(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _parse_int(value: Any) -> int:
+def _parse_int(value: object) -> int:
     if isinstance(value, bool):
         raise _InputError("booleans are not integers")
     if isinstance(value, int):
@@ -349,7 +347,7 @@ def _parse_int(value: Any) -> int:
     raise _InputError(f"{_echo(value)} is not an integer")
 
 
-def _parse_json(text: str, source: str, pairs=None) -> Any:
+def _parse_json(text: str, source: str, pairs=None) -> object:
     """json.loads with CPython's default digit limit back in force, so that a
     number literal of more than 4,300 digits is refused in linear time rather
     than converted by the quadratic int(); integers written as strings have no
@@ -363,37 +361,44 @@ def _parse_json(text: str, source: str, pairs=None) -> Any:
         raise _InputError(f"{source} is not valid JSON: {exc}") from exc
     except ValueError:  # a number literal beyond the digit limit
         raise _InputError(f"{source} has a number of over 4300 digits; write it as a string") from None
+    except RecursionError:
+        raise _InputError(f"{source} is nested too deeply") from None
     finally:
         if lifted is not None:
             sys.set_int_max_str_digits(lifted)
 
 
-def _load_json(path: str, pairs=None) -> Any:
+def _load_json(path: str, pairs=None) -> object:
+    """The JSON value of a file read as UTF-8; every refusal names the file by
+    ``_echo`` once."""
     try:
-        text = Path(path).read_text()
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
-    return _parse_json(text, path, pairs)
+        raise _InputError(f"cannot read {_echo(path)}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{_echo(path)} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return _parse_json(text, _echo(path), pairs)
 
 
 def _load_matrix(path: str) -> IntMatrix:
     data = _load_json(path)
     if not isinstance(data, dict) or "dim" not in data or "rows" not in data:
-        raise _InputError(f'{path} must be an object {{"dim": n, "rows": [[...]]}}')
+        raise _InputError(f'{_echo(path)} must be an object {{"dim": n, "rows": [[...]]}}')
     dim = data["dim"]
     if isinstance(dim, str):
         try:
             dim = _size(dim)
         except argparse.ArgumentTypeError as exc:
-            raise _InputError(f"{path}: dim: {exc}") from None
+            raise _InputError(f"{_echo(path)}: dim: {exc}") from None
     dim = _parse_int(dim)
     rows = data["rows"]
     if not isinstance(rows, list) or len(rows) != dim:
-        raise _InputError(f"{path}: expected {_echo(dim)} rows")
+        raise _InputError(f"{_echo(path)}: expected {_echo(dim)} rows")
     parsed = []
     for row in rows:
         if not isinstance(row, list) or len(row) != dim:
-            raise _InputError(f"{path}: every row must have {_echo(dim)} entries")
+            raise _InputError(f"{_echo(path)}: every row must have {_echo(dim)} entries")
         # JSON integers are exact ints; anything else (bool included) goes through _parse_int.
         parsed.append([x if type(x) is int else _parse_int(x) for x in row])
     return IntMatrix._raw(parsed)
@@ -412,11 +417,11 @@ def _load_dold(source: str) -> DoldClass:
         data = _parse_json(stripped, "inline Dold map", tuple)
     else:
         try:
-            is_file = Path(source).exists()
+            os.stat(source)
+        except (FileNotFoundError, NotADirectoryError, ValueError):  # ValueError: a NUL in the text
+            raise _InputError(f"{_echo(source)} is neither a file nor an inline JSON object") from None
         except OSError as exc:
             raise _InputError(f"cannot read {_echo(source)}: {exc.strerror}") from exc
-        if not is_file:
-            raise _InputError(f"{_echo(source)} is neither a file nor an inline JSON object")
         data = _load_json(source, tuple)
     if not isinstance(data, tuple):
         raise _InputError("a Dold class must be a JSON object of period -> coefficient")
@@ -431,7 +436,7 @@ def _load_dold(source: str) -> DoldClass:
     return DoldClass(coeffs)
 
 
-def _analysis_payload(analysis: Analysis, bound: Optional[int]) -> Dict[str, Any]:
+def _analysis_payload(analysis: Analysis, bound: int | None) -> dict[str, object]:
     """Shared report body for realize/analyze."""
     qu = analysis.quasi_unipotent
     # every algebraic period lies in {1, 2} and the divisors of the orders
@@ -471,7 +476,7 @@ def _analysis_payload(analysis: Analysis, bound: Optional[int]) -> Dict[str, Any
     return report
 
 
-def _model_report(sm: SurfaceModel) -> Dict[str, Any]:
+def _model_report(sm: SurfaceModel) -> dict[str, object]:
     report = _analysis_payload(sm.analysis, bound=None)
     report.update(
         {
@@ -541,7 +546,7 @@ def _cmd_zeta(args) -> int:
             factorization = parse_factors(args.factors)
         except ValueError as exc:
             raise _UsageError(str(exc))
-    report: Dict[str, Any] = {
+    report: dict[str, object] = {
         "factors": [f._asdict() for f in factorization.factors],
         "factors_compact": format_factors(factorization),
     }
@@ -582,7 +587,7 @@ def _cmd_census(args) -> int:
                 f"--list-partitions would list P({args.genus}) partitions, above the cap of"
                 f" {MAX_LISTED_PARTITIONS}; pass --limit K with K <= {MAX_LISTED_PARTITIONS}"
             )
-    report: Dict[str, Any] = {
+    report: dict[str, object] = {
         "genus": rep.genus,
         "exact_count": rep.exact_count,
         "hardy_ramanujan_estimate": rep.hr_estimate,
@@ -602,7 +607,7 @@ def _cmd_certify(args) -> int:
         raise _UsageError("exactly one of --dold or --matrix is required")
     if args.dold is not None:
         dold = _load_dold(args.dold)
-        report: Dict[str, Any] = {"dold": dold.as_dict()}
+        report: dict[str, object] = {"dold": dold.as_dict()}
     else:
         if args.kind is None or args.genus is None:
             raise _UsageError("--matrix needs --kind and --genus")

@@ -61,10 +61,10 @@ Every predicate below is relative to this one convention.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Sequence
 from functools import cache
 from itertools import compress
 from math import comb, gcd, isqrt, prod
-from typing import Iterable, Sequence
 
 from .polycyc import IntPolynomial
 

@@ -51,7 +51,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Dict, Optional
 
 from .arith import DoldClass, divisors, moebius
 from .exactmat import (
@@ -162,9 +161,9 @@ class Analysis:
 
     model: HomologyModel
     charpoly: IntPolynomial
-    factorization: Optional[Dict[int, int]]
-    residual: Optional[IntPolynomial]
-    dold: Optional[DoldClass]
+    factorization: dict[int, int] | None
+    residual: IntPolynomial | None
+    dold: DoldClass | None
 
     @property
     def quasi_unipotent(self) -> bool:
@@ -186,7 +185,7 @@ class Analysis:
         return window
 
     @cached_property
-    def form_checks(self) -> Optional[Dict[str, bool]]:
+    def form_checks(self) -> dict[str, bool] | None:
         """Symplectic and antisymplectic predicates; None for non-orientable models.
 
         For dim > 0 at most one predicate holds.  A strict model computed

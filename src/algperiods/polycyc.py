@@ -17,9 +17,9 @@ concurrent reads and whose fill is idempotent.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from functools import lru_cache
 from math import prod
-from typing import Dict, Iterable
 
 from .arith import _prime_exponents, divisors
 
@@ -204,7 +204,7 @@ def _totient(n: int) -> int:
     return prod((p - 1) * p ** (e - 1) for p, e in _prime_exponents(n).items())
 
 
-def cyclotomic_factorization(p: IntPolynomial) -> Dict[int, int]:
+def cyclotomic_factorization(p: IntPolynomial) -> dict[int, int]:
     """Factor a monic polynomial into cyclotomics, order -> multiplicity.
 
     Succeeds exactly when every complex root of p is a root of unity;
@@ -213,7 +213,7 @@ def cyclotomic_factorization(p: IntPolynomial) -> Dict[int, int]:
     if p.is_zero() or not p.is_monic():
         raise NonMonicInput("cyclotomic factorization requires a monic polynomial")
     residual = p
-    mults: Dict[int, int] = {}
+    mults: dict[int, int] = {}
     d = 0
     while residual.degree > 0:
         d += 1

@@ -53,8 +53,8 @@ from __future__ import annotations
 
 import enum
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 from .arith import DoldClass
 from .exactmat import (
@@ -111,7 +111,7 @@ class SurfaceModel:
 
     target: tuple[int, ...]
     kind: SurfaceKind
-    mode: Optional[Mode]
+    mode: Mode | None
     pieces: tuple[PieceSpec, ...]
     analysis: Analysis
     flags: tuple[str, ...] = ()
@@ -154,7 +154,7 @@ def _swap_shift_block(tau: int) -> IntMatrix:
 
 
 def realize_target(
-    a: Iterable[int], kind: SurfaceKind, mode: Optional[Mode] = Mode.CORRECTED
+    a: Iterable[int], kind: SurfaceKind, mode: Mode | None = Mode.CORRECTED
 ) -> SurfaceModel:
     """A model of ``kind`` whose algebraic periods are the finite set ``a``.
 

@@ -31,9 +31,10 @@ terms merge by adding exponents.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import accumulate
 from operator import add, index, sub
-from typing import Dict, Iterable, NamedTuple
 
 from .arith import DoldClass
 
@@ -61,18 +62,21 @@ def _echo(value) -> str:
     """repr(value) for an error message: whole when the value has at most
     MAX_SIZE_CHARS characters (a string its own, anything else its repr's), else
     cut to MAX_SIZE_CHARS characters and the length of the whole, so that no
-    message grows with the input."""
-    text = repr(value)
+    message grows with the input; a value nested past the recursion limit has
+    no repr and is named as such."""
+    try:
+        text = repr(value)
+    except RecursionError:
+        return "a value nested too deeply"
     size = len(value) if isinstance(value, str) else len(text)
     if size <= MAX_SIZE_CHARS:
         return text
     return f"{text[:MAX_SIZE_CHARS]}... (a value of {size} characters)"
 
 
-class Factor(NamedTuple):
-    delta: int  # +1 or -1
-    r: int      # exponent of z inside the binomial
-    m: int      # integer exponent of the whole binomial
+# One binomial (1 + delta*z^r)^m: delta is +1 or -1, r the exponent of z inside
+# the binomial, m the integer exponent of the whole binomial.
+Factor = namedtuple("Factor", ["delta", "r", "m"])
 
 
 class ZetaFactorization:
@@ -85,7 +89,7 @@ class ZetaFactorization:
     __slots__ = ("factors",)
 
     def __init__(self, factors: Iterable[tuple[int, int, int]] = ()):
-        merged: Dict[tuple[int, int], int] = {}
+        merged: dict[tuple[int, int], int] = {}
         for delta, r, m in factors:
             delta, r, m = index(delta), index(r), index(m)
             if delta not in (1, -1):
@@ -196,13 +200,13 @@ def lefschetz_from_zeta(f: ZetaFactorization, n_max: int) -> list[int]:
     return out
 
 
-def canonicalize(f: ZetaFactorization) -> Dict[int, int]:
+def canonicalize(f: ZetaFactorization) -> dict[int, int]:
     """Exponents e_k of the unique representation prod (1 - z^k)^(e_k), in ascending k.
 
     Each factor is rewritten as it is read: (1 - z^r)^m adds m to e_r, and
     (1 + z^r)^m = (1 - z^(2r))^m (1 - z^r)^(-m) adds -m to e_r and m to e_(2r).
     """
-    e: Dict[int, int] = {}
+    e: dict[int, int] = {}
     for delta, r, m in f.factors:
         e[r] = e.get(r, 0) + (m if delta == -1 else -m)
         if delta == 1:

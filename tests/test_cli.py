@@ -446,8 +446,9 @@ def test_output_failing_mid_listing_ends_in_one_line(capsys, monkeypatch):
 GOLDEN = Path(__file__).parent / "golden"
 
 # (name, argv, exit code, stderr) for each failure path; {golden} stands for the
-# golden corpus directory and {tmp} for a directory holding identity_g1.json (the
-# 2 x 2 identity), empty.json (dim 0) and broken.json (not JSON).
+# golden corpus directory.  Each case runs in a directory holding identity_g1.json
+# (the 2 x 2 identity), empty.json (dim 0), broken.json (not JSON), not_utf8.json
+# (bytes that are not UTF-8) and deep.json (a matrix file nested 100,000 levels).
 FAILURE_CASES = [
     ("realize_odd_reversing", ["realize", "--set", "3,4", "--kind", "reversing"], 2,
      "error: orientation-reversing models admit only even algebraic periods;"
@@ -468,10 +469,10 @@ FAILURE_CASES = [
      ["certify", "--matrix", "{golden}/anosov_g1.json", "--kind", "nonorientable", "--genus", "2"],
      5, "error: non-orientable genus 2 needs a matrix of dimension 1, got 2\n"),
     ("analyze_negative_genus",
-     ["analyze", "--matrix", "{tmp}/empty.json", "--kind", "reversing", "--genus", "-1"],
+     ["analyze", "--matrix", "empty.json", "--kind", "reversing", "--genus", "-1"],
      5, "error: genus must be nonnegative\n"),
     ("certify_nonorientable_genus_0",
-     ["certify", "--matrix", "{tmp}/empty.json", "--kind", "nonorientable", "--genus", "0"],
+     ["certify", "--matrix", "empty.json", "--kind", "nonorientable", "--genus", "0"],
      5, "error: a non-orientable surface has genus at least 1\n"),
     *(
         (f"{command}_form_{kind}",
@@ -481,24 +482,40 @@ FAILURE_CASES = [
         for kind, matrix, message in (
             ("preserving", "{golden}/not_symplectic_g1.json",
              "orientation-preserving matrix must be symplectic"),
-            ("reversing", "{tmp}/identity_g1.json",
+            ("reversing", "identity_g1.json",
              "orientation-reversing matrix must be antisymplectic"),
         )
     ),
     ("analyze_max_iter_usage",
-     ["analyze", "--matrix", "{tmp}/identity_g1.json", "--kind", "preserving", "--genus", "1",
+     ["analyze", "--matrix", "identity_g1.json", "--kind", "preserving", "--genus", "1",
       "--max-iter", "0"], 1, "usage error: --max-iter must be positive\n"),
-    ("certify_matrix_usage", ["certify", "--matrix", "{tmp}/identity_g1.json", "--genus", "1"],
+    ("certify_matrix_usage", ["certify", "--matrix", "identity_g1.json", "--genus", "1"],
      1, "usage error: --matrix needs --kind and --genus\n"),
     ("census_usage", ["census", "--genus", "0"], 1, "usage error: --genus must be at least 1\n"),
     ("analyze_missing_file",
-     ["analyze", "--matrix", "{tmp}/missing.json", "--kind", "preserving", "--genus", "1"], 1,
-     "input error: cannot read {tmp}/missing.json: [Errno 2] No such file or directory:"
-     " '{tmp}/missing.json'\n"),
+     ["analyze", "--matrix", "missing.json", "--kind", "preserving", "--genus", "1"], 1,
+     "input error: cannot read 'missing.json': No such file or directory\n"),
     ("certify_broken_file",
-     ["certify", "--matrix", "{tmp}/broken.json", "--kind", "preserving", "--genus", "1"], 1,
-     "input error: {tmp}/broken.json is not valid JSON: Expecting property name enclosed in"
+     ["certify", "--matrix", "broken.json", "--kind", "preserving", "--genus", "1"], 1,
+     "input error: 'broken.json' is not valid JSON: Expecting property name enclosed in"
      " double quotes: line 1 column 2 (char 1)\n"),
+    ("analyze_not_utf8_file",
+     ["analyze", "--matrix", "not_utf8.json", "--kind", "preserving", "--genus", "1"], 1,
+     "input error: 'not_utf8.json' is not UTF-8: invalid start byte at byte 0\n"),
+    ("certify_dold_not_utf8_file", ["certify", "--dold", "not_utf8.json"], 1,
+     "input error: 'not_utf8.json' is not UTF-8: invalid start byte at byte 0\n"),
+    ("analyze_deep_file",
+     ["analyze", "--matrix", "deep.json", "--kind", "preserving", "--genus", "1"], 1,
+     "input error: 'deep.json' is nested too deeply\n"),
+    ("zeta_dold_deep_inline", ["zeta", "--dold", '{"1": ' + "[" * 20_000 + "]" * 20_000 + "}"], 1,
+     "input error: inline Dold map is nested too deeply\n"),
+    # parsed at 601 levels, but a value of 1,200 nested tuples has no repr
+    ("certify_dold_deep_value", ["certify", "--dold", '{"1": ' + '{"1": ' * 600 + "0" + "}" * 601], 1,
+     "input error: a value nested too deeply is not an integer\n"),
+    ("certify_dold_missing_file", ["certify", "--dold", "missing.json"], 1,
+     "input error: 'missing.json' is neither a file nor an inline JSON object\n"),
+    ("certify_dold_directory", ["certify", "--dold", "."], 1,
+     "input error: cannot read '.': Is a directory\n"),
     ("certify_dold_input", ["certify", "--dold", '{"0": 1}'], 1,
      "input error: period '0' is not a positive integer\n"),
 ]
@@ -506,18 +523,17 @@ FAILURE_CASES = [
 
 @pytest.mark.parametrize("name,argv,exit_code,stderr", FAILURE_CASES,
                          ids=[c[0] for c in FAILURE_CASES])
-def test_failure_exit_and_stderr(capsys, tmp_path, name, argv, exit_code, stderr):
+def test_failure_exit_and_stderr(capsys, tmp_path, monkeypatch, name, argv, exit_code, stderr):
     """Each failure path ends with its exit code and exactly this stderr; the
     golden corpus pins stdout only."""
+    monkeypatch.chdir(tmp_path)
     write_matrix(tmp_path, "identity_g1.json", [[1, 0], [0, 1]])
     write_matrix(tmp_path, "empty.json", [])
     (tmp_path / "broken.json").write_text("{")
-
-    def fill(text):
-        return text.replace("{golden}", str(GOLDEN)).replace("{tmp}", str(tmp_path))
-
-    code, _, err = run(capsys, [fill(a) for a in argv])
-    assert (code, err) == (exit_code, fill(stderr))
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "deep.json").write_text('{"dim": 1, "rows": ' + "[" * 10**5 + "]" * 10**5 + "}")
+    code, _, err = run(capsys, [a.replace("{golden}", str(GOLDEN)) for a in argv])
+    assert (code, err) == (exit_code, stderr)
 
 
 @pytest.mark.parametrize("command", [None, "realize", "analyze", "zeta", "census", "certify"])
@@ -713,6 +729,29 @@ def test_rejected_values_echoed_short(capsys, tmp_path):
     code, _, err = run(capsys, ["certify", "--dold", '{"1": 2, "3x": 1}'])
     assert code == 1 and "'3x' is not an integer" in err
 
+
+
+def test_long_file_paths_echoed_short(capsys, tmp_path, monkeypatch):
+    """A refusal names a file path once and by the echo rule: a path of 5,000
+    characters, as --matrix or --dold, exits 1 with one line under 200 bytes,
+    and so do long paths to files that exist but are refused."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "broken.json").write_text("{")
+    write_matrix(tmp_path, "ragged.json", [[1, 0], [0]])
+    long = "x" * 5000
+    cases = [
+        (["analyze", "--matrix", long, "--kind", "preserving", "--genus", "1"], "cannot read"),
+        (["certify", "--dold", long], "cannot read"),
+        (["certify", "--dold", "./" * 2000 + "broken.json"], "is not valid JSON"),
+        (["analyze", "--matrix", "./" * 2000 + "ragged.json", "--kind", "preserving",
+          "--genus", "1"], "every row must have 2 entries"),
+        (["certify", "--dold", "./" * 2000], "Is a directory"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, ""), argv[:2]
+        assert err.count("\n") == 1 and len(err.encode()) < 200, err[:300]
+        assert message in err and " characters)" in err, err
 
 
 def test_dold_map_with_two_keys_for_one_period_refused(capsys, tmp_path):

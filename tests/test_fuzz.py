@@ -283,6 +283,8 @@ DOLD_TEXTS = st.one_of(
 @example(text='{"0": 1}')
 @example(text='{"3": -2, "03": 0, "4": 1}')
 @example(text='{"2": 1, "+2": 5, "2": -1}')
+@example(text='{"1": ' + "[" * 20_000 + "]" * 20_000 + "}")  # nested past the recursion limit
+@example(text='{"1": ' + '{"1": ' * 20_000 + "0" + "}" * 20_000 + "}")
 @given(text=DOLD_TEXTS)
 def test_fuzz_certify_dold(text):
     report = check_outcome(*run(["certify", f"--dold={text}"]))

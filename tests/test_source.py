@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import sys
 import typing
 from pathlib import Path
 
@@ -22,6 +23,34 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_library_imports_only_what_it_uses():
+    """Every absolute import in ``src/`` names a standard-library module, and none
+    names ``typing`` or ``pathlib``.  Each CLI command is a fresh process that
+    pays for every module the package imports: under ``from __future__ import
+    annotations`` builtins and ``collections.abc`` serve the annotations, and
+    ``open`` and ``os.stat`` serve the two file reads.  ``dataclasses`` stays: the
+    five records it makes expose equality, hashing, repr, frozenness and
+    ``vars()`` as public behaviour, and a plain class would restate them in
+    about five more lines per record.  The check reads the package's own import
+    statements, not ``sys.modules``, whose contents vary with the interpreter."""
+    paths = sorted(Path(algperiods.__file__).parent.glob("*.py"))
+    imported = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.partition(".")[0], []).append(f"{path.name}:{node.lineno}")
+    assert {"argparse", "json", "dataclasses"} <= imported.keys()
+    assert [imported[name] for name in ("typing", "pathlib") if name in imported] == []
+    assert {name: where for name, where in imported.items()
+            if name not in sys.stdlib_module_names} == {}
 
 
 def _defined(owner, module):
