@@ -24,9 +24,8 @@ import itertools
 import math
 import operator
 import threading
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 
 from .arith import DoldClass
 
@@ -201,15 +200,10 @@ def partition_to_dold_nonorientable(p: Partition) -> DoldClass:
     return _partition_to_dold(p, _SCALES["nonorientable"])
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    """P(genus) with its asymptotic diagnostic."""
-
-    genus: int
-    exact_count: int
-    hr_estimate: float
-    ratio: float
-    statement: str
+# P(genus) with its asymptotic diagnostic: the genus, the exact count P(genus),
+# the Hardy-Ramanujan estimate, the ratio estimate / P(genus), and the statement.
+CensusReport = namedtuple(
+    "CensusReport", ["genus", "exact_count", "hr_estimate", "ratio", "statement"])
 
 
 def census(genus: int) -> CensusReport:

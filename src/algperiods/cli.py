@@ -6,10 +6,11 @@ bit-exact) or as plain text carrying the same information.  Matrix files
 are JSON objects {"dim": n, "rows": [[...], ...]}; Dold classes are JSON
 maps with string keys; readers accept big integers in either numeric or
 string form.  No configuration files, no environment variables.  A report
-holds the library's own records as they are: Dold classes, factorizations and
-canonical forms as dicts with integer keys, certificates and pieces as their
-attribute dicts (``vars``), zeta factors as ``_asdict()``.  The writers only
-read them: both turn keys into strings and sort them as strings, so "10"
+holds the library's own values as they are: Dold classes, factorizations and
+canonical forms as dicts with integer keys, and each namedtuple record (a
+certificate, a piece, a zeta factor) as its ``_asdict()``, never the record
+itself, which the JSON writer would write as a list.  The writers only read
+them: both turn keys into strings and sort them as strings, so "10"
 comes before "5".  A report goes to standard output in pieces and is never
 one string: JSON in the bytes of ``json.dumps(sort_keys=True, indent=2)`` on
 the string-keyed report, with no converted copy, from one recursive writer,
@@ -368,37 +369,50 @@ def _parse_json(text: str, source: str, pairs=None) -> object:
             sys.set_int_max_str_digits(lifted)
 
 
+def _echo_path(path: str) -> str:
+    """A file path for an error message: whole up to MAX_SIZE_CHARS characters,
+    else the last MAX_SIZE_CHARS characters of its repr, which name the file,
+    and its length."""
+    if len(path) <= MAX_SIZE_CHARS:
+        return repr(path)
+    return f"...{repr(path)[-MAX_SIZE_CHARS:]} (a value of {len(path)} characters)"
+
+
 def _load_json(path: str, pairs=None) -> object:
     """The JSON value of a file read as UTF-8; every refusal names the file by
-    ``_echo`` once."""
+    ``_echo_path`` once."""
+    name = _echo_path(path)
     try:
         with open(path, encoding="utf-8") as file:
             text = file.read()
     except OSError as exc:
-        raise _InputError(f"cannot read {_echo(path)}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise _InputError(f"{_echo(path)} is not UTF-8: {exc.reason} at byte {exc.start}") from None
-    return _parse_json(text, _echo(path), pairs)
+        raise _InputError(f"cannot read {name}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:  # from read(); a ValueError, so caught first
+        raise _InputError(f"{name} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except ValueError:  # from open(): a NUL in the path, or a character it cannot encode
+        raise _InputError(f"cannot read {name}: not a valid file path") from None
+    return _parse_json(text, name, pairs)
 
 
 def _load_matrix(path: str) -> IntMatrix:
     data = _load_json(path)
+    name = _echo_path(path)
     if not isinstance(data, dict) or "dim" not in data or "rows" not in data:
-        raise _InputError(f'{_echo(path)} must be an object {{"dim": n, "rows": [[...]]}}')
+        raise _InputError(f'{name} must be an object {{"dim": n, "rows": [[...]]}}')
     dim = data["dim"]
     if isinstance(dim, str):
         try:
             dim = _size(dim)
         except argparse.ArgumentTypeError as exc:
-            raise _InputError(f"{_echo(path)}: dim: {exc}") from None
+            raise _InputError(f"{name}: dim: {exc}") from None
     dim = _parse_int(dim)
     rows = data["rows"]
     if not isinstance(rows, list) or len(rows) != dim:
-        raise _InputError(f"{_echo(path)}: expected {_echo(dim)} rows")
+        raise _InputError(f"{name}: expected {_echo(dim)} rows")
     parsed = []
     for row in rows:
         if not isinstance(row, list) or len(row) != dim:
-            raise _InputError(f"{_echo(path)}: every row must have {_echo(dim)} entries")
+            raise _InputError(f"{name}: every row must have {_echo(dim)} entries")
         # JSON integers are exact ints; anything else (bool included) goes through _parse_int.
         parsed.append([x if type(x) is int else _parse_int(x) for x in row])
     return IntMatrix._raw(parsed)
@@ -419,9 +433,9 @@ def _load_dold(source: str) -> DoldClass:
         try:
             os.stat(source)
         except (FileNotFoundError, NotADirectoryError, ValueError):  # ValueError: a NUL in the text
-            raise _InputError(f"{_echo(source)} is neither a file nor an inline JSON object") from None
+            raise _InputError(f"{_echo_path(source)} is neither a file nor an inline JSON object") from None
         except OSError as exc:
-            raise _InputError(f"cannot read {_echo(source)}: {exc.strerror}") from exc
+            raise _InputError(f"cannot read {_echo_path(source)}: {exc.strerror}") from exc
         data = _load_json(source, tuple)
     if not isinstance(data, tuple):
         raise _InputError("a Dold class must be a JSON object of period -> coefficient")
@@ -465,7 +479,7 @@ def _analysis_payload(analysis: Analysis, bound: int | None) -> dict[str, object
         "algebraic_periods": list(dold.support()) if qu else None,
         "ap_odd": odd_periods,
         "mper_l": odd_periods,
-        "certificates": [vars(c) for c in periodic_point_certificate(dold)] if qu else [],
+        "certificates": [c._asdict() for c in periodic_point_certificate(dold)] if qu else [],
         # L_1, L_3, ... sit at the even indices of the window
         "odd_lefschetz_vanish": (
             not any(lefschetz[::2]) if qu and model.kind is SurfaceKind.REVERSING else None
@@ -483,7 +497,7 @@ def _model_report(sm: SurfaceModel) -> dict[str, object]:
             "mode": sm.mode.value if sm.mode is not None else None,
             "target": list(sm.target),
             "achieved": report["algebraic_periods"],
-            "pieces": [vars(p) for p in sm.pieces],
+            "pieces": [p._asdict() for p in sm.pieces],
             "flags": list(sm.flags),
         }
     )
@@ -618,7 +632,7 @@ def _cmd_certify(args) -> int:
         dold = analysis.dold
         model = analysis.model
         report = {"kind": model.kind.value, "genus": model.genus, "dold": dold.as_dict()}
-    report["certificates"] = [vars(c) for c in periodic_point_certificate(dold)]
+    report["certificates"] = [c._asdict() for c in periodic_point_certificate(dold)]
     _emit(report, args.format)
     return EXIT_OK
 

@@ -47,8 +47,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from math import prod
 
@@ -149,21 +148,15 @@ class HomologyModel:
         return f"HomologyModel({self.kind.value!r}, dim={self.matrix.dim}, genus={self.genus})"
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(namedtuple("Analysis", ["model", "charpoly", "factorization", "residual", "dold"])):
     """The analysis pass of one model, built by :func:`analyze`.
 
-    Holds the characteristic polynomial, then either its cyclotomic
-    factorization (order -> multiplicity) or the non-cyclotomic residual,
-    then the Dold class (None when the model is not quasi-unipotent).  The
-    Lefschetz window and the form checks are computed only when asked for.
+    Holds the model and its characteristic polynomial, then either its
+    cyclotomic factorization (order -> multiplicity) or the non-cyclotomic
+    residual, then the Dold class (None when the model is not
+    quasi-unipotent).  The Lefschetz window and the form checks are computed
+    only when asked for; the form checks are cached in the instance dict.
     """
-
-    model: HomologyModel
-    charpoly: IntPolynomial
-    factorization: dict[int, int] | None
-    residual: IntPolynomial | None
-    dold: DoldClass | None
 
     @property
     def quasi_unipotent(self) -> bool:
@@ -249,14 +242,11 @@ def ap_odd(m: HomologyModel) -> set[int]:
     return {n for n in algebraic_periods(m).support() if n % 2}
 
 
-@dataclass(frozen=True)
-class PeriodicPointGuarantee:
-    """A statement about minimal periods forced in a whole homotopy class."""
-
-    period: int
-    guarantee: str  # "odd" or "either"
-    periods: tuple[int, ...]
-    statement: str
+# A statement about minimal periods forced in a whole homotopy class: the period
+# n, its guarantee "odd" or "either", the tuple of minimal periods of which one is
+# forced (n, or n and n/2), and the statement in words.
+PeriodicPointGuarantee = namedtuple(
+    "PeriodicPointGuarantee", ["period", "guarantee", "periods", "statement"])
 
 
 def periodic_point_certificate(d: DoldClass) -> list[PeriodicPointGuarantee]:

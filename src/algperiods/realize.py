@@ -53,8 +53,8 @@ from __future__ import annotations
 
 import enum
 import operator
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .arith import DoldClass
 from .exactmat import (
@@ -96,25 +96,18 @@ class Mode(enum.Enum):
     CORRECTED = "corrected"
 
 
-@dataclass(frozen=True)
-class PieceSpec:
-    """One periodic piece: label n, order tau of the map on it, copy count."""
-
-    n: int
-    tau: int
-    copies: int
+# One periodic piece: label n, order tau of the map on it, copy count.
+PieceSpec = namedtuple("PieceSpec", ["n", "tau", "copies"])
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    """A realization result; ``genus``, ``model`` and ``achieved`` are read from its analysis."""
+class SurfaceModel(namedtuple(
+        "SurfaceModel", ["target", "kind", "mode", "pieces", "analysis", "flags"], defaults=[()])):
+    """A realization result: the sorted target tuple, the kind, the mode (None
+    unless reversing), the tuple of PieceSpec, the Analysis and the tuple of
+    deviation flags.  ``genus``, ``model`` and ``achieved`` are read from the
+    analysis."""
 
-    target: tuple[int, ...]
-    kind: SurfaceKind
-    mode: Mode | None
-    pieces: tuple[PieceSpec, ...]
-    analysis: Analysis
-    flags: tuple[str, ...] = ()
+    __slots__ = ()
 
     @property
     def model(self) -> HomologyModel:

@@ -448,7 +448,8 @@ GOLDEN = Path(__file__).parent / "golden"
 # (name, argv, exit code, stderr) for each failure path; {golden} stands for the
 # golden corpus directory.  Each case runs in a directory holding identity_g1.json
 # (the 2 x 2 identity), empty.json (dim 0), broken.json (not JSON), not_utf8.json
-# (bytes that are not UTF-8) and deep.json (a matrix file nested 100,000 levels).
+# (bytes that are not UTF-8), deep.json (a matrix file nested 100,000 levels) and
+# list.json (the JSON list [1, 2]).
 FAILURE_CASES = [
     ("realize_odd_reversing", ["realize", "--set", "3,4", "--kind", "reversing"], 2,
      "error: orientation-reversing models admit only even algebraic periods;"
@@ -518,6 +519,25 @@ FAILURE_CASES = [
      "input error: cannot read '.': Is a directory\n"),
     ("certify_dold_input", ["certify", "--dold", '{"0": 1}'], 1,
      "input error: period '0' is not a positive integer\n"),
+    ("census_negative_limit", ["census", "--genus", "5", "--list-partitions", "--limit", "-1"], 1,
+     "usage error: --limit must be nonnegative\n"),
+    ("certify_dold_not_an_object", ["certify", "--dold", "list.json"], 1,
+     "input error: a Dold class must be a JSON object of period -> coefficient\n"),
+    # open() raises ValueError for a NUL in a path and for a lone surrogate
+    *(
+        (f"{command}_{name}_path", [command, "--matrix", path, "--kind", "preserving", "--genus", "1"],
+         1, f"input error: cannot read {path!r}: not a valid file path\n")
+        for command in ("analyze", "certify")
+        for name, path in (("nul", "a\x00b"), ("surrogate", "\ud800"))
+    ),
+    # a path of more than 20 characters is echoed by its last 20, which name the file
+    ("analyze_long_missing_path",
+     ["analyze", "--matrix", "nested/" * 5 + "missing.json", "--kind", "preserving", "--genus", "1"],
+     1, "input error: cannot read ...nested/missing.json' (a value of 47 characters):"
+     " No such file or directory\n"),
+    ("certify_dold_long_broken_path", ["certify", "--dold", "./" * 10 + "broken.json"], 1,
+     "input error: ...././././broken.json' (a value of 31 characters) is not valid JSON:"
+     " Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"),
 ]
 
 
@@ -532,6 +552,7 @@ def test_failure_exit_and_stderr(capsys, tmp_path, monkeypatch, name, argv, exit
     (tmp_path / "broken.json").write_text("{")
     (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe")
     (tmp_path / "deep.json").write_text('{"dim": 1, "rows": ' + "[" * 10**5 + "]" * 10**5 + "}")
+    (tmp_path / "list.json").write_text("[1, 2]")
     code, _, err = run(capsys, [a.replace("{golden}", str(GOLDEN)) for a in argv])
     assert (code, err) == (exit_code, stderr)
 

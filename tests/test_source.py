@@ -3,6 +3,8 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
 import sys
 import typing
 from pathlib import Path
@@ -27,14 +29,15 @@ def test_library_has_no_assert_statements():
 
 def test_library_imports_only_what_it_uses():
     """Every absolute import in ``src/`` names a standard-library module, and none
-    names ``typing`` or ``pathlib``.  Each CLI command is a fresh process that
-    pays for every module the package imports: under ``from __future__ import
-    annotations`` builtins and ``collections.abc`` serve the annotations, and
-    ``open`` and ``os.stat`` serve the two file reads.  ``dataclasses`` stays: the
-    five records it makes expose equality, hashing, repr, frozenness and
-    ``vars()`` as public behaviour, and a plain class would restate them in
-    about five more lines per record.  The check reads the package's own import
-    statements, not ``sys.modules``, whose contents vary with the interpreter."""
+    names ``typing``, ``pathlib`` or ``dataclasses``.  Each CLI command is a fresh
+    process that pays for every module the package imports: under ``from
+    __future__ import annotations`` builtins and ``collections.abc`` serve the
+    annotations, ``open`` and ``os.stat`` serve the two file reads, and
+    ``collections.namedtuple`` makes the records, with the equality, hashing,
+    repr and read-only fields that ``dataclasses`` (which imports ``inspect``)
+    gave them.  The check reads the package's own import statements, not
+    ``sys.modules``, whose contents vary with the interpreter; the test below
+    checks what a fresh import of the command line loads."""
     paths = sorted(Path(algperiods.__file__).parent.glob("*.py"))
     imported = {}
     for path in paths:
@@ -47,10 +50,21 @@ def test_library_imports_only_what_it_uses():
                 continue
             for name in names:
                 imported.setdefault(name.partition(".")[0], []).append(f"{path.name}:{node.lineno}")
-    assert {"argparse", "json", "dataclasses"} <= imported.keys()
-    assert [imported[name] for name in ("typing", "pathlib") if name in imported] == []
+    assert {"argparse", "json", "collections"} <= imported.keys()
+    assert [imported[name] for name in ("typing", "pathlib", "dataclasses") if name in imported] == []
     assert {name: where for name, where in imported.items()
             if name not in sys.stdlib_module_names} == {}
+
+
+def test_fresh_cli_import_loads_no_unused_module():
+    """A fresh ``python -S`` that imports the command line loads none of the
+    modules the package does not use, nor those that only they pull in."""
+    unused = ["dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "pathlib"]
+    code = f"import sys, algperiods.cli; print([m for m in {unused!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(algperiods.__file__).parent.parent))
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert (result.returncode, result.stderr, result.stdout) == (0, "", "[]\n")
 
 
 def _defined(owner, module):
