@@ -381,38 +381,36 @@ def _echo_path(path: str) -> str:
 def _load_json(path: str, pairs=None) -> object:
     """The JSON value of a file read as UTF-8; every refusal names the file by
     ``_echo_path`` once."""
-    name = _echo_path(path)
     try:
         with open(path, encoding="utf-8") as file:
             text = file.read()
     except OSError as exc:
-        raise _InputError(f"cannot read {name}: {exc.strerror}") from exc
+        raise _InputError(f"cannot read {_echo_path(path)}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:  # from read(); a ValueError, so caught first
-        raise _InputError(f"{name} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+        raise _InputError(f"{_echo_path(path)} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     except ValueError:  # from open(): a NUL in the path, or a character it cannot encode
-        raise _InputError(f"cannot read {name}: not a valid file path") from None
-    return _parse_json(text, name, pairs)
+        raise _InputError(f"cannot read {_echo_path(path)}: not a valid file path") from None
+    return _parse_json(text, _echo_path(path), pairs)
 
 
 def _load_matrix(path: str) -> IntMatrix:
     data = _load_json(path)
-    name = _echo_path(path)
     if not isinstance(data, dict) or "dim" not in data or "rows" not in data:
-        raise _InputError(f'{name} must be an object {{"dim": n, "rows": [[...]]}}')
+        raise _InputError(f'{_echo_path(path)} must be an object {{"dim": n, "rows": [[...]]}}')
     dim = data["dim"]
     if isinstance(dim, str):
         try:
             dim = _size(dim)
         except argparse.ArgumentTypeError as exc:
-            raise _InputError(f"{name}: dim: {exc}") from None
+            raise _InputError(f"{_echo_path(path)}: dim: {exc}") from None
     dim = _parse_int(dim)
     rows = data["rows"]
     if not isinstance(rows, list) or len(rows) != dim:
-        raise _InputError(f"{name}: expected {_echo(dim)} rows")
+        raise _InputError(f"{_echo_path(path)}: expected {_echo(dim)} rows")
     parsed = []
     for row in rows:
         if not isinstance(row, list) or len(row) != dim:
-            raise _InputError(f"{name}: every row must have {_echo(dim)} entries")
+            raise _InputError(f"{_echo_path(path)}: every row must have {_echo(dim)} entries")
         # JSON integers are exact ints; anything else (bool included) goes through _parse_int.
         parsed.append([x if type(x) is int else _parse_int(x) for x in row])
     return IntMatrix._raw(parsed)
