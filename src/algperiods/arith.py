@@ -14,7 +14,9 @@ this and raises ``DoldViolation``.
 
 Everything here is exact integer arithmetic; rationals never escape.
 All values are immutable after construction and every operation is a
-pure function.
+pure function.  The private base ``_Value`` gives the library's value
+classes their one equality rule: two values are equal when they are of one
+class with equal ``_key()``, and a value hashes as its key.
 """
 
 from __future__ import annotations
@@ -35,6 +37,19 @@ __all__ = [
 
 class DoldViolation(Exception):
     """Moebius inversion produced a non-integer coefficient."""
+
+
+class _Value:
+    """A value that equals only values of its own class with an equal ``_key()``,
+    and hashes as that key."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object):
+        return self._key() == other._key() if isinstance(other, type(self)) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _prime_exponents(n: int) -> dict[int, int]:
@@ -70,7 +85,7 @@ def divisors(n: int) -> list[int]:
     return sorted(found)
 
 
-class LefschetzSequence:
+class LefschetzSequence(_Value):
     """Integer sequence on a finite, divisor-closed index set.
 
     Divisor closure (every divisor of an index is itself an index) is
@@ -110,10 +125,8 @@ class LefschetzSequence:
     def __len__(self) -> int:
         return len(self._values)
 
-    def __eq__(self, other: object):
-        if isinstance(other, LefschetzSequence):
-            return self._values == other._values
-        return NotImplemented
+    def _key(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self._values.items())
 
     def __repr__(self) -> str:
         return f"LefschetzSequence({self._values!r})"
@@ -125,7 +138,7 @@ class LefschetzSequence:
         return self._values.items()
 
 
-class DoldClass:
+class DoldClass(_Value):
     """Finitely supported integer map n -> a_n; zero outside the support."""
 
     __slots__ = ("_coeffs",)
@@ -147,13 +160,8 @@ class DoldClass:
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
-    def __eq__(self, other: object):
-        if isinstance(other, DoldClass):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self._coeffs.items()))
+    def _key(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self._coeffs.items())
 
     def __repr__(self) -> str:
         return f"DoldClass({self._coeffs!r})"

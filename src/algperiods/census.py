@@ -27,7 +27,7 @@ import threading
 from collections import Counter, namedtuple
 from collections.abc import Iterator, Mapping
 
-from .arith import DoldClass
+from .arith import DoldClass, _Value
 
 __all__ = [
     "Partition",
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-class Partition:
+class Partition(_Value):
     """An unordered partition, stored as multiplicities part -> count."""
 
     __slots__ = ("_parts",)
@@ -78,13 +78,8 @@ class Partition:
             out.extend([k] * self._parts[k])
         return out
 
-    def __eq__(self, other: object):
-        if isinstance(other, Partition):
-            return self._parts == other._parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self._parts.items()))
+    def _key(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self._parts.items())
 
     def __repr__(self) -> str:
         return f"Partition({self.as_list()!r})"

@@ -66,6 +66,7 @@ from functools import cache
 from itertools import compress
 from math import comb, gcd, isqrt, prod
 
+from .arith import _Value
 from .polycyc import IntPolynomial
 
 __all__ = [
@@ -95,7 +96,7 @@ class NotAntisymplectic(Exception):
     """The operation requires an antisymplectic matrix."""
 
 
-class IntMatrix:
+class IntMatrix(_Value):
     """Square matrix of arbitrary-precision integers."""
 
     __slots__ = ("rows", "_nonzero")
@@ -131,13 +132,8 @@ class IntMatrix:
     def dim(self) -> int:
         return len(self.rows)
 
-    def __eq__(self, other: object):
-        if isinstance(other, IntMatrix):
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.rows)
+    def _key(self) -> tuple[tuple[int, ...], ...]:
+        return self.rows
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"

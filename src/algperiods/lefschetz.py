@@ -48,10 +48,9 @@ from __future__ import annotations
 import enum
 import operator
 from collections import Counter, namedtuple
-from functools import cached_property
 from math import prod
 
-from .arith import DoldClass, divisors, moebius
+from .arith import DoldClass, _Value, divisors, moebius
 from .exactmat import (
     DimensionMismatch,
     IntMatrix,
@@ -97,11 +96,12 @@ _KIND_TERMS = {
 }
 
 
-class HomologyModel:
+class HomologyModel(_Value):
     """Surface kind, genus, and the matrix of the induced map on H_1.
 
     Orientable kinds act on rank 2*genus, the non-orientable kind on the
-    torsion-free rank genus - 1.  With ``strict=True`` the constructor
+    torsion-free rank genus - 1; a kind that is not a :class:`SurfaceKind`
+    raises TypeError.  With ``strict=True`` the constructor
     additionally enforces the form predicate of the kind (symplectic for
     preserving, antisymplectic for reversing); analysis of arbitrary
     matrices should leave it off.  A strict orientable model keeps the pair
@@ -112,6 +112,8 @@ class HomologyModel:
     __slots__ = ("kind", "matrix", "genus", "_forms")
 
     def __init__(self, kind: SurfaceKind, matrix: IntMatrix, genus: int, strict: bool = False):
+        if not isinstance(kind, SurfaceKind):
+            raise TypeError(f"kind must be a SurfaceKind, not {type(kind).__name__}")
         genus = operator.index(genus)
         if genus < 0:
             raise ValueError("genus must be nonnegative")
@@ -135,14 +137,8 @@ class HomologyModel:
         self.matrix = matrix
         self.genus = genus
 
-    def __eq__(self, other: object):
-        if isinstance(other, HomologyModel):
-            return (
-                self.kind is other.kind
-                and self.matrix == other.matrix
-                and self.genus == other.genus
-            )
-        return NotImplemented
+    def _key(self) -> tuple[SurfaceKind, IntMatrix, int]:
+        return (self.kind, self.matrix, self.genus)
 
     def __repr__(self) -> str:
         return f"HomologyModel({self.kind.value!r}, dim={self.matrix.dim}, genus={self.genus})"
@@ -155,8 +151,10 @@ class Analysis(namedtuple("Analysis", ["model", "charpoly", "factorization", "re
     cyclotomic factorization (order -> multiplicity) or the non-cyclotomic
     residual, then the Dold class (None when the model is not
     quasi-unipotent).  The Lefschetz window and the form checks are computed
-    only when asked for; the form checks are cached in the instance dict.
+    only when asked for.
     """
+
+    __slots__ = ()
 
     @property
     def quasi_unipotent(self) -> bool:
@@ -177,13 +175,13 @@ class Analysis(namedtuple("Analysis", ["model", "charpoly", "factorization", "re
             window[k - 1 :: k] = map((k * a).__add__, window[k - 1 :: k])
         return window
 
-    @cached_property
+    @property
     def form_checks(self) -> dict[str, bool] | None:
         """Symplectic and antisymplectic predicates; None for non-orientable models.
 
         For dim > 0 at most one predicate holds.  A strict model computed
-        both when it was built; any other model takes one ``form_predicates``
-        call for both.
+        both when it was built and hands them over; any other model takes one
+        ``form_predicates`` call for both each time this is read.
         """
         m = self.model
         if m.kind is SurfaceKind.NONORIENTABLE:

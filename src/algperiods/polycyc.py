@@ -21,7 +21,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 from math import prod
 
-from .arith import _prime_exponents, divisors
+from .arith import _prime_exponents, _Value, divisors
 
 __all__ = [
     "NonMonicInput",
@@ -47,7 +47,7 @@ class NotQuasiUnipotent(Exception):
         super().__init__(f"non-cyclotomic residual factor {residual}")
 
 
-class IntPolynomial:
+class IntPolynomial(_Value):
     """Dense integer polynomial; ``coeffs[i]`` is the x^i coefficient."""
 
     __slots__ = ("coeffs",)
@@ -73,13 +73,8 @@ class IntPolynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __eq__(self, other: object):
-        if isinstance(other, IntPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
+    def _key(self) -> tuple[int, ...]:
+        return self.coeffs
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs

@@ -151,8 +151,10 @@ def realize_target(
 ) -> SurfaceModel:
     """A model of ``kind`` whose algebraic periods are the finite set ``a``.
 
-    ``mode`` applies to the reversing kind only; the other kinds report
-    mode None.  Raises EmptyTarget, ValueError for nonpositive elements,
+    ``mode`` applies to the reversing kind only, where it must be a
+    :class:`Mode`; the other kinds report mode None.  Raises EmptyTarget,
+    ValueError for nonpositive elements, TypeError for a kind that is not a
+    SurfaceKind or a reversing mode that is not a Mode,
     OddTargetUnrealizable for an odd element in a reversing target, and
     TargetMismatch when a construction other than the faithful reversing
     one misses its target.
@@ -165,6 +167,8 @@ def realize_target(
         pieces = [PieceSpec(n, n, 1) for n in sorted(target_set ^ {1})]
         blocks = [cyclic_permutation(p.n) for p in pieces]
     elif kind is SurfaceKind.REVERSING:
+        if not isinstance(mode, Mode):
+            raise TypeError(f"mode must be a Mode, not {type(mode).__name__}")
         if any(n % 2 for n in target):
             raise OddTargetUnrealizable(
                 "orientation-reversing models admit only even algebraic periods; "

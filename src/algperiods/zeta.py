@@ -36,7 +36,7 @@ from collections.abc import Iterable
 from itertools import accumulate
 from operator import add, index, sub
 
-from .arith import DoldClass
+from .arith import DoldClass, _Value
 
 __all__ = [
     "Factor",
@@ -79,7 +79,7 @@ def _echo(value) -> str:
 Factor = namedtuple("Factor", ["delta", "r", "m"])
 
 
-class ZetaFactorization:
+class ZetaFactorization(_Value):
     """Normalized finite product of binomials (1 + delta*z^r)^m.
 
     Normalization merges factors with the same (delta, r), drops zero
@@ -99,13 +99,8 @@ class ZetaFactorization:
             merged[(r, delta)] = merged.get((r, delta), 0) + m
         self.factors = tuple(Factor(delta, r, m) for (r, delta), m in sorted(merged.items()) if m)
 
-    def __eq__(self, other: object):
-        if isinstance(other, ZetaFactorization):
-            return self.factors == other.factors
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.factors)
+    def _key(self) -> tuple[Factor, ...]:
+        return self.factors
 
     def __repr__(self) -> str:
         return f"ZetaFactorization({format_factors(self)!r})"

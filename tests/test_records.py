@@ -6,6 +6,7 @@ report holds each certificate and piece as a ``{field: value}`` dict in field
 order, never the record itself: the JSON writer writes any tuple as a list.
 """
 
+import importlib
 import json
 
 import pytest
@@ -13,6 +14,8 @@ import pytest
 import algperiods.cli as cli
 from algperiods import (
     DoldClass,
+    HomologyModel,
+    IntMatrix,
     Mode,
     SurfaceKind,
     census,
@@ -72,7 +75,7 @@ def test_record_repr_equality_and_hash(name):
     assert first == second and not first != second
     if name in HASHABLE:
         assert hash(first) == hash(second)
-    else:  # a field holds a HomologyModel or a dict
+    else:  # a field holds a dict, the factorization of a quasi-unipotent model
         with pytest.raises(TypeError):
             hash(first)
 
@@ -165,3 +168,27 @@ def test_no_record_reaches_a_report(monkeypatch, tmp_path):
         assert [type(v).__name__ for v in values if hasattr(v, "_fields")] == [], argv
         dicts += sum(isinstance(v, dict) for v in values)
     assert dicts > 3 * len(argvs)
+
+
+def test_analysis_has_no_instance_dict(monkeypatch):
+    """``Analysis`` is slotted like the other records: ``vars()`` raises TypeError and
+    it takes no attribute that is not a field.  Its form checks are not cached: a
+    strict model hands over the predicates it computed, and a lax one computes
+    them on each read."""
+    for make, _, _ in RECORDS.values():
+        with pytest.raises(TypeError):
+            vars(make())
+    analysis = RECORDS["Analysis"][0]()
+    with pytest.raises(AttributeError):
+        analysis.cache = {}
+    lefschetz = importlib.import_module("algperiods.lefschetz")
+    calls = []
+    form_predicates = lefschetz.form_predicates
+    monkeypatch.setattr(lefschetz, "form_predicates",
+                        lambda a: calls.append(a) or form_predicates(a))
+    checks = {"symplectic": True, "antisymplectic": False}
+    assert [analysis.form_checks, analysis.form_checks] == [checks, checks] and calls == []
+    lax = lefschetz.analyze(HomologyModel(SurfaceKind.PRESERVING, IntMatrix([[2, 1], [1, 1]]), 1))
+    assert [lax.form_checks, lax.form_checks] == [checks, checks] and len(calls) == 2
+    # a model that is not quasi-unipotent has no dict field, so its analysis hashes
+    assert lax.factorization is None and hash(lax) == hash(lefschetz.analyze(lax.model))

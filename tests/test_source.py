@@ -67,6 +67,45 @@ def test_fresh_cli_import_loads_no_unused_module():
     assert (result.returncode, result.stderr, result.stdout) == (0, "", "[]\n")
 
 
+VALUE_CLASSES = {
+    "arith.DoldClass", "arith.LefschetzSequence", "census.Partition", "exactmat.IntMatrix",
+    "lefschetz.HomologyModel", "polycyc.IntPolynomial", "zeta.ZetaFactorization",
+}
+
+
+def test_one_equality_rule():
+    """Only ``arith._Value`` defines ``__eq__`` or ``__hash__`` in ``src/``, each
+    class that defines ``_key`` has ``_Value`` among its bases, and no module
+    names ``functools.cached_property``: a value class compares and hashes by its
+    key, and no record keeps a cache in an instance dict."""
+    paths = sorted(Path(algperiods.__file__).parent.glob("*.py"))
+    rules, keyed, cached = [], {}, []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                defined = set()
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        defined.add(item.name)
+                    elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                        targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                        defined.update(t.id for t in targets if isinstance(t, ast.Name))
+                where = f"{path.stem}.{node.name}"
+                if defined & {"__eq__", "__hash__"}:
+                    rules.append(where)
+                if "_key" in defined:
+                    keyed[where] = [ast.unparse(base) for base in node.bases]
+            name = (getattr(node, "id", None) if isinstance(node, ast.Name)
+                    else getattr(node, "attr", None) if isinstance(node, ast.Attribute)
+                    else getattr(node, "name", None) if isinstance(node, ast.alias) else None)
+            if name == "cached_property":
+                cached.append(f"{path.name}:{node.lineno}")
+    assert rules == ["arith._Value"]
+    assert keyed.keys() == VALUE_CLASSES
+    assert {where: bases for where, bases in keyed.items() if "_Value" not in bases} == {}
+    assert cached == []
+
+
 def _defined(owner, module):
     """The functions, classes, methods and properties that ``module`` defines
     in ``owner`` (the module or one of its classes), unwrapped, and the

@@ -3,8 +3,9 @@
 ``IntMatrix``, ``IntPolynomial``, ``DoldClass``, ``LefschetzSequence``,
 ``Partition``, ``ZetaFactorization`` and ``HomologyModel`` compare by value
 and only with their own class: two values built separately from equal data
-are equal, and a value never equals a value of another class or the plain
-tuple or dict that holds its data, even when the data are the same.
+are equal and hash equal, and a value never equals a value of another class
+or the plain tuple or dict that holds its data, even when the data are the
+same.
 """
 
 import pytest
@@ -61,7 +62,6 @@ VALUES = {
          [SurfaceKind.PRESERVING, IntMatrix([[1, 2], [3, 4]]), 1]),
     ),
 }
-HASHABLE = {"IntMatrix", "IntPolynomial", "DoldClass", "Partition", "ZetaFactorization"}
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -71,8 +71,7 @@ def test_equal_values_compare_and_hash_equal(name):
     assert type(first).__name__ == name and first is not second
     assert first == second and not first != second
     assert second == first and not second != first
-    if name in HASHABLE:
-        assert hash(first) == hash(second)
+    assert hash(first) == hash(second)
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -104,8 +103,9 @@ def test_a_value_equals_no_value_of_another_class(name):
 
 def test_strict_and_lax_models_are_equal():
     """A strict model keeps the form predicates it computed; they take no part in
-    equality."""
+    equality or hashing."""
     rows = [[1, 0], [0, 1]]
     strict = HomologyModel(SurfaceKind.PRESERVING, IntMatrix(rows), 1, strict=True)
     lax = HomologyModel(SurfaceKind.PRESERVING, IntMatrix(rows), 1)
     assert strict == lax and not strict != lax
+    assert hash(strict) == hash(lax)
