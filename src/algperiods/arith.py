@@ -14,9 +14,11 @@ this and raises ``DoldViolation``.
 
 Everything here is exact integer arithmetic; rationals never escape.
 All values are immutable after construction and every operation is a
-pure function.  The private base ``_Value`` gives the library's value
-classes their one equality rule: two values are equal when they are of one
-class with equal ``_key()``, and a value hashes as its key.
+pure function.  The private base ``_Value`` gives the library's seven
+value classes (the two here, ``IntMatrix``, ``IntPolynomial``,
+``Partition``, ``ZetaFactorization`` and ``HomologyModel``) their one
+equality rule: two values are equal when they are of one class with equal
+``_key()``, and a value hashes as its key.
 """
 
 from __future__ import annotations
