@@ -19,11 +19,13 @@ from algperiods import (
     IntMatrix,
     IntPolynomial,
     LefschetzSequence,
+    Mode,
     NotAntisymplectic,
     OddDimension,
     Partition,
     SurfaceKind,
     ZetaFactorization,
+    analyze,
     antisymplectic_charpoly_identity_check,
     block_diag,
     charpoly,
@@ -267,6 +269,137 @@ def test_charpoly_matches_faddeev_leverrier_and_cofactor(monkeypatch):
     assert charpoly(companion_cycle_quotient(211)) * IntPolynomial([-1, 1]) == x_pow_minus_one(211)
     assert min(primes_used[-len(huge) :]) >= 3
     assert max(primes_used[: -len(huge)]) >= 2
+
+
+def _cycle_constant(block: IntMatrix):
+    """c when every row of the block holds exactly one nonzero entry, so that a
+    strongly connected block is one cycle and det(xI - B) = x^k - c; else None."""
+    entries = [[x for x in row if x] for row in block.rows]
+    if any(len(row) != 1 for row in entries):
+        return None
+    return prod(row[0] for row in entries)
+
+
+def _assert_blocks_match_oracles(a: IntMatrix, oracle_cache: dict) -> list:
+    """Each entry of charpoly_blocks(a) against Faddeev-LeVerrier and the modular
+    kernel on its component's principal submatrix, and against x^k - c on a cycle.
+    Returns the cycle constants, None for a component that is not a cycle."""
+    rows = a.rows
+    components = exactmat._strong_components(a.nonzero)
+    blocks = exactmat.charpoly_blocks(a)
+    assert len(blocks) == len(components), a
+    constants = []
+    for component, block in zip(components, blocks):
+        sub = IntMatrix([[rows[i][j] for j in component] for i in component])
+        if sub not in oracle_cache:
+            oracle_cache[sub] = (charpoly_by_faddeev_leverrier(sub), exactmat._block_charpoly(sub.rows))
+        assert (block, block) == oracle_cache[sub], (a, component)
+        c = _cycle_constant(sub)
+        if c is not None:
+            k = len(component)
+            assert block == IntPolynomial([-c] + [0] * (k - 1) + [1]), (a, component)
+        constants.append(c)
+    return constants
+
+
+def _targets_up_to(total: int) -> list[list[int]]:
+    """Every nonempty set of positive integers whose sum is at most ``total``."""
+    targets = []
+
+    def extend(start, room, prefix):
+        for n in range(start, room + 1):
+            targets.append(prefix + [n])
+            extend(n + 1, room - n, prefix + [n])
+
+    extend(1, total, [])
+    return targets
+
+
+def test_charpoly_blocks_of_every_small_realization_match_the_oracles():
+    """Every realization with target sum <= 30, of every kind and mode: each block
+    polynomial equals Faddeev-LeVerrier and the kernel on its principal submatrix,
+    and each cycle block equals x^k - c with c = +-1.  Only the non-orientable
+    pivot companion, one per model, is not a cycle, unless its pivot is 2: the
+    companion of x + 1 is the loop [[-1]]."""
+    kinds = [(SurfaceKind.PRESERVING, None), (SurfaceKind.NONORIENTABLE, None),
+             (SurfaceKind.REVERSING, Mode.FAITHFUL), (SurfaceKind.REVERSING, Mode.CORRECTED)]
+    oracle_cache = {}
+    models = 0
+    for target in _targets_up_to(30):
+        for kind, mode in kinds:
+            if kind is SurfaceKind.REVERSING and any(n % 2 for n in target):
+                continue
+            sm = realize_target(target, kind, mode)
+            constants = _assert_blocks_match_oracles(sm.model.matrix, oracle_cache)
+            assert set(constants) <= {1, -1, None}, target
+            companion = kind is SurfaceKind.NONORIENTABLE and target[0] == 1 and target[1:2] > [2]
+            assert constants.count(None) == companion, (target, kind)
+            models += 1
+    assert models == 4340
+
+
+def _random_cycle_matrix(rng: random.Random, weights, extra: float) -> IntMatrix:
+    """P^T B P for a block-upper-triangular B whose diagonal blocks are cycles with
+    entries drawn from ``weights`` and whose entries above them are nonzero with
+    probability ``extra``, and a random permutation P."""
+    sizes = [rng.randint(1, 7) for _ in range(rng.randint(1, 5))]
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(size):
+            rows[start + (i + 1) % size][start + i] = rng.choice(weights)
+        for i in range(start, start + size):
+            for j in range(start + size, n):
+                if rng.random() < extra:
+                    rows[i][j] = rng.randint(-3, 3)
+        start += size
+    perm = rng.sample(range(n), n)
+    return IntMatrix([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+
+
+def test_charpoly_blocks_of_signed_and_weighted_cycles_match_the_oracles():
+    """Random signed and weighted cycle matrices, some with entries outside their
+    cycles, and the edge cases of a one-vertex component."""
+    rng = random.Random(29)
+    oracle_cache = {}
+    cases = [_random_cycle_matrix(rng, (1, -1), extra) for extra in (0, 0, 0.2, 0.5) * 15]
+    cases += [_random_cycle_matrix(rng, (1, -1, 2, -3, 5), extra) for extra in (0, 0.3) * 15]
+    # One vertex whose only nonzero is off the diagonal, into a 2-cycle: x, then x^2 - 1.
+    into_cycle = IntMatrix([[0, 1, 0], [0, 0, 1], [0, 1, 0]])
+    # A 1x1 zero block beside a 3-cycle; a lone loop of weight -4.
+    zero_block = block_diag([IntMatrix([[0]]), cyclic_permutation(3)])
+    # A 2-cycle whose first row also reaches the loop {2} of weight 2.
+    cycle_row_out = IntMatrix([[0, 1, 7], [1, 0, 0], [0, 0, 2]])
+    cases += [into_cycle, zero_block, IntMatrix([[-4]]), cycle_row_out]
+    for a in cases:
+        _assert_blocks_match_oracles(a, oracle_cache)
+        cp = charpoly(a)
+        assert cp == charpoly_by_faddeev_leverrier(a), a
+        if a.dim <= 6:
+            assert cp == charpoly_cofactor(a), a
+    X = IntPolynomial([0, 1])
+    assert exactmat.charpoly_blocks(into_cycle) == [X, x_pow_minus_one(2)]
+    assert set(exactmat.charpoly_blocks(zero_block)) == {X, x_pow_minus_one(3)}
+    assert exactmat.charpoly_blocks(IntMatrix([[-4]])) == [IntPolynomial([4, 1])]
+    assert exactmat.charpoly_blocks(cycle_row_out) == [x_pow_minus_one(2), IntPolynomial([-2, 1])]
+
+
+@pytest.mark.parametrize("weight", [2, -3])
+def test_a_weighted_cycle_leaves_its_binomial_as_the_residual(weight):
+    """A k-cycle with one entry ``weight`` has det(xI - B) = x^k - weight, which has
+    roots off the unit circle; analyze reports it as the residual, also beside a
+    cycle of ones."""
+    for k in (1, 2, 3, 5):
+        rows = [list(row) for row in cyclic_permutation(k).rows]
+        rows[0][k - 1] = weight
+        binomial = IntPolynomial([-weight] + [0] * (k - 1) + [1])
+        for blocks in ([IntMatrix(rows)], [IntMatrix(rows), cyclic_permutation(4)]):
+            a = block_diag(blocks)
+            analysis = analyze(HomologyModel(SurfaceKind.NONORIENTABLE, a, a.dim + 1))
+            assert analysis.residual == binomial, (k, weight)
+            assert analysis.charpoly == charpoly_by_faddeev_leverrier(a)
+            assert (analysis.factorization, analysis.dold) == (None, None)
 
 
 def test_charpoly_mod_on_sparse_transvection_conjugates():

@@ -111,6 +111,28 @@ def test_factorization_round_trip_random_products():
         assert cyclotomic_factorization(p) == mults
 
 
+def test_factorization_of_binomials_multiplies_back():
+    """x^k - 1 and x^k + 1 for every k <= 400: the product of the factors, each to
+    its multiplicity, is the binomial again; cyclotomic factorization is unique, so
+    this pins the result.  x^k - 2 and x^k + 2 (irreducible by Eisenstein's
+    criterion) are refused with themselves as the residual."""
+    for k in range(1, 401):
+        for constant in (-1, 1):
+            binomial = IntPolynomial([constant] + [0] * (k - 1) + [1])
+            mults = cyclotomic_factorization(binomial)
+            assert list(mults) == sorted(mults), binomial
+            product = ONE
+            for d, m in mults.items():
+                product = product * cyclotomic(d) ** m
+            assert product == binomial, binomial
+    for k in range(1, 9):
+        for constant in (-2, 2):
+            binomial = IntPolynomial([constant] + [0] * (k - 1) + [1])
+            with pytest.raises(NotQuasiUnipotent) as exc:
+                cyclotomic_factorization(binomial)
+            assert exc.value.residual == binomial
+
+
 def test_factorization_agrees_with_root_modulus_oracle():
     numpy = pytest.importorskip("numpy")
     rng = random.Random(29)
