@@ -21,8 +21,13 @@ topological order, which puts A in block-triangular form, so det(xI - A)
 is the product of the components' characteristic polynomials;
 ``charpoly_blocks`` returns them one by one, so that the analysis can
 factor each distinct block on its own, and ``charpoly`` multiplies them.
-Each k-dimensional block is reduced to upper Hessenberg form by similarity
-modulo a prime p, and its characteristic polynomial mod p is read off the
+A component in which every row of A holds exactly one nonzero is a single
+cycle, since each vertex has one edge out and all k reach each other; its
+polynomial is x^k - c for the product c of the cycle's entries, and for
+k = 1 the diagonal entry (0 when the one nonzero lies off the diagonal).
+The test reads ``a.nonzero`` row by row and stops at the first row with a
+second nonzero, so it costs O(k) on any block.  Every other k-dimensional
+block is reduced to upper Hessenberg form by similarity modulo a prime p, and its characteristic polynomial mod p is read off the
 Hessenberg recurrence.  Each reduction step pivots on the candidate row
 with the fewest nonzeros, the lowest on a tie.  A column-major copy of the block, kept equal to it,
 lists each column's nonzeros, so a step with #u nonzero multipliers u
@@ -33,9 +38,11 @@ For t <= 511 one prime larger than 2B is used, so the block costs one
 pass; a larger bound combines ceil(t/511) or fewer primes above 2^511 by
 the Chinese remainder theorem.  Either way the modulus exceeds 2B and the
 symmetric lift is exact by proof.  The total cost is O(n + nnz) for
-the two passes over that index plus O(k^3) per prime on each block.  The
-realization matrices are direct sums of cycles, swap-shift and companion
-blocks, so their blocks stay small.
+the two passes over that index, O(k) on each block and O(k^3) per prime on
+each block that is not a cycle.  The realization matrices are direct sums
+of signed cycles (the cycles, the swap-shift blocks, their negated copies
+and the 1x1 identities) and at most one companion block, so only that
+companion reaches the modular kernel.
 
 The primes are p = h * 2^s + 1 for odd h descending from 2^s - 1 to above
 2^(s-1), so p > 2^(2s-1), with one sequence for each shift s in 32, 64,
@@ -354,11 +361,7 @@ def _block_charpoly(rows) -> IntPolynomial:
         modulus *= p
         i += 1
     half = modulus >> 1
-    coeffs = [c - modulus if c > half else c for c in coeffs]
-    # The x^(k-1) coefficient is -trace(A): a cheap exact check of the whole route.
-    if coeffs[k - 1] != -sum(rows[j][j] for j in range(k)):
-        raise ArithmeticError("characteristic polynomial disagrees with the trace")
-    return IntPolynomial(coeffs)
+    return IntPolynomial([c - modulus if c > half else c for c in coeffs])
 
 
 def charpoly_blocks(a: IntMatrix) -> list[IntPolynomial]:
@@ -370,18 +373,31 @@ def charpoly_blocks(a: IntMatrix) -> list[IntPolynomial]:
     last to finish), come out in topological order and put A in
     block-triangular form, so det(xI - A) is the product of the listed
     polynomials, one per component in that order; the empty matrix has none.
-    Each block's principal submatrix is reduced to Hessenberg form modulo
-    proven primes whose product exceeds 2B for the block's Hadamard bound
-    B, so the cost is O(n + nnz) for the two passes over ``a.nonzero`` plus
-    O(k^3) operations per prime on each k-dim block: one prime while 2B
-    has at most 511 bits, ceil(log2(2B)/511) or fewer above.  An
-    irreducible matrix is a single block.
+    A component whose rows each hold one nonzero of A is a cycle, x^k - c
+    for the product c of its entries (the diagonal entry when k = 1), found
+    in O(k).  Every other block's principal submatrix is reduced to
+    Hessenberg form modulo proven primes whose product exceeds 2B for the
+    block's Hadamard bound B, so the cost is O(n + nnz) for the two passes
+    over ``a.nonzero`` plus O(k^3) operations per prime on each such k-dim
+    block: one prime while 2B has at most 511 bits, ceil(log2(2B)/511) or
+    fewer above.  Either route must give -trace as the x^(k-1) coefficient,
+    or ArithmeticError is raised.  An irreducible matrix is a single block.
     """
-    rows = a.rows
-    return [
-        _block_charpoly([[rows[i][j] for j in component] for i in component])
-        for component in _strong_components(a.nonzero)
-    ]
+    rows, nonzero = a.rows, a.nonzero
+    blocks = []
+    for component in _strong_components(nonzero):
+        k = len(component)
+        if all(len(nonzero[i]) == 1 for i in component):  # one cycle: x^k - c
+            i = component[0]
+            c = rows[i][i] if k == 1 else prod(rows[j][nonzero[j][0]] for j in component)
+            block = IntPolynomial([-c] + [0] * (k - 1) + [1])
+        else:
+            block = _block_charpoly([[rows[i][j] for j in component] for i in component])
+        # The x^(k-1) coefficient is -trace: a cheap exact check of either route.
+        if block.coeffs[k - 1] != -sum(rows[j][j] for j in component):
+            raise ArithmeticError("characteristic polynomial disagrees with the trace")
+        blocks.append(block)
+    return blocks
 
 
 def charpoly(a: IntMatrix) -> IntPolynomial:

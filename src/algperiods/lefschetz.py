@@ -29,9 +29,11 @@ characteristic polynomial is the product of one polynomial per diagonal
 block of the matrix's block-triangular form, each distinct block
 polynomial is factored once (a degree-k block needs only the orders d with
 phi(d) <= k), and its multiplicities count once per block that shares it.
-Realization matrices repeat their blocks, so this is a handful of small
-trial divisions in place of one of the full degree.  A block that is not
-a product of cyclotomics leaves a residual; the product of the block
+Realization matrices repeat their blocks, and every block but the
+non-orientable pivot companion is a signed cycle, x^k - 1 or x^k + 1,
+which the factorizer reads off the divisors of 2k; so at most one small
+trial division is left in place of one of the full degree.  A block that
+is not a product of cyclotomics leaves a residual; the product of the block
 residuals is the cyclotomic-free part of the whole polynomial, which is
 unique, so it equals the residual of factoring the product.
 

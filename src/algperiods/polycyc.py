@@ -5,10 +5,14 @@ with trailing zeros trimmed, so ``IntPolynomial((-1, 0, 1))`` is x^2 - 1
 and the zero polynomial has an empty tuple and degree -1.
 
 Quasi-unipotence (all complex roots are roots of unity; equivalently the
-polynomial is a product of cyclotomics) is decided exactly by trial
-division by cyclotomic polynomials.  No floating point is involved.  The
-candidate orders d are bounded using phi(d) >= sqrt(d/2), so a residual
-of degree R can only have cyclotomic factors of order d <= 2*R^2.
+polynomial is a product of cyclotomics) is decided exactly.  A binomial
+x^k - 1 or x^k + 1 is read off the divisors of 2k: x^k - 1 is the product
+of Phi_d over d | k, and x^k + 1, whose roots are the 2k-th roots of unity
+that are not k-th roots, the product over the d | 2k that do not divide k.
+Any other polynomial is decided by trial division by cyclotomic
+polynomials.  No floating point is involved.  The candidate orders d are
+bounded using phi(d) >= sqrt(d/2), so a residual of degree R can only have
+cyclotomic factors of order d <= 2*R^2.
 
 The cyclotomic memo table is an ``lru_cache``, which is safe under
 concurrent reads and whose fill is idempotent.
@@ -203,10 +207,14 @@ def cyclotomic_factorization(p: IntPolynomial) -> dict[int, int]:
     """Factor a monic polynomial into cyclotomics, order -> multiplicity.
 
     Succeeds exactly when every complex root of p is a root of unity;
-    otherwise raises NotQuasiUnipotent carrying the residual factor.
+    otherwise raises NotQuasiUnipotent carrying the residual factor.  The
+    orders come in ascending order; x^k -+ 1 takes no trial division.
     """
     if p.is_zero() or not p.is_monic():
         raise NonMonicInput("cyclotomic factorization requires a monic polynomial")
+    k, c = p.degree, p.coeffs[0]
+    if c in (1, -1) and p.coeffs.count(0) == k - 1:  # x^k - 1 or x^k + 1
+        return {d: 1 for d in divisors(2 * k) if (k % d == 0) == (c == -1)}
     residual = p
     mults: dict[int, int] = {}
     d = 0

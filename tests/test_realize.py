@@ -284,28 +284,41 @@ def test_large_lcm_realization_builds_no_lefschetz_window():
 
 
 def test_charpoly_of_realizations_splits_into_pieces(monkeypatch):
-    # The per-block kernel sees blocks of the pieces' sizes only, so the
-    # largest block it is handed is the largest piece, not the whole matrix.
+    # The block search splits the matrix into blocks of the pieces' sizes only,
+    # so the largest block is the largest piece, not the whole matrix.  Of
+    # those blocks only the non-orientable pivot companion, which is not a
+    # cycle, reaches the modular kernel.
     cases = [
         (realize_target(range(2, 20), SurfaceKind.PRESERVING), 380, 19,
-         math.prod(x_pow_minus_one(n) ** 2 for n in range(1, 20))),
+         math.prod(x_pow_minus_one(n) ** 2 for n in range(1, 20)), []),
         # Swap-shift block of 60 (tau = 60): two 60-cycles, in both halves.
         (realize_target({60}, SurfaceKind.REVERSING), 242, 60,
-         x_pow_minus_one(60) ** 4 * x_pow_minus_one(2)),
+         x_pow_minus_one(60) ** 4 * x_pow_minus_one(2), []),
+        # Pivot 5: the companion of (x^5 - 1)/(x - 1) beside a 7-cycle.
+        (realize_target({1, 5, 7}, SurfaceKind.NONORIENTABLE), 11, 7,
+         IntPolynomial([1] * 5) * x_pow_minus_one(7),
+         [companion_cycle_quotient(5)]),
     ]
-    original = exactmat._block_charpoly
-    for sm, dim, largest, expected in cases:
-        dims = []
+    split, kernel = exactmat._strong_components, exactmat._block_charpoly
+    for sm, dim, largest, expected, kernel_blocks in cases:
+        dims, reached = [], []
 
-        def recording(block):
-            dims.append(len(block))
-            return original(block)
+        def recording_split(succ):
+            components = split(succ)
+            dims.extend(map(len, components))
+            return components
 
-        monkeypatch.setattr(exactmat, "_block_charpoly", recording)
+        def recording_kernel(block):
+            reached.append(IntMatrix(block))
+            return kernel(block)
+
+        monkeypatch.setattr(exactmat, "_strong_components", recording_split)
+        monkeypatch.setattr(exactmat, "_block_charpoly", recording_kernel)
         assert sm.model.matrix.dim == dim
         assert charpoly(sm.model.matrix) == expected
         assert max(dims) == largest
         assert sum(dims) == dim
+        assert reached == kernel_blocks
 
 
 def test_postconditions_survive_optimized_mode():
