@@ -159,6 +159,8 @@ def realize_target(
     TargetMismatch when a construction other than the faithful reversing
     one misses its target.
     """
+    if not isinstance(kind, SurfaceKind):
+        raise TypeError(f"kind must be a SurfaceKind, not {type(kind).__name__}")
     target = _normalized_target(a)
     target_set = set(target)
     if kind is not SurfaceKind.REVERSING:

@@ -100,6 +100,14 @@ def test_a_kind_or_reversing_mode_of_the_wrong_type_is_refused(name):
     assert (type(info.value), str(info.value)) == (TypeError, message)
 
 
+def test_realize_target_refuses_a_wrong_kind_before_it_builds_a_block(monkeypatch):
+    built = []
+    monkeypatch.setattr(realize, "cyclic_permutation", lambda n: built.append(n))
+    with pytest.raises(TypeError, match="^kind must be a SurfaceKind, not str$"):
+        realize_target(range(2, 60), "preserving")
+    assert built == []
+
+
 def test_mode_none_stays_allowed_on_the_other_kinds():
     for kind in (SurfaceKind.PRESERVING, SurfaceKind.NONORIENTABLE):
         sm = realize_target({1, 3}, kind, mode=None)
