@@ -27,8 +27,9 @@ polynomial is x^k - c for the product c of the cycle's entries, and for
 k = 1 the diagonal entry (0 when the one nonzero lies off the diagonal).
 The test reads ``a.nonzero`` row by row and stops at the first row with a
 second nonzero, so it costs O(k) on any block.  Every other k-dimensional
-block is reduced to upper Hessenberg form by similarity modulo a prime p, and its characteristic polynomial mod p is read off the
-Hessenberg recurrence.  Each reduction step pivots on the candidate row
+block is reduced to upper Hessenberg form by similarity modulo a prime p,
+and its characteristic polynomial mod p is read off the Hessenberg
+recurrence.  Each reduction step pivots on the candidate row
 with the fewest nonzeros, the lowest on a tie.  A column-major copy of the block, kept equal to it,
 lists each column's nonzeros, so a step with #u nonzero multipliers u
 costs O(nnz(pivot row) * #u + sum over cleared i of nnz(column i) + k)

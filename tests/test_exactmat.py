@@ -292,7 +292,8 @@ def _assert_blocks_match_oracles(a: IntMatrix, oracle_cache: dict) -> list:
     for component, block in zip(components, blocks):
         sub = IntMatrix([[rows[i][j] for j in component] for i in component])
         if sub not in oracle_cache:
-            oracle_cache[sub] = (charpoly_by_faddeev_leverrier(sub), exactmat._block_charpoly(sub.rows))
+            oracle_cache[sub] = (
+                charpoly_by_faddeev_leverrier(sub), exactmat._block_charpoly(sub.rows))
         assert (block, block) == oracle_cache[sub], (a, component)
         c = _cycle_constant(sub)
         if c is not None:
