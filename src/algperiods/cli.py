@@ -24,8 +24,9 @@ writer puts each item after its running index "[i]:".  A census listing
 comes one block at a time, the rows that share their parts of at least _CUT:
 each row is one f-string of the block's stack texts and an entry of a suffix
 table made for the call, with no object built.  A matrix comes _ROW_BATCH
-rows at a time from its nonzero index, a run of zeros by one string
-repetition, so about one nonzero per row costs O(dim) Python steps.  A write
+rows at a time from its nonzero index alone, row length ``dim``, a run of
+zeros by one string repetition, so about one nonzero per row costs O(dim)
+Python steps and a realized matrix never builds its dense rows.  A write
 that fails ends the run with what was written so far, a prefix of the report.
 
 Stable exit codes:
@@ -230,19 +231,18 @@ def _matrix_rows(matrix: IntMatrix, item: str, json: bool):
     bracketed entries that follow the row's index."""
     cell = item + "  "
     sep, head, tail = ("," + cell, "[" + cell, item + "]") if json else (" ", " [", "]")
-    zero, limit = "0" + sep, _JSON_INT_LIMIT
-    rows = zip(matrix.rows, matrix.nonzero)
+    zero, limit, dim = "0" + sep, _JSON_INT_LIMIT, matrix.dim
+    rows = iter(matrix.nonzero)
     while batch := list(islice(rows, _ROW_BATCH)):
         texts = []
-        for row, cols in batch:
+        for entries in batch:
             parts, start = [head], 0
-            for j in cols:
+            for j, x in entries.items():
                 if j > start:
                     parts.append(zero * (j - start))
-                x = row[j]
                 parts.append(f'"{x}"{sep}' if json and not -limit <= x <= limit else f"{x}{sep}")
                 start = j + 1
-            parts.append(zero * (len(row) - start))
+            parts.append(zero * (dim - start))
             texts.append("".join(parts)[: -len(sep)] + tail)
         yield texts
 
@@ -657,7 +657,7 @@ def build_parser() -> _Parser:
         "--set",
         required=True,
         metavar="N1,N2,...",
-        help=f"target period set with distinct elements summing to <= {MAX_SET_SUM} (0.4 s and"
+        help=f"target period set with distinct elements summing to <= {MAX_SET_SUM} (0.12 s and"
         " 7 MB of JSON at the cap for --set 200 --kind reversing, a dim-802 matrix)",
     )
     realize_p.add_argument("--kind", required=True, choices=kinds)

@@ -1,10 +1,15 @@
 """Arbitrary-precision integer matrices.
 
-Matrices are immutable tuples of tuples of Python integers, so traces of
-high powers never overflow.  Dimension 0 is a first-class citizen (trace
-0, characteristic polynomial 1); the genus-0 models need it.  One O(n^2)
-scan on first use builds ``IntMatrix.nonzero``, the nonzero column indices
-of each row; the form check, the block search and the report writer read it.
+Matrices are immutable and hold Python integers, so traces of high powers
+never overflow.  Dimension 0 is a first-class citizen (trace 0,
+characteristic polynomial 1); the genus-0 models need it.  A matrix has two
+views, each built once from the other on first use: ``IntMatrix.rows``, the
+dense tuples, and ``IntMatrix.nonzero``, one {column: entry} dict per row in
+ascending column order.  The form check, the block search, the block
+polynomials and the report writer read only ``nonzero``.  A matrix loaded
+from dense rows pays one O(n^2) scan for it; the realization blocks and
+their direct sums are built from their nonzeros alone, in O(n + nnz), and
+never make their n^2 dense entries.
 
 The form check builds neither A^T Omega A nor Omega.  It reads the
 product's entries above the diagonal off the pairs of nonzeros in rows k
@@ -55,8 +60,9 @@ As a cheap exact check of the whole route, the x^(k-1) coefficient of every
 block must equal minus its trace; a mismatch raises ArithmeticError.
 
 Matrices built here from validated matrices or literal integers go
-through the trusted ``IntMatrix._raw``; ``IntMatrix(...)`` validates every
-entry of a caller-supplied matrix.
+through the trusted ``IntMatrix._raw`` (dense rows) or ``IntMatrix._sparse``
+(a nonzero index); ``IntMatrix(...)`` validates every entry of a
+caller-supplied matrix.
 
 Basis convention for the symplectic machinery: a genus-g surface carries
 coordinates (a_1..a_g, b_1..b_g) and the intersection form
@@ -107,38 +113,65 @@ class NotAntisymplectic(Exception):
 class IntMatrix(_Value):
     """Square matrix of arbitrary-precision integers."""
 
-    __slots__ = ("rows", "_nonzero")
+    __slots__ = ("_dim", "_rows", "_nonzero")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         """Validate a caller-supplied matrix; a non-integer entry raises TypeError."""
         rows = tuple([tuple(map(operator.index, row)) for row in rows])
         if any(len(row) != len(rows) for row in rows):
             raise DimensionMismatch("matrix must be square")
-        self.rows = rows
+        self._dim, self._rows = len(rows), rows
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._raw([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._sparse([{i: 1} for i in range(n)])
 
     @classmethod
     def _raw(cls, rows) -> "IntMatrix":
         # Trusted internal constructor: rows are already square lists of ints.
         m = object.__new__(cls)
-        m.rows = tuple([tuple(row) for row in rows])
+        m._rows = tuple([tuple(row) for row in rows])
+        m._dim = len(m._rows)
+        return m
+
+    @classmethod
+    def _sparse(cls, nonzero) -> "IntMatrix":
+        # Trusted internal constructor: one {column: entry} dict per row, no zero
+        # entry, columns ascending and below the number of rows.
+        m = object.__new__(cls)
+        m._nonzero = tuple(nonzero)
+        m._dim = len(m._nonzero)
         return m
 
     @property
-    def nonzero(self) -> tuple[list[int], ...]:
-        """Each row's nonzero column indices, ascending, built once; read it only.
-        Lists, not tuples: short tuples pile up in CPython's free lists and grow RSS."""
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows, built once from ``nonzero`` if the matrix was built sparse."""
+        if not hasattr(self, "_rows"):
+            rows = []
+            for entries in self._nonzero:
+                row = [0] * self._dim
+                for j, x in entries.items():
+                    row[j] = x
+                rows.append(tuple(row))
+            self._rows = tuple(rows)
+        return self._rows
+
+    @property
+    def nonzero(self) -> tuple[dict[int, int], ...]:
+        """Each row's nonzero entries as {column: entry} in ascending column order,
+        built once from ``rows`` if the matrix was built dense; read it only.
+        Dicts, not tuples: short tuples pile up in CPython's free lists and grow
+        RSS, while CPython keeps at most 80 free dicts; and a row with one entry
+        (224 bytes on 64-bit CPython 3.11) is smaller than a dense row of more
+        than 23 columns, so a realized matrix holds less than its dense rows."""
         if not hasattr(self, "_nonzero"):
-            cols = range(len(self.rows))
-            self._nonzero = tuple([list(compress(cols, row)) for row in self.rows])
+            cols = range(self._dim)
+            self._nonzero = tuple([{j: row[j] for j in compress(cols, row)} for row in self._rows])
         return self._nonzero
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return self._dim
 
     def _key(self) -> tuple[tuple[int, ...], ...]:
         return self.rows
@@ -376,7 +409,9 @@ def charpoly_blocks(a: IntMatrix) -> list[IntPolynomial]:
     polynomials, one per component in that order; the empty matrix has none.
     A component whose rows each hold one nonzero of A is a cycle, x^k - c
     for the product c of its entries (the diagonal entry when k = 1), found
-    in O(k).  Every other block's principal submatrix is reduced to
+    in O(k).  Every other block's principal submatrix, a k x k zero list
+    filled in O(k + nnz) steps from the nonzeros of its rows that fall inside
+    the component, is reduced to
     Hessenberg form modulo proven primes whose product exceeds 2B for the
     block's Hadamard bound B, so the cost is O(n + nnz) for the two passes
     over ``a.nonzero`` plus O(k^3) operations per prime on each such k-dim
@@ -384,18 +419,25 @@ def charpoly_blocks(a: IntMatrix) -> list[IntPolynomial]:
     fewer above.  Either route must give -trace as the x^(k-1) coefficient,
     or ArithmeticError is raised.  An irreducible matrix is a single block.
     """
-    rows, nonzero = a.rows, a.nonzero
+    nonzero = a.nonzero
     blocks = []
     for component in _strong_components(nonzero):
         k = len(component)
         if all(len(nonzero[i]) == 1 for i in component):  # one cycle: x^k - c
             i = component[0]
-            c = rows[i][i] if k == 1 else prod(rows[j][nonzero[j][0]] for j in component)
+            c = nonzero[i].get(i, 0) if k == 1 else prod(
+                x for j in component for x in nonzero[j].values())
             block = IntPolynomial([-c] + [0] * (k - 1) + [1])
         else:
-            block = _block_charpoly([[rows[i][j] for j in component] for i in component])
+            index = {j: col for col, j in enumerate(component)}
+            sub = [[0] * k for _ in component]
+            for row, i in zip(sub, component):
+                for j, x in nonzero[i].items():
+                    if j in index:
+                        row[index[j]] = x
+            block = _block_charpoly(sub)
         # The x^(k-1) coefficient is -trace: a cheap exact check of either route.
-        if block.coeffs[k - 1] != -sum(rows[j][j] for j in component):
+        if block.coeffs[k - 1] != -sum(nonzero[j].get(j, 0) for j in component):
             raise ArithmeticError("characteristic polynomial disagrees with the trace")
         blocks.append(block)
     return blocks
@@ -411,10 +453,7 @@ def cyclic_permutation(n: int) -> IntMatrix:
     """Permutation matrix of the n-cycle e_i -> e_(i+1 mod n); charpoly x^n - 1."""
     if n < 1:
         raise ValueError("cycle length must be positive")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[(i + 1) % n][i] = 1
-    return IntMatrix._raw(rows)
+    return IntMatrix._sparse([{(i - 1) % n: 1} for i in range(n)])
 
 
 def companion_cycle_quotient(n: int) -> IntMatrix:
@@ -426,29 +465,18 @@ def companion_cycle_quotient(n: int) -> IntMatrix:
     if n < 2:
         raise ValueError("quotient companion matrix needs n >= 2")
     size = n - 1
-    rows = [[0] * size for _ in range(size)]
-    for i in range(size):
-        rows[i][size - 1] = -1
-    for i in range(size - 1):
-        rows[i + 1][i] = 1
-    return IntMatrix._raw(rows)
+    return IntMatrix._sparse([{size - 1: -1}] + [{i - 1: 1, size - 1: -1} for i in range(1, size)])
 
 
 def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    """Direct sum of square blocks; the empty list gives the empty matrix.  Its
-    nonzero index is the blocks' indices, each shifted by the block's offset."""
-    total = sum(b.dim for b in blocks)
-    rows, nonzero = [], []
-    offset = 0
+    """Direct sum of square blocks; the empty list gives the empty matrix.  It is
+    built from the blocks' nonzero indices alone, each column shifted by its
+    block's offset, in O(dim + nnz); no dense row is made."""
+    nonzero, offset = [], 0
     for b in blocks:
-        left, right = (0,) * offset, (0,) * (total - offset - b.dim)
-        for row, cols in zip(b.rows, b.nonzero):
-            rows.append(left + row + right)
-            nonzero.append([j + offset for j in cols])
+        nonzero += [{j + offset: x for j, x in entries.items()} for entries in b.nonzero]
         offset += b.dim
-    m = IntMatrix._raw(rows)
-    m._nonzero = tuple(nonzero)
-    return m
+    return IntMatrix._sparse(nonzero)
 
 
 def form_predicates(a: IntMatrix) -> tuple[bool, bool]:
@@ -467,12 +495,10 @@ def form_predicates(a: IntMatrix) -> tuple[bool, bool]:
     if n == 0:
         return True, True
     g = n // 2
-    rows = a.rows
     upper: dict[int, int] = {}  # entry (i, j) under the key i * n + j
-    for top, bottom, top_nz, bottom_nz in zip(rows[:g], rows[g:], a.nonzero[:g], a.nonzero[g:]):
-        pairs = [(j, bottom[j]) for j in bottom_nz]
-        for i in top_nz:
-            x = top[i]
+    for top, bottom in zip(a.nonzero[:g], a.nonzero[g:]):
+        pairs = bottom.items()
+        for i, x in top.items():
             for j, y in pairs:
                 if i < j:
                     key = i * n + j

@@ -138,12 +138,8 @@ def _swap_shift_block(tau: int) -> IntMatrix:
     copy; the map sends (copy c, index j) to (copy 1-c, index j+1 mod tau).
     A single 2*tau-cycle when tau is odd, two tau-cycles when tau is even.
     """
-    size = 2 * tau
-    rows = [[0] * size for _ in range(size)]
-    for j in range(tau):
-        rows[tau + (j + 1) % tau][j] = 1
-        rows[(j + 1) % tau][tau + j] = 1
-    return IntMatrix._raw(rows)
+    shift = [(i - 1) % tau for i in range(tau)]  # row i of a copy: column i - 1 of the other
+    return IntMatrix._sparse([{tau + j: 1} for j in shift] + [{j: 1} for j in shift])
 
 
 def realize_target(
@@ -197,7 +193,8 @@ def realize_target(
     else:
         mirror = blocks
         if kind is SurfaceKind.REVERSING:
-            mirror = [IntMatrix._raw([[-x for x in row] for row in b.rows]) for b in blocks]
+            mirror = [IntMatrix._sparse([{j: -x for j, x in row.items()} for row in b.nonzero])
+                      for b in blocks]
         model = HomologyModel(kind, block_diag(blocks + mirror), genus, strict=True)
     analysis = analyze(model)
     achieved = analysis.dold.support()  # sorted, like target

@@ -16,9 +16,11 @@ from algperiods import (
     DoldClass,
     IntMatrix,
     Partition,
+    SurfaceKind,
     enumerate_partitions,
     partition_count,
     partition_to_dold_nonorientable,
+    realize_target,
 )
 from algperiods.cli import (
     MAX_GENUS,
@@ -613,6 +615,7 @@ def test_size_caps(capsys, tmp_path, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(IntMatrix, "_raw", classmethod(no_matrix))
+        m.setattr(IntMatrix, "_sparse", classmethod(no_matrix))
         m.setattr(IntMatrix, "__init__", no_matrix)
         for text in [",".join(map(str, range(1, 301))), str(MAX_SET_SUM + 1), "100,101,101"]:
             for kind in ("preserving", "reversing", "nonorientable"):
@@ -997,7 +1000,9 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
     strict constructor, or else in form_checks; never for a non-orientable one.
     The model's nonzero index is built once, and the form check, the block search
     in charpoly_blocks and the matrix row writer all read that one index; realize
-    builds it in block_diag from the blocks' indices, the only other reads."""
+    builds it in block_diag from the blocks' indices, and a reversing realize reads
+    them also in realize_target, to negate them into the mirror blocks: the only
+    other reads."""
     import algperiods.lefschetz as lefschetz
 
     calls = {}
@@ -1006,7 +1011,10 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
     nonzero = IntMatrix.nonzero.fget
 
     def counted_nonzero(a):
-        reads.append((sys._getframe(1).f_code.co_name, a, nonzero(a)))
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame before 3.12
+            frame = frame.f_back
+        reads.append((frame.f_code.co_name, a, nonzero(a)))
         return reads[-1][2]
 
     monkeypatch.setattr(IntMatrix, "nonzero", property(counted_nonzero))
@@ -1057,9 +1065,42 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
             readers.add("_matrix_rows")
         if argv[0] == "realize":
             readers.add("block_diag")
+        if "reversing" in argv and argv[0] == "realize":
+            readers.add("realize_target")
         assert {name for name, _, _ in reads} == readers, argv
-        model_reads = [(a, i) for name, a, i in reads if name != "block_diag"]
+        model_reads = [(a, i) for name, a, i in reads if name not in ("block_diag", "realize_target")]
         assert len({id(a) for a, _ in model_reads}) == len({id(i) for _, i in model_reads}) == 1, argv
+
+
+def test_realize_builds_no_dense_rows(capsys, monkeypatch):
+    """A realize request builds, checks, analyses and writes its matrix from the
+    blocks' nonzero indices alone: no matrix on the way has its dense rows read,
+    so none is built, for every kind, both reversing modes, both formats, the
+    pivot companion of a non-orientable target with 1, and the empty matrix of
+    the target {1}.  Reading the rows of a realized matrix afterwards builds
+    them, which shows that the wrapper sees the builds."""
+    reads = []
+    rows = IntMatrix.rows.fget
+
+    def counted_rows(a):
+        reads.append(a.dim)
+        return rows(a)
+
+    monkeypatch.setattr(IntMatrix, "rows", property(counted_rows))
+    targets = [("2,3,5", "preserving"), ("1,4", "preserving"), ("4,6", "reversing"),
+               ("2,4,6", "reversing"), ("2,3", "nonorientable"), ("1,3,4", "nonorientable"),
+               ("1", "nonorientable")]
+    for text, kind in targets:
+        for mode in ("faithful", "corrected") if kind == "reversing" else (None,):
+            for fmt in ("json", "text"):
+                argv = ["realize", "--set", text, "--kind", kind, "--format", fmt]
+                argv += ["--mode", mode] if mode else []
+                code, out, _ = run(capsys, argv)
+                assert code == 0 and out, argv
+                assert reads == [], argv
+    matrix = realize_target({1, 3}, SurfaceKind.NONORIENTABLE).model.matrix
+    assert reads == []
+    assert matrix.rows == ((0, -1), (1, -1)) and reads == [2]
 
 
 def test_quasi_unipotent_realize_keeps_newton_to_candidate_window(capsys, tmp_path, monkeypatch):

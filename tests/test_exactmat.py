@@ -183,21 +183,81 @@ def test_block_diag():
     assert block_diag([p2]) == p2
 
 
+def dense_direct_sum(blocks):
+    """The dense rows of the direct sum of dense blocks: each row padded by zeros."""
+    total, out = sum(map(len, blocks)), []
+    for block in blocks:
+        left, right = [0] * len(out), [0] * (total - len(out) - len(block))
+        out += [left + list(row) + right for row in block]
+    return out
+
+
+def dense_realization_block(kind: str, n: int):
+    """The dense rows of a realization block, entry by entry: the n-cycle
+    e_i -> e_(i+1), the companion of (x^n - 1)/(x - 1), the swap-shift
+    permutation of 2n curves, or the n x n identity."""
+    size = {"cycle": n, "companion": n - 1, "swap": 2 * n, "identity": n}[kind]
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        if kind == "cycle":
+            rows[(i + 1) % n][i] = 1
+        elif kind == "companion":
+            rows[i][size - 1] = -1
+            if i:
+                rows[i][i - 1] = 1
+        elif kind == "swap" and i < n:
+            rows[n + (i + 1) % n][i] = rows[(i + 1) % n][n + i] = 1
+        elif kind == "identity":
+            rows[i][i] = 1
+    return rows
+
+
 def test_nonzero_index_matches_compress():
-    """IntMatrix.nonzero lists each row's nonzero columns in ascending order, for
-    every constructor, and is built once per matrix."""
+    """IntMatrix holds two views of itself, each built once from the other on
+    first use: the dense ``rows`` and ``nonzero``, one {column: entry} dict per row
+    in ascending column order.  For every constructor both views equal a dense
+    oracle: ``nonzero`` holds the entries that ``compress`` keeps, values and order
+    included.  A matrix built from rows is read through its index first, and one
+    built from an index through its rows first, so both round trips are checked."""
+    from algperiods.realize import _swap_shift_block
+
     rng = random.Random(23)
-    matrices = [IntMatrix(()), IntMatrix([[0]]), IntMatrix([[-7]]), IntMatrix.identity(0),
-                IntMatrix.identity(5), block_diag([]), companion_cycle_quotient(4)]
+    dense_built = []  # (matrix, oracle rows) of matrices built from rows
+    sparse_built = []  # (matrix, oracle rows) of matrices built from an index
+    for rows in [[], [[0]], [[-7]]]:
+        dense_built.append((IntMatrix(rows), rows))
+    for n in range(6):
+        sparse_built.append((IntMatrix.identity(n), dense_realization_block("identity", n)))
+        if n:
+            sparse_built.append((cyclic_permutation(n), dense_realization_block("cycle", n)))
+            sparse_built.append((_swap_shift_block(n), dense_realization_block("swap", n)))
+            sparse_built.append((companion_cycle_quotient(n + 1), dense_realization_block("companion", n + 1)))
+    sparse_built.append((block_diag([]), []))
     for _ in range(40):
         dim = rng.randint(0, 9)
         rows = [[rng.choice([0, 0, 0, 1, -2, 2**53 + 1]) for _ in range(dim)] for _ in range(dim)]
-        blocks = [random_sparse_matrix(rng, rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
-        matrices += [IntMatrix(rows), IntMatrix._raw(rows), IntMatrix.identity(dim),
-                     block_diag(blocks + [cyclic_permutation(rng.randint(1, 4))])]
-    for a in matrices:
-        assert a.nonzero == tuple(list(compress(range(a.dim), row)) for row in a.rows), a
-        assert a.nonzero is a.nonzero
+        index = [{j: row[j] for j in compress(range(dim), row)} for row in rows]
+        dense_built += [(IntMatrix(rows), rows), (IntMatrix._raw(rows), rows)]
+        sparse_built.append((IntMatrix._sparse(index), rows))
+        # (block, its oracle rows); a block built dense keeps its input as its rows
+        blocks = [(b, b.rows) for b in (random_sparse_matrix(rng, rng.randint(1, 4))
+                                        for _ in range(rng.randint(0, 3)))]
+        k, tau = rng.randint(1, 4), rng.randint(1, 3)
+        blocks += [(cyclic_permutation(k), dense_realization_block("cycle", k)),
+                   (_swap_shift_block(tau), dense_realization_block("swap", tau)),
+                   (IntMatrix._raw(rows), rows), (IntMatrix._sparse(index), rows)]
+        rng.shuffle(blocks)
+        sparse_built.append((block_diag([b for b, _ in blocks]), dense_direct_sum([r for _, r in blocks])))
+    cases = [(a, rows, True) for a, rows in dense_built] + [(a, rows, False) for a, rows in sparse_built]
+    for a, rows, built_dense in cases:
+        dense = tuple(map(tuple, rows))
+        entries = [[(j, row[j]) for j in compress(range(len(row)), row)] for row in dense]
+        assert a.dim == len(dense), a
+        if built_dense:
+            assert [list(r.items()) for r in a.nonzero] == entries and a.rows == dense, a
+        else:
+            assert a.rows == dense and [list(r.items()) for r in a.nonzero] == entries, a
+        assert a.rows is a.rows and a.nonzero is a.nonzero, a
 
 
 def random_sparse_matrix(rng: random.Random, dim: int) -> IntMatrix:
