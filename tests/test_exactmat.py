@@ -37,6 +37,7 @@ from algperiods import (
     trace_sequence_from_charpoly,
     x_pow_minus_one,
 )
+from algperiods.realize import _swap_shift_block
 
 from conftest import (
     KERNEL_PRIMES,
@@ -219,26 +220,23 @@ def test_nonzero_index_matches_compress():
     oracle: ``nonzero`` holds the entries that ``compress`` keeps, values and order
     included.  A matrix built from rows is read through its index first, and one
     built from an index through its rows first, so both round trips are checked."""
-    from algperiods.realize import _swap_shift_block
-
     rng = random.Random(23)
-    dense_built = []  # (matrix, oracle rows) of matrices built from rows
-    sparse_built = []  # (matrix, oracle rows) of matrices built from an index
+    cases = []  # (matrix, oracle rows, whether it was built from rows)
     for rows in [[], [[0]], [[-7]]]:
-        dense_built.append((IntMatrix(rows), rows))
+        cases.append((IntMatrix(rows), rows, True))
     for n in range(6):
-        sparse_built.append((IntMatrix.identity(n), dense_realization_block("identity", n)))
+        cases.append((IntMatrix.identity(n), dense_realization_block("identity", n), False))
         if n:
-            sparse_built.append((cyclic_permutation(n), dense_realization_block("cycle", n)))
-            sparse_built.append((_swap_shift_block(n), dense_realization_block("swap", n)))
-            sparse_built.append((companion_cycle_quotient(n + 1), dense_realization_block("companion", n + 1)))
-    sparse_built.append((block_diag([]), []))
+            cases += [(cyclic_permutation(n), dense_realization_block("cycle", n), False),
+                      (_swap_shift_block(n), dense_realization_block("swap", n), False),
+                      (companion_cycle_quotient(n + 1), dense_realization_block("companion", n + 1), False)]
+    cases.append((block_diag([]), [], False))
     for _ in range(40):
         dim = rng.randint(0, 9)
         rows = [[rng.choice([0, 0, 0, 1, -2, 2**53 + 1]) for _ in range(dim)] for _ in range(dim)]
         index = [{j: row[j] for j in compress(range(dim), row)} for row in rows]
-        dense_built += [(IntMatrix(rows), rows), (IntMatrix._raw(rows), rows)]
-        sparse_built.append((IntMatrix._sparse(index), rows))
+        cases += [(IntMatrix(rows), rows, True), (IntMatrix._raw(rows), rows, True),
+                  (IntMatrix._sparse(index), rows, False)]
         # (block, its oracle rows); a block built dense keeps its input as its rows
         blocks = [(b, b.rows) for b in (random_sparse_matrix(rng, rng.randint(1, 4))
                                         for _ in range(rng.randint(0, 3)))]
@@ -247,8 +245,7 @@ def test_nonzero_index_matches_compress():
                    (_swap_shift_block(tau), dense_realization_block("swap", tau)),
                    (IntMatrix._raw(rows), rows), (IntMatrix._sparse(index), rows)]
         rng.shuffle(blocks)
-        sparse_built.append((block_diag([b for b, _ in blocks]), dense_direct_sum([r for _, r in blocks])))
-    cases = [(a, rows, True) for a, rows in dense_built] + [(a, rows, False) for a, rows in sparse_built]
+        cases.append((block_diag([b for b, _ in blocks]), dense_direct_sum([r for _, r in blocks]), False))
     for a, rows, built_dense in cases:
         dense = tuple(map(tuple, rows))
         entries = [[(j, row[j]) for j in compress(range(len(row)), row)] for row in dense]
