@@ -81,7 +81,7 @@ from itertools import compress
 from math import comb, gcd, isqrt, prod
 
 from .arith import _Value
-from .polycyc import IntPolynomial
+from .polycyc import IntPolynomial, _product
 
 __all__ = [
     "DimensionMismatch",
@@ -446,7 +446,7 @@ def charpoly_blocks(a: IntMatrix) -> list[IntPolynomial]:
 def charpoly(a: IntMatrix) -> IntPolynomial:
     """det(xI - A), monic of degree dim: the product of ``charpoly_blocks(a)``;
     the empty matrix gives 1."""
-    return prod(charpoly_blocks(a), start=IntPolynomial((1,)))
+    return _product(charpoly_blocks(a))
 
 
 def cyclic_permutation(n: int) -> IntMatrix:

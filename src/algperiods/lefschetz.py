@@ -22,9 +22,11 @@ class
 
     a_e = K_e - sum_{d : e | d} m_d mu(d/e),
 
-read off the factorization with one Moebius value per divisor of each
-order d (trial division, O(sqrt(d)) steps each), with no power sum and no
-Moebius inversion.  The factorization is taken block by block: the
+read off the factorization with one factorization of each order d
+(trial division, O(sqrt(d)) steps): mu(d/e) vanishes unless d/e is a
+squarefree s | d, where it is (-1)^(number of primes of s), so m_d mu(s) is
+subtracted at d / s for each of the 2^omega(d) such s, with no power sum and
+no Moebius inversion.  The factorization is taken block by block: the
 characteristic polynomial is the product of one polynomial per diagonal
 block of the matrix's block-triangular form, each distinct block
 polynomial is factored once (a degree-k block needs only the orders d with
@@ -50,9 +52,8 @@ from __future__ import annotations
 import enum
 import operator
 from collections import Counter, namedtuple
-from math import prod
 
-from .arith import DoldClass, _Value, divisors, moebius
+from .arith import DoldClass, _prime_exponents, _Value
 from .exactmat import (
     DimensionMismatch,
     IntMatrix,
@@ -60,8 +61,8 @@ from .exactmat import (
     form_predicates,
 )
 from .polycyc import (
-    IntPolynomial,
     NotQuasiUnipotent,
+    _product,
     cyclotomic_factorization,
     trace_sequence_from_charpoly,
 )
@@ -200,28 +201,30 @@ def analyze(m: HomologyModel) -> Analysis:
     quasi-unipotent gets the product of the block residuals, each to its
     count (see the module docstring).  ``factorization`` lists the orders in
     ascending order.  The Dold class of a quasi-unipotent model is read off
-    the factorization, a_e = K_e - sum_{d : e | d} m_d mu(d/e): one Moebius
-    value per divisor of each cyclotomic order, whatever the lcm.
+    the factorization, a_e = K_e - sum_{d : e | d} m_d mu(d/e): one
+    factorization of each cyclotomic order d, and one term per squarefree
+    divisor of d, whatever the lcm.  The characteristic polynomial and the
+    residual product are each one call of the Kronecker product of
+    ``polycyc``.
     """
     blocks = charpoly_blocks(m.matrix)
-    cp = prod(blocks, start=IntPolynomial((1,)))
+    cp = _product(blocks)
     totals = Counter()
     residuals = []
     for block, count in Counter(blocks).items():
         try:
-            mults = cyclotomic_factorization(block)
+            totals.update({d: mult * count for d, mult in cyclotomic_factorization(block).items()})
         except NotQuasiUnipotent as exc:
-            residuals.append(exc.residual ** count)
-            continue
-        for d, mult in mults.items():
-            totals[d] += mult * count
+            residuals += [exc.residual] * count
     if residuals:
-        return Analysis(m, cp, None, prod(residuals, start=IntPolynomial((1,))), None)
+        return Analysis(m, cp, None, _product(residuals), None)
     mults = dict(sorted(totals.items()))
-    coeffs = dict(_KIND_TERMS[m.kind])
+    coeffs = Counter(_KIND_TERMS[m.kind])
     for d, mult in mults.items():
-        for e in divisors(d):
-            coeffs[e] = coeffs.get(e, 0) - mult * moebius(d // e)
+        terms = {d: -mult}  # -mult * mu(s) at d / s, for each squarefree s | d
+        for p in _prime_exponents(d):
+            terms.update({e // p: -c for e, c in terms.items()})
+        coeffs.update(terms)
     return Analysis(m, cp, mults, None, DoldClass(coeffs))
 
 

@@ -14,6 +14,17 @@ polynomials.  No floating point is involved.  The candidate orders d are
 bounded using phi(d) >= sqrt(d/2), so a residual of degree R can only have
 cyclotomic factors of order d <= 2*R^2.
 
+Polynomials are multiplied in one place, the private ``_product``, which
+``*`` and the characteristic polynomial and residual products of the
+analysis call.  It multiplies any number of factors by one Kronecker
+substitution: each factor is evaluated at N = 2^b, with 2^(b-1) above the
+product of the factors' l1 norms, which bounds every coefficient of the
+result; the integers are multiplied by CPython's big-integer product; and
+the coefficients are read back as the base-N digits of the result, each
+shifted by 2^(b-1) so that it is nonnegative.  A binomial costs two terms,
+and apart from the big-integer products the work is linear in the
+factors' nonzero coefficients and the result's size times b.
+
 The cyclotomic memo table is an ``lru_cache``, which is safe under
 concurrent reads and whose fill is idempotent.
 """
@@ -21,8 +32,10 @@ concurrent reads and whose fill is idempotent.
 from __future__ import annotations
 
 import operator
+import sys
 from collections.abc import Iterable
 from functools import lru_cache
+from itertools import compress, repeat
 from math import prod
 
 from .arith import _prime_exponents, _Value, divisors
@@ -98,21 +111,7 @@ class IntPolynomial(_Value):
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial([c * other for c in self.coeffs])
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
-        # The outer loop skips zero coefficients, so it runs over the factor
-        # with fewer nonzero ones: x^n - 1 times anything is two passes.
-        if len(a) - a.count(0) > len(b) - b.count(0):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b):
-                    out[i + j] += c * d
-        return IntPolynomial(out)
+        return _product((self, other)) if isinstance(other, IntPolynomial) else NotImplemented
 
     __rmul__ = __mul__
 
@@ -148,6 +147,47 @@ class IntPolynomial(_Value):
                 body = var if mag == 1 else f"{mag}*{var}"
             parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
         return " ".join(parts)
+
+
+def _product(polys: Iterable[IntPolynomial]) -> IntPolynomial:
+    """The product of the polynomials, 1 for none, by one Kronecker substitution.
+
+    No coefficient of the product exceeds B, the product of the factors' l1
+    norms.  Digits have w bytes, the least w with 2^(b-1) > B for b = 8w (a w
+    of 3 becomes 4), and each factor f becomes the integer f(2^b): a factor
+    with one or two nonzero coefficients, such as a binomial x^k -+ c, as the
+    sum of its shifted terms, and any other packed whole, one w-byte digit
+    f_i + 2^(b-1) per coefficient, less the packed offset.  The values are
+    multiplied in one run of big-integer products.  Adding the offset
+    sum_i 2^(b-1) 2^(bi) makes every base-2^b digit of the product
+    c_i + 2^(b-1), which lies in [1, 2^b), and ``int.to_bytes`` lays the
+    digits out: one of 1, 2, 4 or 8 bytes is read as a machine word on a
+    little-endian host, any other by ``int.from_bytes``.
+
+    Outside the big-integer products the cost is O(sum nnz + size) Python
+    steps and O(size * b) word operations, for size = 1 + sum deg f, and no
+    byte string is longer than size * w bytes.  A zero factor gives 0.
+    """
+    factors = [p.coeffs for p in polys]
+    bound = prod(sum(map(abs, f)) for f in factors)
+    if not bound:
+        return IntPolynomial()
+    w = bound.bit_length() // 8 + 1
+    w += w == 3  # three bytes take a four-byte word
+    half, pad = 1 << 8 * w - 1, bytes(w - 1) + b"\x80"  # 2^(b-1), and its w bytes
+    value = 1
+    for f in factors:
+        if len(f) - f.count(0) <= 2:
+            value *= sum(f[i] << 8 * w * i for i in compress(range(len(f)), f))
+        else:
+            packed = b"".join(map(int.to_bytes, map(half.__add__, f), repeat(w), repeat("little")))
+            value *= int.from_bytes(packed, "little") - int.from_bytes(pad * len(f), "little")
+    size = sum(map(len, factors)) - len(factors) + 1
+    raw = (value + int.from_bytes(pad * size, "little")).to_bytes(size * w, "little")
+    word = w in (1, 2, 4, 8) and sys.byteorder == "little"
+    digits = memoryview(raw).cast("BHIQ"[w.bit_length() - 1]) if word else [
+        int.from_bytes(raw[i : i + w], "little") for i in range(0, size * w, w)]
+    return IntPolynomial([d - half for d in digits])
 
 
 def x_pow_minus_one(n: int) -> IntPolynomial:

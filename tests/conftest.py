@@ -4,7 +4,10 @@ Every randomized test owns a seeded ``random.Random`` so runs are
 reproducible; nothing here depends on the code paths it is used to
 check (the cofactor determinant and the Faddeev-LeVerrier recurrence
 below are the independent oracles for the multi-modular Hessenberg
-characteristic polynomial, the matrix-power
+characteristic polynomial, the schoolbook double loop is the oracle for the
+Kronecker-substitution polynomial product, one Moebius value per divisor of
+each cyclotomic order is the oracle for the Dold class read off the squarefree
+divisors, the matrix-power
 Lefschetz loop below is the oracle for the Newton-trace route, the Newton
 window with Moebius inversion on the divisor-closed candidate set is the
 oracle for the Dold class read off the cyclotomic factorization, the
@@ -52,6 +55,7 @@ from algperiods import (
     divisors,
     dold_coefficients,
     enumerate_partitions,
+    moebius,
     partition_to_dold_nonorientable,
     partition_to_dold_orientable,
     realize_target,
@@ -220,6 +224,41 @@ def dold_by_newton_window(m: HomologyModel) -> DoldClass:
     return dold_coefficients(LefschetzSequence({l: window[l - 1] for l in candidates}))
 
 
+def dold_by_moebius_per_divisor(kind_terms: dict, mults: dict) -> DoldClass:
+    """The Dold class a_e = K_e - sum_{d : e | d} m_d mu(d/e) of a cyclotomic factorization
+    {d: m_d} and the kind's class K, with one Moebius value per divisor e of each order d."""
+    coeffs = dict(kind_terms)
+    for d, mult in mults.items():
+        for e in divisors(d):
+            coeffs[e] = coeffs.get(e, 0) - mult * moebius(d // e)
+    return DoldClass(coeffs)
+
+
+def poly_mul_by_schoolbook(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """p * q by the schoolbook double loop over the coefficient tuples."""
+    a, b = p.coeffs, q.coeffs
+    if not a or not b:
+        return IntPolynomial()
+    # The outer loop skips zero coefficients, so it runs over the factor
+    # with fewer nonzero ones: x^n - 1 times anything is two passes.
+    if len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return IntPolynomial(out)
+
+
+def poly_product_by_schoolbook(polys) -> IntPolynomial:
+    """The product of the polynomials, 1 for none, one schoolbook multiply per factor."""
+    result = IntPolynomial([1])
+    for p in polys:
+        result = poly_mul_by_schoolbook(result, p)
+    return result
+
+
 def random_matrix(rng: random.Random, dim: int, lo: int = -3, hi: int = 3) -> IntMatrix:
     return IntMatrix([[rng.randint(lo, hi) for _ in range(dim)] for _ in range(dim)])
 
@@ -247,7 +286,7 @@ def charpoly_cofactor(a: IntMatrix) -> IntPolynomial:
             if c.is_zero():
                 continue
             minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            term = c * det(minor)
+            term = poly_mul_by_schoolbook(c, det(minor))
             total = total + term if j % 2 == 0 else total - term
         return total
 

@@ -12,7 +12,9 @@ sizes stay where a run takes milliseconds; the caps themselves are
 checked in ``test_cli.py::test_size_caps``.  ``form_predicates`` must agree with
 the dense product A^T Omega A of ``conftest`` on every drawn matrix, and
 ``exactmat._charpoly_mod`` the Faddeev-LeVerrier residues mod each prime of
-``KERNEL_PRIMES`` on drawn sparse and dense matrices.  The
+``KERNEL_PRIMES`` on drawn sparse and dense matrices.  The polynomial
+product ``polycyc._product``, and ``*`` and ``**`` through it, must equal the
+schoolbook multiply of ``conftest`` on drawn lists of factors.  The
 matrix rows of a realize or analyze report must be the bytes that the
 standard encoder writes for plain-list rows, and in text the entries of each
 row joined by spaces.  A census listing must hold the rows of
@@ -36,6 +38,7 @@ import algperiods.exactmat as exactmat
 from algperiods import (
     HomologyModel,
     IntMatrix,
+    IntPolynomial,
     Mode,
     SurfaceKind,
     analyze,
@@ -51,6 +54,7 @@ from algperiods.cli import (
     _model_report,
     main,
 )
+from algperiods.polycyc import _product
 
 from conftest import (
     JSON_INT_LIMIT,
@@ -62,6 +66,8 @@ from conftest import (
     mat_mul,
     negated,
     plus_minus_identity,
+    poly_mul_by_schoolbook,
+    poly_product_by_schoolbook,
     random_matrix,
     sparse_transvection_conjugate,
     standard_symplectic_form,
@@ -583,3 +589,35 @@ def test_fuzz_charpoly_mod_matches_faddeev_leverrier(a):
     oracle = charpoly_by_faddeev_leverrier(a)
     for p in KERNEL_PRIMES:
         assert exactmat._charpoly_mod(a.rows, p) == [c % p for c in oracle.coeffs], p
+
+
+# Small coefficients, and coefficients past 2^200; the empty list is the zero
+# polynomial and a one-entry list a constant.
+COEFFICIENTS = st.one_of(st.integers(-3, 3), st.integers(-(2**210), 2**210))
+POLYNOMIALS = st.one_of(
+    st.lists(COEFFICIENTS, max_size=7).map(IntPolynomial),
+    st.builds(lambda c, k, lead: IntPolynomial([c] + [0] * k + [lead]),
+              st.integers(-3, 3), st.integers(0, 40), st.sampled_from([1, -1, 2, -5, 2**201])),
+)
+
+
+@settings(FUZZ, max_examples=100)
+@given(factors=st.one_of(st.lists(POLYNOMIALS, max_size=6),
+                         st.lists(POLYNOMIALS, min_size=40, max_size=48)),
+       n=st.integers(0, 6))
+@example(factors=[], n=0)
+@example(factors=[IntPolynomial([1, 1]), IntPolynomial(), IntPolynomial([-1, 0, 1])], n=2)
+@example(factors=[IntPolynomial([5])] * 3, n=5)
+@example(factors=[IntPolynomial([-1, 0, 0, 1]), IntPolynomial([1, 1])] * 24, n=3)
+@example(factors=[IntPolynomial([2**201 + 1, -3, 7]), IntPolynomial([-(2**205), 0, -4])], n=4)
+def test_fuzz_product_matches_schoolbook(factors, n):
+    """The n-ary product, ``*`` and ``**`` equal the schoolbook oracle: on the empty
+    list, zero factors, constants, leading coefficients other than +-1, coefficients
+    past 2^200 and 40 or more factors."""
+    expected = poly_product_by_schoolbook(factors)
+    assert _product(factors) == expected
+    assert _product(iter(factors)) == expected
+    for p, q in zip(factors, factors[1:2]):
+        assert p * q == q * p == poly_mul_by_schoolbook(p, q)
+    base = factors[0] if factors else IntPolynomial([1, -2])
+    assert base**n == poly_product_by_schoolbook([base] * n)

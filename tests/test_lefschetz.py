@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 
@@ -31,6 +32,7 @@ from algperiods.polycyc import IntPolynomial
 from algperiods.realize import _swap_shift_block
 
 from conftest import (
+    dold_by_moebius_per_divisor,
     dold_by_newton_window,
     euler_characteristic,
     lefschetz_by_newton,
@@ -38,6 +40,7 @@ from conftest import (
     lefschetz_from_dold,
     mat_mul,
     odd_lefschetz_vanish_by_powers,
+    poly_product_by_schoolbook,
     random_antisymplectic_quasiunipotent,
     random_matrix,
     random_symplectic_pair,
@@ -342,7 +345,7 @@ def test_block_factorization_matches_whole_polynomial():
         perm = rng.sample(range(n), n)
         a = IntMatrix([[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
         cp = charpoly(a)
-        assert cp == math.prod(charpoly_blocks(a), start=IntPolynomial((1,)))
+        assert cp == poly_product_by_schoolbook(charpoly_blocks(a))
         analysis = analyze(HomologyModel(SurfaceKind.NONORIENTABLE, a, n + 1))
         assert analysis.charpoly == cp
         try:
@@ -355,3 +358,26 @@ def test_block_factorization_matches_whole_polynomial():
         quasi_unipotent += 1
     assert 10 <= quasi_unipotent <= 50
     assert charpoly_blocks(IntMatrix(())) == [] and charpoly(IntMatrix(())) == IntPolynomial((1,))
+
+
+def test_dold_class_from_squarefree_divisors_matches_moebius_per_divisor(monkeypatch):
+    """``analyze`` factors each cyclotomic order d once and subtracts m_d mu(s) at d / s
+    for each squarefree s | d; the oracle takes one Moebius value per divisor.  Random
+    factorizations {d: m_d} with d <= 2520 reach ``analyze`` through a patched block
+    factorizer, on the empty matrix of each kind."""
+    lefschetz_module = importlib.import_module("algperiods.lefschetz")
+    kind_terms = {SurfaceKind.PRESERVING: {1: 2}, SurfaceKind.REVERSING: {2: 1},
+                  SurfaceKind.NONORIENTABLE: {1: 1}}
+    rng = random.Random(31)
+    monkeypatch.setattr(lefschetz_module, "charpoly_blocks", lambda a: [IntPolynomial((1,))])
+    for trial in range(300):
+        orders = rng.sample(range(1, 2521), rng.randint(1, 8))
+        if trial % 3 == 0:
+            orders += [1, 2, 2520, 720, 1680][: rng.randint(1, 5)]
+        mults = {d: rng.randint(1, 6) for d in orders}
+        monkeypatch.setattr(lefschetz_module, "cyclotomic_factorization", lambda block: mults)
+        for kind, terms in kind_terms.items():
+            genus = 0 if kind is not SurfaceKind.NONORIENTABLE else 1
+            analysis = analyze(HomologyModel(kind, IntMatrix(()), genus))
+            assert analysis.factorization == dict(sorted(mults.items()))
+            assert analysis.dold == dold_by_moebius_per_divisor(terms, mults), (kind, mults)

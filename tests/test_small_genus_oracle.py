@@ -8,28 +8,39 @@ prod Phi_d^{m_d}.  The candidates are kept when they meet the necessary
 constraint of the kind's form:
 
 * preserving (symplectic): the orders 1 and 2 have even multiplicity;
-* reversing (antisymplectic): chi(x) = (-1)^g x^{2g} chi(-1/x) swaps the
-  orders d and 2d for odd d, so m_d = m_{2d}; this binds an odd d that is
-  reached only through its even order 2d as well;
+* reversing (antisymplectic): chi(x) = (-1)^g x^{2g} chi(-1/x), checked on
+  the coefficients of the product polynomial as c_i = (-1)^(g+i) c_(2g-i);
+  it swaps the orders d and 2d for odd d, so m_d = m_{2d} as well, which
+  binds an odd d that is reached only through its even order 2d;
 * non-orientable: none.
 
-Each kept multiset's Dold class comes from the Newton power sums of the
-product polynomial (``conftest.lefschetz_by_newton``) and ``dold_coefficients``,
-not from the closed form that ``analyze`` uses.  The classes found are the
-reachable ones at that genus; realizations, census classes and the
-odd-period obstruction are checked against them.
+Given m_d = m_{2d} for every odd d, the identity comes to m_4 even.  Write
+p*(x) = x^deg(p) p(-1/x), which is multiplicative.  Phi_d is palindromic for
+d >= 2, and Phi_d(-x) is Phi_{2d}(x) for odd d >= 3 and Phi_d(x) for 4 | d;
+so Phi_d* = Phi_{2d} and Phi_{2d}* = Phi_d for odd d >= 3, Phi_d* = Phi_d for
+4 | d, and Phi_1* = -Phi_2, Phi_2* = Phi_1.  Hence chi* = (-1)^(m_1) chi, and
+the identity asks m_1 = g mod 2.  Since phi(2d) = phi(d) for odd d,
+g = sum_{d odd} phi(d) m_d + sum_{4 | d} (phi(d) / 2) m_d; phi(d) is even for
+odd d >= 3, and phi(d) / 2 is odd for no multiple d of 4 but 4, so
+g = m_1 + m_4 mod 2.  A test checks this equivalence on every multiset
+through ``MAX_GENUS``.
+
+Each kept multiset's product polynomial is multiplied out by the schoolbook
+oracle of ``conftest``, not by the library's product.  Its Dold class comes
+from the Newton power sums of that polynomial (``conftest.lefschetz_by_newton``)
+and ``dold_coefficients``, not from the closed form that ``analyze`` uses.  The
+classes found are the reachable ones at that genus; realizations, census
+classes and the odd-period obstruction are checked against them.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations
 from math import gcd
 
 import pytest
 
 from algperiods import (
-    IntPolynomial,
     LefschetzSequence,
     Mode,
     SurfaceKind,
@@ -42,7 +53,7 @@ from algperiods import (
     realize_target,
 )
 
-from conftest import lefschetz_by_newton
+from conftest import lefschetz_by_newton, poly_product_by_schoolbook
 
 MAX_GENUS = 7
 
@@ -70,18 +81,34 @@ def multisets(dim: int):
     return walk(0, dim)
 
 
+def product_polynomial(m: dict):
+    """prod Phi_d^(m_d), multiplied out by the schoolbook oracle."""
+    return poly_product_by_schoolbook(cyclotomic(d) for d, k in m.items() for _ in range(k))
+
+
+def swaps_odd_orders(m: dict) -> bool:
+    """m_d == m_{2d} for every odd d."""
+    odd = {d for d in m if d % 2} | {d // 2 for d in m if d % 4 == 2}
+    return all(m.get(d, 0) == m.get(2 * d, 0) for d in odd)
+
+
+def antisymplectic_identity(m: dict) -> bool:
+    """c_i == (-1)^(g+i) c_(2g-i) on the coefficients of the product polynomial."""
+    c = product_polynomial(m).coeffs
+    n = len(c) - 1
+    return all(c[i] == (-1) ** (n // 2 + i) * c[n - i] for i in range(n + 1))
+
+
 def meets_form(kind: SurfaceKind, m: dict) -> bool:
     if kind is SurfaceKind.PRESERVING:
         return m.get(1, 0) % 2 == 0 and m.get(2, 0) % 2 == 0
     if kind is SurfaceKind.REVERSING:
-        odd = {d for d in m if d % 2} | {d // 2 for d in m if d % 4 == 2}
-        return all(m.get(d, 0) == m.get(2 * d, 0) for d in odd)
+        return swaps_odd_orders(m) and antisymplectic_identity(m)
     return True
 
 
 def dold_class(kind: SurfaceKind, m: dict):
-    cp = reduce(IntPolynomial.__mul__, (cyclotomic(d) ** k for d, k in m.items()),
-                IntPolynomial([1]))
+    cp = product_polynomial(m)
     candidates = {1, 2}.union(*(divisors(d) for d in m))
     window = lefschetz_by_newton(kind, cp, max(candidates))
     return dold_coefficients(LefschetzSequence({l: window[l - 1] for l in candidates}))
@@ -117,8 +144,25 @@ def test_multisets_are_counted_by_degree():
     assert counts[:6] == [1, 2, 6, 10, 24, 38]
     assert meets_form(SurfaceKind.REVERSING, {6: 1}) is False
     assert meets_form(SurfaceKind.REVERSING, {3: 1, 6: 1}) is True
-    assert meets_form(SurfaceKind.REVERSING, {4: 1}) is True
+    assert meets_form(SurfaceKind.REVERSING, {4: 1}) is False
+    assert meets_form(SurfaceKind.REVERSING, {4: 2}) is True
+    assert meets_form(SurfaceKind.REVERSING, {1: 1, 2: 1}) is True
     assert meets_form(SurfaceKind.PRESERVING, {1: 1, 2: 1}) is False
+
+
+def test_reversing_identity_is_m4_even_given_the_swap():
+    """Among the multisets with m_d == m_{2d} for odd d, the antisymplectic identity
+    holds exactly when m_4 is even (the argument is in the module docstring).
+    The swap alone keeps 1, 1, 5, 5, 19, 19 and 59 multisets at genus 1 to 7 that
+    break the identity, the ones that the form constraint missed before it
+    checked the identity."""
+    broken = []
+    for g in range(1, MAX_GENUS + 1):
+        swapped = [m for m in multisets(2 * g) if swaps_odd_orders(m)]
+        assert [antisymplectic_identity(m) for m in swapped] == [
+            m.get(4, 0) % 2 == 0 for m in swapped], g
+        broken.append(sum(1 for m in swapped if m.get(4, 0) % 2))
+    assert broken == [1, 1, 5, 5, 19, 19, 59]
 
 
 def test_every_small_realization_is_reachable(reachable):
