@@ -2,32 +2,36 @@
 
 Reports go to standard output as deterministic JSON (keys sorted, any
 integer beyond 2^53 rendered as a decimal string so interchange stays
-bit-exact) or as plain text carrying the same information.  Matrix files
-are JSON objects {"dim": n, "rows": [[...], ...]}; Dold classes are JSON
-maps with string keys; readers accept big integers in either numeric or
-string form.  No configuration files, no environment variables.  A report
-holds the library's own values as they are: Dold classes, factorizations and
-canonical forms as dicts with integer keys, and each namedtuple record (a
-certificate, a piece, a zeta factor) as its ``_asdict()``, never the record
-itself, which the JSON writer would write as a list.  The writers only read
-them: both turn keys into strings and sort them as strings, so "10"
-comes before "5".  A report goes to standard output in pieces and is never
-one string: JSON in the bytes of ``json.dumps(sort_keys=True, indent=2)`` on
-the string-keyed report, with no converted copy, from one recursive writer,
-``_json_pieces``, a dict field by field; text line by line.  The two row
-writers are generator functions, ``_census_rows`` and ``_matrix_rows``, that a
-report holds bound to their data with ``functools.partial``.  Called with
-``(item, json)``, each hands over its rows in batches of item texts, and the
-two emitters own all framing: the JSON writer joins a batch with commas
-inside one bracket pair, as it does the items of a plain list, and the text
-writer puts each item after its running index "[i]:".  A census listing
-comes one block at a time, the rows that share their parts of at least _CUT:
-each row is one f-string of the block's stack texts and an entry of a suffix
-table made for the call, with no object built.  A matrix comes _ROW_BATCH
-rows at a time from its nonzero index alone, row length ``dim``, a run of
-zeros by one string repetition, so about one nonzero per row costs O(dim)
-Python steps and a realized matrix never builds its dense rows.  A write
-that fails ends the run with what was written so far, a prefix of the report.
+bit-exact) or as plain text carrying the same information.  Matrix files are
+JSON objects {"dim": n, "rows": [[...], ...]}; Dold classes are JSON maps
+with string keys; readers accept big integers in either numeric or string
+form.  No configuration files, no environment variables.  A report holds the
+library's own values as they are: Dold classes, factorizations and canonical
+forms as dicts with integer keys, and each namedtuple record (a certificate,
+a piece, a zeta factor) as its ``_asdict()``, never the record itself, which
+the JSON writer would write as a list.  The writers only read them: both
+turn keys into strings and sort them as strings, so "10" comes before "5".
+A report goes to standard output in pieces and is never one string: JSON in
+the bytes of ``json.dumps(sort_keys=True, indent=2)`` on the string-keyed
+report, with no converted copy, from one recursive writer, ``_write_json``:
+one call per value and no generator, so a report costs O(values + nnz)
+Python steps besides its bytes, and one write per top-level field and per
+row batch.  Text goes line by line.  The two row writers are generator
+functions, ``_census_rows`` and ``_matrix_rows``, that a report holds bound
+to their data with ``functools.partial``.  Called with ``(item, json)``,
+each hands over its rows in batches of item texts, and the two emitters own
+all framing: the JSON writer joins a batch with commas inside one bracket
+pair, as it does the items of a plain list, and the text writer puts each
+item after its running index "[i]:".  A census listing comes one block at a
+time, the rows that share their parts of at least _CUT: each row is one
+f-string of the block's stack texts and an entry of a suffix table made for
+the call, with no object built.  A matrix comes _ROW_BATCH rows at a time
+from its nonzero index alone: its all-zero text is built once per call, and
+each nonzero is spliced in at its offset, so a batch costs O(nnz) slices
+plus its bytes (in JSON a batch is one text, its rows already joined as the
+writer joins items), and a realized matrix never builds its dense rows.  A
+write that fails ends the run with what was written so far, a prefix of the
+report.
 
 Stable exit codes:
 
@@ -51,7 +55,7 @@ import functools
 import json
 import os
 import sys
-from itertools import chain, islice
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .arith import DoldClass
@@ -224,65 +228,90 @@ def _census_rows(genus: int, correspondence: str, limit: int | None, item: str, 
 
 def _matrix_rows(matrix: IntMatrix, item: str, json: bool):
     """The rows of a report's matrix, written from its nonzero index with the
-    bytes of a plain list of lists, by one row writer for JSON and text: a run
-    of k zeros is one repetition, ("0" + sep) * k, and each nonzero is written
-    bare, or in JSON as a quoted decimal when |x| > 2^53.  The rows come in
-    batches of _ROW_BATCH item texts: in JSON a row's list, in text the
+    bytes of a plain list of lists, by one row writer for JSON and text.  The
+    all-zero text is built once per call: in JSON that of min(_ROW_BATCH, dim)
+    rows joined as the JSON writer joins the items of a list, in text that of
+    one row.  ``splice`` copies it with each nonzero x at (i, j) in place of
+    the "0" at offset base + j * step, base the start of row i's entries and
+    step the length of "0" and its separator: bare, or in JSON as a quoted
+    decimal when |x| > 2^53.  So a text costs O(nnz) slices plus its bytes, an
+    all-zero text row is the template itself, and a realized matrix never
+    builds its dense rows.  The rows come in batches of _ROW_BATCH: in JSON
+    one text, the batch's row lists so joined, in text one text per row, the
     bracketed entries that follow the row's index."""
     cell = item + "  "
-    sep, head, tail = ("," + cell, "[" + cell, item + "]") if json else (" ", " [", "]")
-    zero, limit, dim = "0" + sep, _JSON_INT_LIMIT, matrix.dim
+    sep, head, tail, join = ("," + cell, "[" + cell, item + "]", "," + item) if json else (" ", " [", "]", "")
+    row = head + sep.join(["0"] * matrix.dim) + tail
+    zeros = join.join([row] * min(_ROW_BATCH, matrix.dim)) if json else row
+    step, stride = len(sep) + 1, len(row) + len(join)
+
+    def splice(group):
+        pieces, start = [], 0
+        for base, entries in zip(range(len(head), len(zeros), stride), group):
+            for j, x in entries.items():
+                at = base + j * step
+                pieces += zeros[start:at], (f'"{x}"' if json and abs(x) > _JSON_INT_LIMIT else f"{x}")
+                start = at + 1
+        return "".join([*pieces, zeros[start : len(group) * stride - len(join)]])
+
     rows = iter(matrix.nonzero)
     while batch := list(islice(rows, _ROW_BATCH)):
-        texts = []
-        for entries in batch:
-            parts, start = [head], 0
-            for j, x in entries.items():
-                if j > start:
-                    parts.append(zero * (j - start))
-                parts.append(f'"{x}"{sep}' if json and not -limit <= x <= limit else f"{x}{sep}")
-                start = j + 1
-            parts.append(zero * (dim - start))
-            texts.append("".join(parts)[: -len(sep)] + tail)
-        yield texts
+        yield [splice(batch)] if json else [splice([entries]) for entries in batch]
 
 
 _ROW_BATCH = 64
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
 
 
-def _json_pieces(value: object, pad: str = "\n"):
-    """``value`` as JSON with two-space indent, in pieces; ``pad`` is the newline
-    and indent of its level.  A dict comes field by field, and a list or a row
-    writer a batch of items at a time: a list is one batch, and a row writer, a
-    callable value, hands over its own when called with ``(item, json)``."""
-    inner = pad + "  "
+def _write_json(value: object, write, pad: str = "\n", out: list | None = None) -> None:
+    """Write ``value`` as JSON with two-space indent, then a newline, by calls of
+    ``write``; ``pad`` is the newline and indent of its level.  One call per
+    value, and no generator, appends its pieces to ``out``, the text not yet
+    written: None and the booleans come from a table, a list of ints is one
+    join, and a dict comes field by field.  ``out`` is written once per field
+    of the top-level value and before each batch of a row writer, a callable
+    value, which hands over its batches when called with ``(item, json)``; a
+    batch is written as it comes.  So a report costs O(values) Python steps
+    besides its row writers, and no write is longer than one batch or one
+    top-level field."""
+    top, inner = out is None, pad + "  "
+    out = [] if top else out
     if isinstance(value, str):
-        yield encode_basestring_ascii(value)
+        out.append(encode_basestring_ascii(value))
     elif isinstance(value, int) and not isinstance(value, bool):
-        yield int.__repr__(value) if abs(value) <= _JSON_INT_LIMIT else f'"{value}"'
-    elif isinstance(value, dict) and value:
+        out.append(int.__repr__(value) if abs(value) <= _JSON_INT_LIMIT else f'"{value}"')
+    elif value is None or isinstance(value, bool):
+        out.append(_JSON_WORDS[value])
+    elif isinstance(value, dict):
         d = {str(k): v for k, v in value.items()}
-        opener = "{"
-        for k in sorted(d):
-            yield f"{opener}{inner}{encode_basestring_ascii(k)}: "
-            yield from _json_pieces(d[k], inner)
-            opener = ","
-        yield pad + "}"
-    elif callable(value) or isinstance(value, (list, tuple)) and value:
-        if callable(value):
-            batches = value(inner, True)
-        elif set(map(type, value)) == {int} and max(map(abs, value)) <= _JSON_INT_LIMIT:
-            batches = [map(int.__repr__, value)]
-        else:
-            batches = [["".join(_json_pieces(x, inner)) for x in value]]
+        for i, k in enumerate(sorted(d)):
+            out.append(("," if i else "{") + f"{inner}{encode_basestring_ascii(k)}: ")
+            _write_json(d[k], write, inner, out)
+            if top:
+                write("".join(out))
+                out.clear()
+        out.append(pad + "}" if d else "{}")
+    elif callable(value):
         opener = "["
-        for batch in map(("," + inner).join, batches):  # drops a batch's items before writing it
-            yield opener + inner
-            yield batch
+        for batch in map(("," + inner).join, value(inner, True)):  # drops a batch's items before writing it
+            out.append(opener + inner)
+            write("".join(out))
+            out.clear()
+            write(batch)
             opener = ","
-        yield "[]" if opener == "[" else pad + "]"
+        out.append("[]" if opener == "[" else pad + "]")
+    elif isinstance(value, (list, tuple)):
+        if set(map(type, value)) == {int} and max(map(abs, value)) <= _JSON_INT_LIMIT:
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{pad}]")
+        else:
+            for i, x in enumerate(value):
+                out.append(("," if i else "[") + inner)
+                _write_json(x, write, inner, out)
+            out.append(pad + "]" if value else "[]")
     else:
-        yield json.dumps(value)  # empty containers, bool, None, float; others raise TypeError
+        out.append(json.dumps(value))  # float; others raise TypeError
+    if top:
+        write("".join(out) + "\n")
 
 
 def _text_lines(key: str, value: object, indent: int):
@@ -315,11 +344,9 @@ def _emit(report: dict[str, object], fmt: str) -> None:
     """Write the report to stdout in pieces, the rows of a row writer (a callable
     value) a batch at a time."""
     if fmt == "json":
-        pieces = chain(_json_pieces(report), ["\n"])
-    else:
-        fields = (_text_lines(key, report[key], 0) for key in sorted(report))
-        pieces = (f"{lines}\n" for field in fields for lines in field)
-    sys.stdout.writelines(pieces)
+        return _write_json(report, sys.stdout.write)
+    fields = (_text_lines(key, report[key], 0) for key in sorted(report))
+    sys.stdout.writelines(f"{lines}\n" for field in fields for lines in field)
 
 
 def _size(text: str) -> int:

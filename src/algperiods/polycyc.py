@@ -19,10 +19,10 @@ Polynomials are multiplied in one place, the private ``_product``, which
 analysis call.  It multiplies any number of factors by one Kronecker
 substitution: each factor is evaluated at N = 2^b, with 2^(b-1) above the
 product of the factors' l1 norms, which bounds every coefficient of the
-result; the integers are multiplied by CPython's big-integer product; and
-the coefficients are read back as the base-N digits of the result, each
-shifted by 2^(b-1) so that it is nonnegative.  A binomial costs two terms,
-and apart from the big-integer products the work is linear in the
+result; the integers are multiplied pairwise by CPython's big-integer
+product; and the coefficients are read back as the base-N digits of the
+result, each shifted by 2^(b-1) so that it is nonnegative.  A binomial costs
+two terms, and apart from the big-integer products the work is linear in the
 factors' nonzero coefficients and the result's size times b.
 
 The cyclotomic memo table is an ``lru_cache``, which is safe under
@@ -158,7 +158,8 @@ def _product(polys: Iterable[IntPolynomial]) -> IntPolynomial:
     with one or two nonzero coefficients, such as a binomial x^k -+ c, as the
     sum of its shifted terms, and any other packed whole, one w-byte digit
     f_i + 2^(b-1) per coefficient, less the packed offset.  The values are
-    multiplied in one run of big-integer products.  Adding the offset
+    multiplied pairwise, a balanced tree of big-integer products, so that no
+    product pays again for a long partial result.  Adding the offset
     sum_i 2^(b-1) 2^(bi) makes every base-2^b digit of the product
     c_i + 2^(b-1), which lies in [1, 2^b), and ``int.to_bytes`` lays the
     digits out: one of 1, 2, 4 or 8 bytes is read as a machine word on a
@@ -175,15 +176,17 @@ def _product(polys: Iterable[IntPolynomial]) -> IntPolynomial:
     w = bound.bit_length() // 8 + 1
     w += w == 3  # three bytes take a four-byte word
     half, pad = 1 << 8 * w - 1, bytes(w - 1) + b"\x80"  # 2^(b-1), and its w bytes
-    value = 1
+    values = []
     for f in factors:
         if len(f) - f.count(0) <= 2:
-            value *= sum(f[i] << 8 * w * i for i in compress(range(len(f)), f))
+            values.append(sum(f[i] << 8 * w * i for i in compress(range(len(f)), f)))
         else:
             packed = b"".join(map(int.to_bytes, map(half.__add__, f), repeat(w), repeat("little")))
-            value *= int.from_bytes(packed, "little") - int.from_bytes(pad * len(f), "little")
+            values.append(int.from_bytes(packed, "little") - int.from_bytes(pad * len(f), "little"))
+    while len(values) > 2:  # a balanced tree of products: each pays for its operands alone
+        values = [prod(values[i : i + 2]) for i in range(0, len(values), 2)]
     size = sum(map(len, factors)) - len(factors) + 1
-    raw = (value + int.from_bytes(pad * size, "little")).to_bytes(size * w, "little")
+    raw = (prod(values) + int.from_bytes(pad * size, "little")).to_bytes(size * w, "little")
     word = w in (1, 2, 4, 8) and sys.byteorder == "little"
     digits = memoryview(raw).cast("BHIQ"[w.bit_length() - 1]) if word else [
         int.from_bytes(raw[i : i + w], "little") for i in range(0, size * w, w)]

@@ -347,7 +347,7 @@ def test_census_listing_across_digit_boundaries():
     "100" and a key from "10" to "19"; both correspondences, limits that end
     inside a block of rows sharing their parts >= _CUT, and full listings down
     to the all-small-parts tail; in JSON and text, against the library's rows."""
-    from algperiods.cli import _CUT, _census_rows, _json_pieces
+    from algperiods.cli import _CUT, _census_rows
 
     def stack(row):
         return [part for part in row["partition"] if part >= _CUT]
@@ -363,7 +363,7 @@ def test_census_listing_across_digit_boundaries():
                     cuts_inside += stack(following[limit - 1]) == stack(following[limit])
                 rows = functools.partial(_census_rows, genus, correspondence, limit)
                 report = {"partitions": rows}
-                text = "".join(_json_pieces(report))
+                text = json_text(report)
                 assert text == json_by_dumps({"partitions": expected}), (genus, correspondence, limit)
                 assert text_by_writer(report) == text_by_writer({"partitions": expected})
     assert cuts_inside >= 20
@@ -1196,11 +1196,19 @@ def random_payload(rng, depth=0):
     return {k: random_payload(rng, depth + 1) for k in keys}
 
 
-def test_json_writer_matches_standard_encoder():
-    from algperiods.cli import _census_rows, _json_pieces, _matrix_rows
+def json_text(value) -> str:
+    """``value`` as the JSON writer writes it, without the closing newline."""
+    from algperiods.cli import _write_json
 
-    def json_text(value):
-        return "".join(_json_pieces(value))
+    parts = []
+    _write_json(value, parts.append)
+    text = "".join(parts)
+    assert text.endswith("\n")
+    return text[:-1]
+
+
+def test_json_writer_matches_standard_encoder():
+    from algperiods.cli import _census_rows, _matrix_rows
 
     rng = random.Random(71)
     for _ in range(400):
@@ -1237,3 +1245,68 @@ def test_json_writer_matches_standard_encoder():
         "z": [2**60, -1],
     }
     assert json_text(payload) == json_by_dumps(plain)
+
+    # None, the booleans and empty containers, bare and at depths 1 to 4 in
+    # lists, tuples and dicts, first, last and alone among their siblings
+    for leaf in (None, True, False, {}, [], ()):
+        value = leaf
+        for depth in range(5):
+            assert json_text(value) == json_by_dumps(value), value
+            value = [value] if depth % 3 == 0 else (1, value) if depth % 3 == 1 else {"a": value, "b": []}
+
+
+def test_matrix_rows_splice_every_column():
+    """Nonzeros of one to 17 characters spliced into the all-zero text: in the
+    first and last column, several in a row, next to each other, and rows with
+    none, across the batch edge, in JSON and text, against plain lists."""
+    from algperiods.cli import _ROW_BATCH, _matrix_rows
+
+    n = _ROW_BATCH + 6
+    wide = [-7, 10, -100, 2**53, -(2**53), 2**53 + 1, -(2**60)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(0, n, 2):  # odd rows stay all zero
+        rows[i][0] = wide[i % len(wide)]
+        rows[i][n - 1] = wide[(i + 3) % len(wide)]
+    rows[2][1:6] = [1, -1, 22, -333, 4444]
+    rows[_ROW_BATCH - 1][n - 2 :] = [-55, 66]
+    rows[_ROW_BATCH][: 3] = [2**53 + 1, 0, -9]
+    for m in (rows, [[-12]], [[0]], [[0, 0], [0, 0]], [[0, 10], [-10, 0]], []):
+        report = {"m": functools.partial(_matrix_rows, IntMatrix(m))}
+        assert json_text(report) == json_by_dumps({"m": m}), m
+        assert text_by_writer(report) == text_by_writer({"m": m}), m
+
+
+def test_report_is_written_in_pieces(monkeypatch):
+    """A report reaches stdout in pieces: more than one write, and none longer
+    than the longest batch of its row writer plus its longest other top-level
+    field, whereas a report joined into one string would be one write of about
+    twice that (a census listing of genus 30, 5,604 rows; a dim-130 matrix, three
+    batches)."""
+    from algperiods.cli import _census_rows, _matrix_rows
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    matrix = realize_target({32}, SurfaceKind.REVERSING).analysis.model.matrix
+    assert matrix.dim >= 130
+    cases = [
+        (["census", "--genus", "30", "--list-partitions"], "partitions",
+         functools.partial(_census_rows, 30, "orientable", None), "\n    "),
+        (["realize", "--set", "32", "--kind", "reversing"], "matrix",
+         functools.partial(_matrix_rows, matrix), "\n      "),
+    ]
+    for argv, key, rows, item in cases:
+        writes = []
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(argv) == 0
+        report = json.loads(sys.stdout.getvalue())
+        if key == "matrix":
+            report[key]["rows"] = []
+        else:
+            report[key] = []
+        field = max(len(json.dumps({k: v}, indent=2)) for k, v in report.items())
+        batch = max(len(("," + item).join(texts)) for texts in rows(item, True))
+        assert len(writes) > 1 and max(writes) <= batch + field, (argv, max(writes), batch, field)
+        assert sum(writes) > 2 * (batch + field), argv
