@@ -1256,9 +1256,10 @@ def test_json_writer_matches_standard_encoder():
 
 
 def test_matrix_rows_splice_every_column():
-    """Nonzeros of one to 17 characters spliced into the all-zero text: in the
-    first and last column, several in a row, next to each other, and rows with
-    none, across the batch edge, in JSON and text, against plain lists."""
+    """Nonzeros from one character to a quoted 19-digit decimal spliced into
+    the all-zero text: in the first and last column, several in a row, next to
+    each other, and rows with none, across the batch edge, in JSON and text,
+    against plain lists."""
     from algperiods.cli import _ROW_BATCH, _matrix_rows
 
     n = _ROW_BATCH + 6
@@ -1269,7 +1270,7 @@ def test_matrix_rows_splice_every_column():
         rows[i][n - 1] = wide[(i + 3) % len(wide)]
     rows[2][1:6] = [1, -1, 22, -333, 4444]
     rows[_ROW_BATCH - 1][n - 2 :] = [-55, 66]
-    rows[_ROW_BATCH][: 3] = [2**53 + 1, 0, -9]
+    rows[_ROW_BATCH][:3] = [2**53 + 1, 0, -9]
     for m in (rows, [[-12]], [[0]], [[0, 0], [0, 0]], [[0, 10], [-10, 0]], []):
         report = {"m": functools.partial(_matrix_rows, IntMatrix(m))}
         assert json_text(report) == json_by_dumps({"m": m}), m
