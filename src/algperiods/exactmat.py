@@ -5,8 +5,8 @@ never overflow.  Dimension 0 is a first-class citizen (trace 0,
 characteristic polynomial 1); the genus-0 models need it.  A matrix has two
 views, each built once from the other on first use: ``IntMatrix.rows``, the
 dense tuples, and ``IntMatrix.nonzero``, one {column: entry} dict per row in
-ascending column order.  The form check, the block search, the block
-polynomials and the report writer read only ``nonzero``.  A matrix loaded
+ascending column order.  The form check, the cycle walk, the block search,
+the block polynomials and the report writer read only ``nonzero``.  A matrix loaded
 from dense rows pays one O(n^2) scan for it; the realization blocks and
 their direct sums are built from their nonzeros alone, in O(n + nnz), and
 never make their n^2 dense entries.
@@ -19,23 +19,27 @@ one nonzero per row, so they take O(dim) products.
 
 The characteristic polynomial splits the index set into the strongly
 connected components of the directed nonzero pattern (i -> j when
-A[i][j] != 0), found by Kosaraju's two passes: a depth-first pass lists
-the vertices as they finish, and a pass over the reversed edges, from the
-last to finish, collects one component at a time.  They come out in
-topological order, which puts A in block-triangular form, so det(xI - A)
-is the product of the components' characteristic polynomials;
+A[i][j] != 0).  A row with exactly one nonzero gives its vertex one edge
+out, so a chain of such vertices that closes on itself is a whole
+component, and a sink; its polynomial is x^k - c for the product c of the
+chain's k entries.  One walk over ``a.nonzero`` peels all of them: from
+each vertex not yet walked it follows the single edges, multiplying the
+entries, until it meets a walked vertex or a row without exactly one
+nonzero.  It visits each vertex once, so it costs O(n).  The vertices it
+leaves, the chains that do not close among them, go to Kosaraju's two
+passes: a depth-first pass lists them as they finish, and a pass over the
+reversed edges, from the last to finish, collects one component at a
+time.  The passes do not run when every vertex was peeled.  Their
+components come out in topological order and the peeled sinks after
+them, which puts A in block-triangular form, so det(xI - A) is the
+product of the components' characteristic polynomials;
 ``charpoly_blocks`` returns them one by one, so that the analysis can
 factor each distinct block on its own, and ``charpoly`` multiplies them.
-A component in which every row of A holds exactly one nonzero is a single
-cycle, since each vertex has one edge out and all k reach each other; its
-polynomial is x^k - c for the product c of the cycle's entries, and for
-k = 1 the diagonal entry (0 when the one nonzero lies off the diagonal).
-The test reads ``a.nonzero`` row by row and stops at the first row with a
-second nonzero, so it costs O(k) on any block.  Every other k-dimensional
-block is reduced to upper Hessenberg form by similarity modulo a prime p,
-and its characteristic polynomial mod p is read off the Hessenberg
-recurrence.  Each reduction step pivots on the candidate row
-with the fewest nonzeros, the lowest on a tie.  A column-major copy of the block, kept equal to it,
+A one-vertex component of the search is x - a_ii.  Every larger one is
+reduced to upper Hessenberg form by similarity modulo a prime p, and its
+characteristic polynomial mod p is read off the Hessenberg recurrence.
+Each reduction step pivots on the candidate row with the fewest nonzeros,
+the lowest on a tie.  A column-major copy of the block, kept equal to it,
 lists each column's nonzeros, so a step with #u nonzero multipliers u
 costs O(nnz(pivot row) * #u + sum over cleared i of nnz(column i) + k)
 operations mod p, and a block O(k^3) at worst.  Let B be the
@@ -43,12 +47,13 @@ block's Hadamard bound on the coefficients and t the bit length of 2B.
 For t <= 511 one prime larger than 2B is used, so the block costs one
 pass; a larger bound combines ceil(t/511) or fewer primes above 2^511 by
 the Chinese remainder theorem.  Either way the modulus exceeds 2B and the
-symmetric lift is exact by proof.  The total cost is O(n + nnz) for
-the two passes over that index, O(k) on each block and O(k^3) per prime on
-each block that is not a cycle.  The realization matrices are direct sums
-of signed cycles (the cycles, the swap-shift blocks, their negated copies
-and the 1x1 identities) and at most one companion block, so only that
-companion reaches the modular kernel.
+symmetric lift is exact by proof.  The total cost is O(n) for the walk,
+O(n + nnz) for the two passes over the vertices it leaves, and O(k^3) per
+prime on each block of the search with k > 1.  The realization matrices
+are direct sums of signed cycles (the cycles, the swap-shift blocks, their
+negated copies and the 1x1 identities) and at most one companion block, so
+the walk peels all but that companion, and only the companion reaches the
+search and the modular kernel.
 
 The primes are p = h * 2^s + 1 for odd h descending from 2^s - 1 to above
 2^(s-1), so p > 2^(2s-1), with one sequence for each shift s in 32, 64,
@@ -57,7 +62,8 @@ Each prime is proven by Proth's theorem: a^((p-1)/2) = -1 (mod p) for some
 small a.  One cached function finds the i-th prime of a shift on first use
 and keeps it for the process; nothing else is shared, so there is no lock.
 As a cheap exact check of the whole route, the x^(k-1) coefficient of every
-block must equal minus its trace; a mismatch raises ArithmeticError.
+block from the kernel must equal minus its trace; a mismatch raises
+ArithmeticError.
 
 Matrices built here from validated matrices or literal integers go
 through the trusted ``IntMatrix._raw`` (dense rows) or ``IntMatrix._sparse``
@@ -180,20 +186,23 @@ class IntMatrix(_Value):
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
 
 
-def _strong_components(succ) -> list[list[int]]:
-    """Strongly connected components of the graph i -> j for j in succ[i].
+def _strong_components(succ, seen) -> list[list[int]]:
+    """Strongly connected components of the graph i -> j for j in succ[i],
+    leaving out the vertices whose flag in ``seen`` is set (the search sets and
+    clears the others' flags as it goes).
 
     Kosaraju's two passes, each with an explicit stack, so a long chain cannot
     exhaust the recursion limit.  A depth-first pass over succ lists the
-    vertices as they finish; a second pass over the predecessor lists, from the
-    last vertex to finish, collects the vertices that reach it and are not yet
-    taken: its component.  Components come out in topological order, each as a
-    sorted list.
+    vertices as they finish; a second pass over the predecessor lists, built
+    from the finished vertices' edges only, from the last vertex to finish,
+    collects the vertices that reach it and are not yet taken: its component.
+    The left-out vertices must be a union of sink components, as the cycles
+    that ``charpoly_blocks`` peels are; no finished vertex is then reached from
+    them, and the cost is O(n) plus the edges out of the searched vertices.
+    Components come out in topological order, each as a sorted list.
     """
-    n = len(succ)
-    seen = [False] * n
     finished = []
-    for root in range(n):
+    for root in range(len(succ)):
         if seen[root]:
             continue
         seen[root] = True
@@ -208,10 +217,11 @@ def _strong_components(succ) -> list[list[int]]:
             else:
                 work.pop()
                 finished.append(v)
-    pred = [[] for _ in range(n)]
-    for v, targets in enumerate(succ):
-        for w in targets:
-            pred[w].append(v)
+    pred = {v: [] for v in finished}
+    for v in finished:
+        for w in succ[v]:
+            if w in pred:
+                pred[w].append(v)
     components = []
     for root in reversed(finished):
         if seen[root]:  # not yet taken: the second pass clears seen as it takes vertices
@@ -401,46 +411,73 @@ def _block_charpoly(rows) -> IntPolynomial:
 def charpoly_blocks(a: IntMatrix) -> list[IntPolynomial]:
     """det(xI - B) for each diagonal block B of A's block-triangular form.
 
-    The strongly connected components of the nonzero pattern of A, from
+    A row of A with exactly one nonzero gives its vertex one edge out, so a
+    chain of such vertices that closes on itself is a whole strong component
+    and a sink, with polynomial x^k - c for the product c of its k entries.
+    One walk peels every such cycle: from each vertex not yet walked it
+    follows the single edges, multiplying the entries as it goes, until it
+    meets a vertex walked before or a row without exactly one nonzero.  It
+    visits each vertex once, so it costs O(n).  A chain that does not close
+    stays for the strongly connected components of the other vertices, from
     Kosaraju's two passes (a depth-first pass over the edges that lists the
     vertices as they finish, then a pass over the reversed edges from the
-    last to finish), come out in topological order and put A in
-    block-triangular form, so det(xI - A) is the product of the listed
-    polynomials, one per component in that order; the empty matrix has none.
-    A component whose rows each hold one nonzero of A is a cycle, x^k - c
-    for the product c of its entries (the diagonal entry when k = 1), found
-    in O(k).  Every other block's principal submatrix, a k x k zero list
+    last to finish), which do not run when every vertex was peeled.  Those
+    components come out in topological order and the peeled sinks after
+    them, which puts A in block-triangular form, so det(xI - A) is the
+    product of the listed polynomials, one per component in that order; the
+    empty matrix has none.  A one-vertex component of the search is
+    x - a_ii.  Every larger one's principal submatrix, a k x k zero list
     filled in O(k + nnz) steps from the nonzeros of its rows that fall inside
-    the component, is reduced to
-    Hessenberg form modulo proven primes whose product exceeds 2B for the
-    block's Hadamard bound B, so the cost is O(n + nnz) for the two passes
-    over ``a.nonzero`` plus O(k^3) operations per prime on each such k-dim
-    block: one prime while 2B has at most 511 bits, ceil(log2(2B)/511) or
-    fewer above.  Either route must give -trace as the x^(k-1) coefficient,
-    or ArithmeticError is raised.  An irreducible matrix is a single block.
+    the component, is reduced to Hessenberg form modulo proven primes whose
+    product exceeds 2B for the block's Hadamard bound B, so the cost is
+    O(n + nnz) for the walk and the passes over ``a.nonzero`` plus O(k^3)
+    operations per prime on each such k-dim block: one prime while 2B has at
+    most 511 bits, ceil(log2(2B)/511) or fewer above.  That route must give
+    -trace as the x^(k-1) coefficient, or ArithmeticError is raised.  An
+    irreducible matrix is a single block.
     """
     nonzero = a.nonzero
+    n = left = len(nonzero)
+    walk = [0] * n  # 1 + the first vertex of the walk that reached each vertex
+    peeled = [False] * n
+    cycles = []
+    for start in range(n):
+        if walk[start] or len(nonzero[start]) != 1:
+            continue
+        v, path, entries = start, [], []
+        while not walk[v] and len(nonzero[v]) == 1:
+            walk[v] = start + 1
+            path.append(v)
+            ((v, x),) = nonzero[v].items()
+            entries.append(x)
+        if walk[v] == start + 1:  # the chain closed on v: its cycle is a sink, x^k - c
+            first = path.index(v)
+            for j in path[first:]:
+                peeled[j] = True
+            k = len(path) - first
+            cycles.append(IntPolynomial([-prod(entries[first:])] + [0] * (k - 1) + [1]))
+            left -= k
+    if not left:
+        return cycles
     blocks = []
-    for component in _strong_components(nonzero):
+    for component in _strong_components(nonzero, peeled):
         k = len(component)
-        if all(len(nonzero[i]) == 1 for i in component):  # one cycle: x^k - c
+        if k == 1:
             i = component[0]
-            c = nonzero[i].get(i, 0) if k == 1 else prod(
-                x for j in component for x in nonzero[j].values())
-            block = IntPolynomial([-c] + [0] * (k - 1) + [1])
-        else:
-            index = {j: col for col, j in enumerate(component)}
-            sub = [[0] * k for _ in component]
-            for row, i in zip(sub, component):
-                for j, x in nonzero[i].items():
-                    if j in index:
-                        row[index[j]] = x
-            block = _block_charpoly(sub)
-        # The x^(k-1) coefficient is -trace: a cheap exact check of either route.
+            blocks.append(IntPolynomial([-nonzero[i].get(i, 0), 1]))
+            continue
+        index = {j: col for col, j in enumerate(component)}
+        sub = [[0] * k for _ in component]
+        for row, i in zip(sub, component):
+            for j, x in nonzero[i].items():
+                if j in index:
+                    row[index[j]] = x
+        block = _block_charpoly(sub)
+        # The x^(k-1) coefficient is -trace: a cheap exact check of the kernel.
         if block.coeffs[k - 1] != -sum(nonzero[j].get(j, 0) for j in component):
             raise ArithmeticError("characteristic polynomial disagrees with the trace")
         blocks.append(block)
-    return blocks
+    return blocks + cycles
 
 
 def charpoly(a: IntMatrix) -> IntPolynomial:

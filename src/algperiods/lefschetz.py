@@ -219,12 +219,13 @@ def analyze(m: HomologyModel) -> Analysis:
     if residuals:
         return Analysis(m, cp, None, _product(residuals), None)
     mults = dict(sorted(totals.items()))
-    coeffs = Counter(_KIND_TERMS[m.kind])
+    coeffs = dict(_KIND_TERMS[m.kind])
     for d, mult in mults.items():
         terms = {d: -mult}  # -mult * mu(s) at d / s, for each squarefree s | d
         for p in _prime_exponents(d):
             terms.update({e // p: -c for e, c in terms.items()})
-        coeffs.update(terms)
+        for e, c in terms.items():
+            coeffs[e] = coeffs.get(e, 0) + c
     return Analysis(m, cp, mults, None, DoldClass(coeffs))
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from collections import Counter
 from fractions import Fraction
 from itertools import compress
 from math import prod
@@ -147,7 +148,9 @@ def test_strong_components_match_mutual_reachability():
     """The components equal the classes of mutual reachability from the transitive
     closure, each sorted, together a partition of range(n): about 300 seeded
     digraphs with n up to 40 and densities up to 0.5 (self-loops included),
-    graphs with isolated vertices, single cycles, and the dim-2000 chain."""
+    graphs with isolated vertices, single cycles, and the dim-2000 chain.  With
+    a random set of sink components flagged in ``seen`` beforehand, the search
+    returns exactly the other components."""
     rng = random.Random(20241)
     graphs = []
     for _ in range(240):
@@ -169,10 +172,15 @@ def test_strong_components_match_mutual_reachability():
     graphs.append([[i + 1] for i in range(1999)] + [[]])
     for succ in graphs:
         n = len(succ)
-        components = exactmat._strong_components(succ)
+        components = exactmat._strong_components(succ, [False] * n)
         assert all(c == sorted(c) for c in components), succ
         assert sorted(v for c in components for v in c) == list(range(n)), succ
         assert {sum(1 << v for v in c) for c in components} == _components_by_closure(succ), succ
+        sinks = [c for c in components if all(w in c for v in c for w in succ[v])]
+        left_out = [c for c in sinks if rng.random() < 0.5]
+        seen = [any(v in c for c in left_out) for v in range(n)]
+        rest = exactmat._strong_components(succ, seen)
+        assert sorted(rest) == sorted(c for c in components if c not in left_out), succ
 
 
 def test_block_diag():
@@ -337,26 +345,39 @@ def _cycle_constant(block: IntMatrix):
     return prod(row[0] for row in entries)
 
 
+def _closed_chain(nonzero, component) -> bool:
+    """Whether each row of the component holds one nonzero, in a column of the
+    component: a cycle, which charpoly_blocks peels and lists last."""
+    members = set(component)
+    return all(len(nonzero[i]) == 1 and min(nonzero[i]) in members for i in component)
+
+
 def _assert_blocks_match_oracles(a: IntMatrix, oracle_cache: dict) -> list:
-    """Each entry of charpoly_blocks(a) against Faddeev-LeVerrier and the modular
-    kernel on its component's principal submatrix, and against x^k - c on a cycle.
-    Returns the cycle constants, None for a component that is not a cycle."""
-    rows = a.rows
-    components = exactmat._strong_components(a.nonzero)
+    """The entries of charpoly_blocks(a), one per component of the whole search,
+    against Faddeev-LeVerrier and the modular kernel on its component's principal
+    submatrix, and against x^k - c on a cycle.  The closed chains, which the
+    walk peels, come last, in some order.  Returns the cycle constants, None for
+    a component that is not a cycle."""
+    rows, nonzero = a.rows, a.nonzero
+    components = exactmat._strong_components(nonzero, [False] * a.dim)
     blocks = exactmat.charpoly_blocks(a)
     assert len(blocks) == len(components), a
-    constants = []
-    for component, block in zip(components, blocks):
+    constants, searched, peeled = [], [], []
+    for component in components:
         sub = IntMatrix([[rows[i][j] for j in component] for i in component])
         if sub not in oracle_cache:
             oracle_cache[sub] = (
                 charpoly_by_faddeev_leverrier(sub), exactmat._block_charpoly(sub.rows))
-        assert (block, block) == oracle_cache[sub], (a, component)
+        oracle, kernel = oracle_cache[sub]
+        assert oracle == kernel, (a, component)
         c = _cycle_constant(sub)
         if c is not None:
             k = len(component)
-            assert block == IntPolynomial([-c] + [0] * (k - 1) + [1]), (a, component)
+            assert oracle == IntPolynomial([-c] + [0] * (k - 1) + [1]), (a, component)
         constants.append(c)
+        (peeled if _closed_chain(nonzero, component) else searched).append(oracle)
+    assert Counter(blocks[: len(searched)]) == Counter(searched), a
+    assert Counter(blocks[len(searched) :]) == Counter(peeled), a
     return constants
 
 
@@ -441,6 +462,89 @@ def test_charpoly_blocks_of_signed_and_weighted_cycles_match_the_oracles():
     assert set(exactmat.charpoly_blocks(zero_block)) == {X, x_pow_minus_one(3)}
     assert exactmat.charpoly_blocks(IntMatrix([[-4]])) == [IntPolynomial([4, 1])]
     assert exactmat.charpoly_blocks(cycle_row_out) == [x_pow_minus_one(2), IntPolynomial([-2, 1])]
+
+
+def _random_functional_matrix(rng: random.Random, n: int, near: bool) -> IntMatrix:
+    """Each row one nonzero in a random column, weights from {1, -1, 2, -3, 5}: a
+    random functional graph, whose components are cycles (self-loops among them)
+    with tails running into them (rho shapes).  With ``near``, some rows are
+    emptied, so chains end in an empty row, and some get a second nonzero."""
+    rows = [[0] * n for _ in range(n)]
+    for row in rows:
+        row[rng.randrange(n)] = rng.choice((1, -1, 2, -3, 5))
+        if near and rng.random() < 0.15:
+            row[:] = [0] * n
+        elif near and rng.random() < 0.15:
+            row[rng.randrange(n)] = rng.randint(1, 3)
+    return IntMatrix(rows)
+
+
+def test_the_peel_matches_the_closure_and_faddeev_leverrier():
+    """Seeded random functional and near-functional graphs, and the edge cases of
+    the walk: closed chains and self-loops of weight other than +-1, tails into a
+    cycle, chains that end in an empty row, and a lone off-diagonal entry.  The
+    blocks are the Faddeev-LeVerrier polynomials of the components of mutual
+    reachability from the transitive closure, one each, with the components whose
+    rows each hold one nonzero, the closed chains, last."""
+    rng = random.Random(34)
+    cases = [_random_functional_matrix(rng, rng.randint(1, 14), near) for near in (False, True) * 60]
+    cases += [
+        IntMatrix([[3]]),  # a self-loop of weight 3: x - 3
+        IntMatrix([[0, 0, 2], [-2, 0, 0], [0, 3, 0]]),  # a closed chain: x^3 + 12
+        IntMatrix([[0, 4, 0], [0, 0, 1], [0, 1, 0]]),  # a tail into a 2-cycle
+        IntMatrix([[0, 0, 7], [0, -2, 0], [0, 0, 0]]),  # a chain into an empty row, a loop
+        IntMatrix([[0, 5], [0, 0]]),  # a lone off-diagonal entry: x, x
+        IntMatrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, -1, 0, 0]]),  # a rho
+    ]
+    for a in cases:
+        rows, nonzero = a.rows, a.nonzero
+        succ = [list(entries) for entries in nonzero]
+        searched, peeled = Counter(), Counter()
+        for mask in _components_by_closure(succ):
+            component = [i for i in range(a.dim) if mask >> i & 1]
+            sub = IntMatrix([[rows[i][j] for j in component] for i in component])
+            closed = _closed_chain(nonzero, component)
+            (peeled if closed else searched)[charpoly_by_faddeev_leverrier(sub)] += 1
+        blocks = exactmat.charpoly_blocks(a)
+        cut = sum(searched.values())
+        assert (Counter(blocks[:cut]), Counter(blocks[cut:])) == (searched, peeled), a
+        assert charpoly(a) == charpoly_by_faddeev_leverrier(a), a
+    X = IntPolynomial([0, 1])
+    assert exactmat.charpoly_blocks(cases[-6]) == [IntPolynomial([-3, 1])]
+    assert exactmat.charpoly_blocks(cases[-5]) == [IntPolynomial([12, 0, 0, 1])]
+    assert exactmat.charpoly_blocks(cases[-4]) == [X, x_pow_minus_one(2)]
+    assert exactmat.charpoly_blocks(cases[-3]) == [X, X, IntPolynomial([2, 1])]
+    assert exactmat.charpoly_blocks(cases[-2]) == [X, X]
+    assert exactmat.charpoly_blocks(cases[-1]) == [X, IntPolynomial([1, 0, 0, 1])]
+
+
+class _CountingRows(list):
+    """A list that counts the reads of its items."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_the_peel_and_the_search_read_each_row_a_bounded_number_of_times():
+    """A dim-20,000 comb: a spine of 9,990 vertices whose teeth, 9,990 one-vertex
+    tails, come first in index order, feeding one 20-cycle.  A walk that re-walked
+    the spine from each tooth would read the rows about 5 * 10^7 times; the peel
+    and the search on the 19,980 tail vertices read them fewer than 8 n times."""
+    teeth = spine = 9990
+    n = teeth + spine + 20
+    nonzero = [{teeth + i: 1} for i in range(teeth)]  # tooth i -> spine vertex i
+    nonzero += [{teeth + i + 1: 1} for i in range(spine)]  # spine i -> spine i + 1 -> cycle
+    cycle = range(teeth + spine, n)
+    nonzero += [{teeth + spine + (j + 1) % 20: -1 if j == 0 else 1} for j in range(20)]
+    a = IntMatrix._sparse(nonzero)
+    a._nonzero = rows = _CountingRows(nonzero)
+    blocks = exactmat.charpoly_blocks(a)
+    assert rows.reads < 8 * n, rows.reads
+    assert blocks == [IntPolynomial([0, 1])] * (teeth + spine) + [IntPolynomial([1] + [0] * 19 + [1])]
+    assert len(cycle) == 20
 
 
 @pytest.mark.parametrize("weight", [2, -3])

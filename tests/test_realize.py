@@ -284,10 +284,11 @@ def test_large_lcm_realization_builds_no_lefschetz_window():
 
 
 def test_charpoly_of_realizations_splits_into_pieces(monkeypatch):
-    # The block search splits the matrix into blocks of the pieces' sizes only,
-    # so the largest block is the largest piece, not the whole matrix.  Of
-    # those blocks only the non-orientable pivot companion, which is not a
-    # cycle, reaches the modular kernel.
+    # The blocks have the pieces' sizes only, so the largest block is the
+    # largest piece, not the whole matrix.  Every piece but the non-orientable
+    # pivot companion is a signed cycle, which the walk peels, so only the
+    # companion's vertices reach the block search, and only the companion
+    # reaches the modular kernel.
     cases = [
         (realize_target(range(2, 20), SurfaceKind.PRESERVING), 380, 19,
          math.prod(x_pow_minus_one(n) ** 2 for n in range(1, 20)), []),
@@ -303,8 +304,8 @@ def test_charpoly_of_realizations_splits_into_pieces(monkeypatch):
     for sm, dim, largest, expected, kernel_blocks in cases:
         dims, reached = [], []
 
-        def recording_split(succ):
-            components = split(succ)
+        def recording_split(succ, seen):
+            components = split(succ, seen)
             dims.extend(map(len, components))
             return components
 
@@ -316,9 +317,11 @@ def test_charpoly_of_realizations_splits_into_pieces(monkeypatch):
         monkeypatch.setattr(exactmat, "_block_charpoly", recording_kernel)
         assert sm.model.matrix.dim == dim
         assert charpoly(sm.model.matrix) == expected
-        assert max(dims) == largest
-        assert sum(dims) == dim
+        assert dims == [block.dim for block in kernel_blocks]
         assert reached == kernel_blocks
+        degrees = [block.degree for block in exactmat.charpoly_blocks(sm.model.matrix)]
+        assert max(degrees) == largest
+        assert sum(degrees) == dim
 
 
 def test_postconditions_survive_optimized_mode():
