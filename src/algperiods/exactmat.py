@@ -6,10 +6,10 @@ characteristic polynomial 1); the genus-0 models need it.  A matrix has two
 views, each built once from the other on first use: ``IntMatrix.rows``, the
 dense tuples, and ``IntMatrix.nonzero``, one {column: entry} dict per row in
 ascending column order.  The form check, the cycle walk, the block search,
-the block polynomials and the report writer read only ``nonzero``.  A matrix loaded
-from dense rows pays one O(n^2) scan for it; the realization blocks and
-their direct sums are built from their nonzeros alone, in O(n + nnz), and
-never make their n^2 dense entries.
+the block polynomials and the report writer read only ``nonzero``.  A
+matrix loaded from dense rows pays one O(n^2) scan for it; the realization
+blocks and their direct sums are built from their nonzeros alone, in
+O(n + nnz), and never make their n^2 dense entries.
 
 The form check builds neither A^T Omega A nor Omega.  It reads the
 product's entries above the diagonal off the pairs of nonzeros in rows k
@@ -23,7 +23,7 @@ A[i][j] != 0).  A row with exactly one nonzero gives its vertex one edge
 out, so a chain of such vertices that closes on itself is a whole
 component, and a sink; its polynomial is x^k - c for the product c of the
 chain's k entries.  One walk over ``a.nonzero`` peels all of them: from
-each vertex not yet walked it follows the single edges, multiplying the
+each vertex not yet walked it follows the single edges, collecting the
 entries, until it meets a walked vertex or a row without exactly one
 nonzero.  It visits each vertex once, so it costs O(n).  The vertices it
 leaves, the chains that do not close among them, go to Kosaraju's two
@@ -415,7 +415,7 @@ def charpoly_blocks(a: IntMatrix) -> list[IntPolynomial]:
     chain of such vertices that closes on itself is a whole strong component
     and a sink, with polynomial x^k - c for the product c of its k entries.
     One walk peels every such cycle: from each vertex not yet walked it
-    follows the single edges, multiplying the entries as it goes, until it
+    follows the single edges, collecting the entries as it goes, until it
     meets a vertex walked before or a row without exactly one nonzero.  It
     visits each vertex once, so it costs O(n).  A chain that does not close
     stays for the strongly connected components of the other vertices, from

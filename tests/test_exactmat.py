@@ -531,20 +531,18 @@ class _CountingRows(list):
 def test_the_peel_and_the_search_read_each_row_a_bounded_number_of_times():
     """A dim-20,000 comb: a spine of 9,990 vertices whose teeth, 9,990 one-vertex
     tails, come first in index order, feeding one 20-cycle.  A walk that re-walked
-    the spine from each tooth would read the rows about 5 * 10^7 times; the peel
+    the spine from each tooth would read the rows over 5 * 10^7 times; the peel
     and the search on the 19,980 tail vertices read them fewer than 8 n times."""
     teeth = spine = 9990
     n = teeth + spine + 20
     nonzero = [{teeth + i: 1} for i in range(teeth)]  # tooth i -> spine vertex i
     nonzero += [{teeth + i + 1: 1} for i in range(spine)]  # spine i -> spine i + 1 -> cycle
-    cycle = range(teeth + spine, n)
     nonzero += [{teeth + spine + (j + 1) % 20: -1 if j == 0 else 1} for j in range(20)]
     a = IntMatrix._sparse(nonzero)
     a._nonzero = rows = _CountingRows(nonzero)
     blocks = exactmat.charpoly_blocks(a)
     assert rows.reads < 8 * n, rows.reads
     assert blocks == [IntPolynomial([0, 1])] * (teeth + spine) + [IntPolynomial([1] + [0] * 19 + [1])]
-    assert len(cycle) == 20
 
 
 @pytest.mark.parametrize("weight", [2, -3])
