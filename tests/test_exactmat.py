@@ -578,6 +578,52 @@ def test_charpoly_mod_on_sparse_transvection_conjugates():
             assert exactmat._charpoly_mod(permuted, p) == residues, (dim, p)
 
 
+def test_searched_blocks_reach_the_kernel_sparse_columns_first(monkeypatch):
+    """Each block of the search reaches the kernel with its indices in ascending
+    order of column count, the number of the component's rows that are nonzero
+    in the column, and ties in ascending index order.  That is a permutation
+    similarity P^T B P, so the blocks still equal both oracles.  The inputs are
+    sparse transvection conjugates, each also under a random permutation
+    similarity, so that their natural order is not sorted."""
+    rng = random.Random(35)
+    captured = []
+    original = exactmat._block_charpoly
+
+    def capturing(rows):
+        captured.append((rows, original(rows)))
+        return captured[-1][1]
+
+    monkeypatch.setattr(exactmat, "_block_charpoly", capturing)
+    reordered = 0
+    for g in (2, 3, 4, 5, 6, 8, 10, 12, 15, 18):
+        a = sparse_transvection_conjugate(rng, g)
+        perm = rng.sample(range(2 * g), 2 * g)
+        for m in a, IntMatrix([[a.rows[i][j] for j in perm] for i in perm]):
+            rows, nonzero = m.rows, m.nonzero
+            expected = []
+            for component in exactmat._strong_components(nonzero, [False] * m.dim):
+                if len(component) == 1 or _closed_chain(nonzero, component):
+                    continue
+                counts = {j: sum(j in nonzero[i] for i in component) for j in component}
+                order = sorted(component, key=lambda j: (counts[j], j))
+                reordered += order != component
+                expected.append([[rows[i][j] for j in order] for i in order])
+            captured.clear()
+            blocks = exactmat.charpoly_blocks(m)
+            assert sorted(block for block, _ in captured) == sorted(expected), m
+            for block, poly in captured:
+                column_counts = [sum(map(bool, column)) for column in zip(*block)]
+                assert column_counts == sorted(column_counts), block
+                assert poly == charpoly_by_faddeev_leverrier(IntMatrix(block)), block
+                if len(block) <= 8:
+                    assert poly == charpoly_cofactor(IntMatrix(block)), block
+            oracle = charpoly_by_faddeev_leverrier(m)
+            assert prod(blocks, start=IntPolynomial([1])) == charpoly(m) == oracle, m
+            if m.dim <= 8:
+                assert oracle == charpoly_cofactor(m), m
+    assert reordered >= 10, reordered
+
+
 def test_charpoly_mod_pivot_and_update_cases():
     """Hand-made first steps: each pivot rule and update branch against the cofactor oracle."""
     cases = [
