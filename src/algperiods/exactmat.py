@@ -450,9 +450,8 @@ def charpoly_blocks(a: IntMatrix) -> list[IntPolynomial]:
     block's Hadamard bound B, so the cost is O(n + nnz) for the walk and the
     passes over ``a.nonzero`` plus O(k^3) operations per prime on each such
     k-dim block: one prime while 2B has at most 511 bits, ceil(log2(2B)/511)
-    or fewer above.  That route must give
-    -trace as the x^(k-1) coefficient, or ArithmeticError is raised.  An
-    irreducible matrix is a single block.
+    or fewer above.  That route must give -trace as the x^(k-1) coefficient,
+    or ArithmeticError is raised.  An irreducible matrix is a single block.
     """
     nonzero = a.nonzero
     n = left = len(nonzero)
