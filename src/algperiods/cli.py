@@ -29,7 +29,7 @@ the call, with no object built.  A matrix comes _ROW_BATCH rows at a time
 from its nonzero index alone: its all-zero text is built once per call, and
 each nonzero is spliced in at its offset, so a batch costs O(nnz) slices
 plus its bytes (in JSON a batch is one text, its rows already joined as the
-writer joins items), and a realized matrix never builds its dense rows.  A
+writer joins items), and no matrix, realized or loaded, builds dense rows.  A
 write that fails ends the run with what was written so far, a prefix of the
 report.
 
@@ -55,7 +55,7 @@ import functools
 import json
 import os
 import sys
-from itertools import islice
+from itertools import compress, islice
 from json.encoder import encode_basestring_ascii
 
 from .arith import DoldClass
@@ -235,8 +235,8 @@ def _matrix_rows(matrix: IntMatrix, item: str, json: bool):
     the "0" at offset base + j * step, base the start of row i's entries and
     step the length of "0" and its separator: bare, or in JSON as a quoted
     decimal when |x| > 2^53.  So a text costs O(nnz) slices plus its bytes, an
-    all-zero text row is the template itself, and a realized matrix never
-    builds its dense rows.  The rows come in batches of _ROW_BATCH: in JSON
+    all-zero text row is the template itself, and no matrix has its dense
+    rows built.  The rows come in batches of _ROW_BATCH: in JSON
     one text, the batch's row lists so joined, in text one text per row, the
     bracketed entries that follow the row's index."""
     cell = item + "  "
@@ -434,13 +434,16 @@ def _load_matrix(path: str) -> IntMatrix:
     rows = data["rows"]
     if not isinstance(rows, list) or len(rows) != dim:
         raise _InputError(f"{_echo_path(path)}: expected {_echo(dim)} rows")
-    parsed = []
+    cols, nonzero = range(dim), []
     for row in rows:
         if not isinstance(row, list) or len(row) != dim:
             raise _InputError(f"{_echo_path(path)}: every row must have {_echo(dim)} entries")
-        # JSON integers are exact ints; anything else (bool included) goes through _parse_int.
-        parsed.append([x if type(x) is int else _parse_int(x) for x in row])
-    return IntMatrix._raw(parsed)
+        # JSON integers are exact ints; anything else (bool included) goes through
+        # _parse_int.  Each row goes straight into the nonzero index, so a parsed
+        # zero such as "0" or "-0" is left out like a JSON 0.
+        row = [x if type(x) is int else _parse_int(x) for x in row]
+        nonzero.append({j: row[j] for j in compress(cols, row)})
+    return IntMatrix._sparse(nonzero)
 
 
 def _load_dold(source: str) -> DoldClass:
@@ -485,7 +488,7 @@ def _analysis_payload(analysis: Analysis, bound: int | None) -> dict[str, object
         raise _UsageError(f"a Lefschetz window of {n_max} entries is above the cap of {MAX_WINDOW}")
     model = analysis.model
     if not qu:  # |L_n| <= 2 + dim * |A|^n for the largest absolute row sum |A|
-        norm = max(sum(map(abs, row)) for row in model.matrix.rows)
+        norm = max(sum(map(abs, entries.values())) for entries in model.matrix.nonzero)
         bits = n_max * (n_max + 1) // 2 * norm.bit_length()
         _check_output_bits(bits + n_max * (model.matrix.dim.bit_length() + 2), "a Lefschetz window")
     lefschetz = analysis.lefschetz(n_max)

@@ -2,14 +2,15 @@
 
 Matrices are immutable and hold Python integers, so traces of high powers
 never overflow.  Dimension 0 is a first-class citizen (trace 0,
-characteristic polynomial 1); the genus-0 models need it.  A matrix has two
-views, each built once from the other on first use: ``IntMatrix.rows``, the
-dense tuples, and ``IntMatrix.nonzero``, one {column: entry} dict per row in
-ascending column order.  The form check, the cycle walk, the block search,
-the block polynomials and the report writer read only ``nonzero``.  A
-matrix loaded from dense rows pays one O(n^2) scan for it; the realization
-blocks and their direct sums are built from their nonzeros alone, in
-O(n + nnz), and never make their n^2 dense entries.
+characteristic polynomial 1); the genus-0 models need it.  A matrix stores
+one form, its nonzero index ``IntMatrix.nonzero``: one {column: entry} dict
+per row in ascending column order, with no zero entry.  The form check, the
+cycle walk, the block search, the block polynomials and the report writer
+read only the index.  ``IntMatrix(rows)`` pays one O(n^2) scan of the dense
+rows it is given; the realization blocks, their direct sums and a loaded
+matrix file are built straight into the index, in O(n + nnz).  The dense
+``IntMatrix.rows`` are built from the index on each read and not kept;
+only equality, hashing and ``repr`` read them.
 
 The form check builds neither A^T Omega A nor Omega.  It reads the
 product's entries above the diagonal off the pairs of nonzeros in rows k
@@ -74,8 +75,8 @@ block from the kernel must equal minus its trace; a mismatch raises
 ArithmeticError.
 
 Matrices built here from validated matrices or literal integers go
-through the trusted ``IntMatrix._raw`` (dense rows) or ``IntMatrix._sparse``
-(a nonzero index); ``IntMatrix(...)`` validates every entry of a
+through the one trusted constructor ``IntMatrix._sparse``, which takes a
+nonzero index as it is; ``IntMatrix(...)`` validates every entry of a
 caller-supplied matrix.
 
 Basis convention for the symplectic machinery: a genus-g surface carries
@@ -128,26 +129,19 @@ class NotAntisymplectic(Exception):
 class IntMatrix(_Value):
     """Square matrix of arbitrary-precision integers."""
 
-    __slots__ = ("_dim", "_rows", "_nonzero")
+    __slots__ = ("_nonzero",)
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         """Validate a caller-supplied matrix; a non-integer entry raises TypeError."""
-        rows = tuple([tuple(map(operator.index, row)) for row in rows])
+        rows = [list(map(operator.index, row)) for row in rows]
         if any(len(row) != len(rows) for row in rows):
             raise DimensionMismatch("matrix must be square")
-        self._dim, self._rows = len(rows), rows
+        cols = range(len(rows))
+        self._nonzero = tuple([{j: row[j] for j in compress(cols, row)} for row in rows])
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls._sparse([{i: 1} for i in range(n)])
-
-    @classmethod
-    def _raw(cls, rows) -> "IntMatrix":
-        # Trusted internal constructor: rows are already square lists of ints.
-        m = object.__new__(cls)
-        m._rows = tuple([tuple(row) for row in rows])
-        m._dim = len(m._rows)
-        return m
 
     @classmethod
     def _sparse(cls, nonzero) -> "IntMatrix":
@@ -155,38 +149,33 @@ class IntMatrix(_Value):
         # entry, columns ascending and below the number of rows.
         m = object.__new__(cls)
         m._nonzero = tuple(nonzero)
-        m._dim = len(m._nonzero)
         return m
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The dense rows, built once from ``nonzero`` if the matrix was built sparse."""
-        if not hasattr(self, "_rows"):
-            rows = []
-            for entries in self._nonzero:
-                row = [0] * self._dim
-                for j, x in entries.items():
-                    row[j] = x
-                rows.append(tuple(row))
-            self._rows = tuple(rows)
-        return self._rows
+        """The dense rows, built from ``nonzero`` in O(n^2) on every read and not
+        kept; the library reads them only to compare, hash and print a matrix."""
+        rows, n = [], len(self._nonzero)
+        for entries in self._nonzero:
+            row = [0] * n
+            for j, x in entries.items():
+                row[j] = x
+            rows.append(tuple(row))
+        return tuple(rows)
 
     @property
     def nonzero(self) -> tuple[dict[int, int], ...]:
-        """Each row's nonzero entries as {column: entry} in ascending column order,
-        built once from ``rows`` if the matrix was built dense; read it only.
+        """Each row's nonzero entries as {column: entry} in ascending column order:
+        the matrix's one stored form, returned as it is; read it only.
         Dicts, not tuples: short tuples pile up in CPython's free lists and grow
         RSS, while CPython keeps at most 80 free dicts; and a row with one entry
         (224 bytes on 64-bit CPython 3.11) is smaller than a dense row of more
         than 23 columns, so a realized matrix holds less than its dense rows."""
-        if not hasattr(self, "_nonzero"):
-            cols = range(self._dim)
-            self._nonzero = tuple([{j: row[j] for j in compress(cols, row)} for row in self._rows])
         return self._nonzero
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return len(self._nonzero)
 
     def _key(self) -> tuple[tuple[int, ...], ...]:
         return self.rows

@@ -66,7 +66,7 @@ from algperiods.exactmat import _prime
 
 
 def trace(a: IntMatrix) -> int:
-    return sum(a.rows[i][i] for i in range(a.dim))
+    return sum(row[i] for i, row in enumerate(a.rows))
 
 
 def transpose(a: IntMatrix) -> IntMatrix:
@@ -103,7 +103,7 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
             else:
                 acc = [x + v * y for x, y in zip(acc, brow)]
         out.append([0] * n if acc is None else acc)
-    return IntMatrix._raw(out)
+    return IntMatrix(out)
 
 
 def standard_symplectic_form(g: int) -> IntMatrix:
@@ -115,7 +115,7 @@ def standard_symplectic_form(g: int) -> IntMatrix:
     for i in range(g):
         rows[i][g + i] = 1
         rows[g + i][i] = -1
-    return IntMatrix._raw(rows)
+    return IntMatrix(rows)
 
 
 def form_predicates_by_product(a: IntMatrix) -> tuple[bool, bool]:
@@ -154,7 +154,7 @@ def symplectic_transvection(v: Sequence[int], multiplier: int = 1) -> IntMatrix:
     v = [operator.index(x) for x in v]
     multiplier = operator.index(multiplier)
     omega = standard_symplectic_form(n // 2)
-    w = [sum(omega.rows[i][j] * v[j] for j in range(n)) for i in range(n)]
+    w = [sum(map(operator.mul, row, v)) for row in omega.rows]
     rows = [
         [(1 if i == j else 0) + multiplier * v[i] * w[j] for j in range(n)]
         for i in range(n)
@@ -265,10 +265,10 @@ def random_matrix(rng: random.Random, dim: int, lo: int = -3, hi: int = 3) -> In
 
 def charpoly_cofactor(a: IntMatrix) -> IntPolynomial:
     """det(xI - A) by recursive cofactor expansion over polynomial entries."""
-    n = a.dim
+    n, rows = a.dim, a.rows
     entries = [
         [
-            IntPolynomial([-a.rows[i][j], 1]) if i == j else IntPolynomial([-a.rows[i][j]])
+            IntPolynomial([-rows[i][j], 1]) if i == j else IntPolynomial([-rows[i][j]])
             for j in range(n)
         ]
         for i in range(n)

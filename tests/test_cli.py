@@ -30,6 +30,7 @@ from algperiods.cli import (
     MAX_SET_SUM,
     MAX_SIZE_CHARS,
     MAX_WINDOW,
+    _load_matrix,
     main,
 )
 
@@ -614,7 +615,6 @@ def test_size_caps(capsys, tmp_path, monkeypatch):
         raise AssertionError("a matrix was built for a refused --set")
 
     with monkeypatch.context() as m:
-        m.setattr(IntMatrix, "_raw", classmethod(no_matrix))
         m.setattr(IntMatrix, "_sparse", classmethod(no_matrix))
         m.setattr(IntMatrix, "__init__", no_matrix)
         for text in [",".join(map(str, range(1, 301))), str(MAX_SET_SUM + 1), "100,101,101"]:
@@ -999,10 +999,11 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
     block polynomial, and form_predicates runs once per orientable model: in the
     strict constructor, or else in form_checks; never for a non-orientable one.
     The model's nonzero index is built once, and the form check, the block search
-    in charpoly_blocks and the matrix row writer all read that one index; realize
-    builds it in block_diag from the blocks' indices, and a reversing realize reads
-    them also in realize_target, to negate them into the mirror blocks: the only
-    other reads."""
+    in charpoly_blocks, the matrix row writer and, for a matrix that is not
+    quasi-unipotent, the window's row-sum norm in _analysis_payload all read that
+    one index; realize builds it in block_diag from the blocks' indices, and a
+    reversing realize reads them also in realize_target, to negate them into the
+    mirror blocks: the only other reads."""
     import algperiods.lefschetz as lefschetz
 
     calls = {}
@@ -1063,6 +1064,8 @@ def test_one_analysis_pass_per_model(capsys, tmp_path, monkeypatch):
             readers.add("form_predicates")
         if argv[0] != "certify":
             readers.add("_matrix_rows")
+        if exit_code == 4:
+            readers.add("_analysis_payload")
         if argv[0] == "realize":
             readers.add("block_diag")
         if "reversing" in argv and argv[0] == "realize":
@@ -1101,6 +1104,54 @@ def test_realize_builds_no_dense_rows(capsys, monkeypatch):
     matrix = realize_target({1, 3}, SurfaceKind.NONORIENTABLE).model.matrix
     assert reads == []
     assert matrix.rows == ((0, -1), (1, -1)) and reads == [2]
+
+
+def test_loaded_matrices_build_no_dense_rows(capsys, tmp_path, monkeypatch):
+    """analyze and certify --matrix read a matrix file straight into its nonzero
+    index and then analyse and write it from that index: no dense row is read,
+    in either format, for a quasi-unipotent matrix and for the Anosov matrix,
+    whose window bound reads the row sums.  Reading the rows of a loaded matrix
+    afterwards builds them, which shows that the wrapper sees the builds."""
+    reads = []
+    rows = IntMatrix.rows.fget
+
+    def counted_rows(a):
+        reads.append(a.dim)
+        return rows(a)
+
+    monkeypatch.setattr(IntMatrix, "rows", property(counted_rows))
+    rev = write_matrix(tmp_path, "rev2.json", [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
+    anosov = write_matrix(tmp_path, "anosov.json", [[2, 1], [1, 1]])
+    for matrix, kind, genus, exit_code in [(rev, "reversing", "2", 0), (anosov, "preserving", "1", 4)]:
+        for command in ("analyze", "certify"):
+            for fmt in ("json", "text"):
+                argv = [command, "--matrix", matrix, "--kind", kind, "--genus", genus, "--format", fmt]
+                argv += ["--max-iter", "5"] if command == "analyze" and exit_code else []
+                code, out, _ = run(capsys, argv)
+                assert code == exit_code and bool(out) == (command == "analyze" or not exit_code), argv
+                assert reads == [], argv
+    assert _load_matrix(anosov).rows == ((2, 1), (1, 1)) and reads == [2]
+
+
+def test_loader_keeps_no_zero_in_the_index(capsys, tmp_path):
+    """A matrix file's rows go straight into the nonzero index: JSON ints and
+    integer strings alike, with every zero left out, "-0", "+0" and "000"
+    included, and each row's columns in ascending order; the dense rows built
+    from it equal the parsed file.  A boolean entry is still refused."""
+    big = "-" + "9" * 30
+    rows = [[0, "0", 3, "-0"], ["+0", big, "000", 0], [1, 0, "7", "0"], ["000", "-0", 0, -2]]
+    path = write_matrix(tmp_path, "zeros.json", rows)
+    a = _load_matrix(path)
+    parsed = tuple(tuple(int(x) for x in row) for row in rows)
+    assert all(x for entries in a.nonzero for x in entries.values())
+    assert all(list(entries) == sorted(entries) for entries in a.nonzero)
+    assert [list(r.items()) for r in a.nonzero] == [[(2, 3)], [(1, int(big))], [(0, 1), (2, 7)], [(3, -2)]]
+    assert a.dim == 4 and a.rows == parsed
+    path = tmp_path / "bool.json"
+    path.write_text('{"dim": 2, "rows": [[1, true], [0, 1]]}')
+    for command in ("analyze", "certify"):
+        code, out, err = run(capsys, [command, "--matrix", str(path), "--kind", "preserving", "--genus", "1"])
+        assert code == 1 and out == "" and err.count("\n") == 1 and "booleans" in err, command
 
 
 def test_quasi_unipotent_realize_keeps_newton_to_candidate_window(capsys, tmp_path, monkeypatch):

@@ -222,47 +222,42 @@ def dense_realization_block(kind: str, n: int):
 
 
 def test_nonzero_index_matches_compress():
-    """IntMatrix holds two views of itself, each built once from the other on
-    first use: the dense ``rows`` and ``nonzero``, one {column: entry} dict per row
-    in ascending column order.  For every constructor both views equal a dense
-    oracle: ``nonzero`` holds the entries that ``compress`` keeps, values and order
-    included.  A matrix built from rows is read through its index first, and one
-    built from an index through its rows first, so both round trips are checked."""
+    """IntMatrix stores one form, ``nonzero``: one {column: entry} dict per row in
+    ascending column order, the same tuple on every read.  The dense ``rows`` are
+    built from it on each read.  For every constructor both equal a dense oracle:
+    ``nonzero`` holds the entries that ``compress`` keeps, values and order
+    included."""
     rng = random.Random(23)
-    cases = []  # (matrix, oracle rows, whether it was built from rows)
+    cases = []  # (matrix, oracle rows)
     for rows in [[], [[0]], [[-7]]]:
-        cases.append((IntMatrix(rows), rows, True))
+        cases.append((IntMatrix(rows), rows))
     for n in range(6):
-        cases.append((IntMatrix.identity(n), dense_realization_block("identity", n), False))
+        cases.append((IntMatrix.identity(n), dense_realization_block("identity", n)))
         if n:
-            cases += [(cyclic_permutation(n), dense_realization_block("cycle", n), False),
-                      (_swap_shift_block(n), dense_realization_block("swap", n), False),
-                      (companion_cycle_quotient(n + 1), dense_realization_block("companion", n + 1), False)]
-    cases.append((block_diag([]), [], False))
+            cases += [(cyclic_permutation(n), dense_realization_block("cycle", n)),
+                      (_swap_shift_block(n), dense_realization_block("swap", n)),
+                      (companion_cycle_quotient(n + 1), dense_realization_block("companion", n + 1))]
+    cases.append((block_diag([]), []))
     for _ in range(40):
         dim = rng.randint(0, 9)
         rows = [[rng.choice([0, 0, 0, 1, -2, 2**53 + 1]) for _ in range(dim)] for _ in range(dim)]
         index = [{j: row[j] for j in compress(range(dim), row)} for row in rows]
-        cases += [(IntMatrix(rows), rows, True), (IntMatrix._raw(rows), rows, True),
-                  (IntMatrix._sparse(index), rows, False)]
-        # (block, its oracle rows); a block built dense keeps its input as its rows
+        cases += [(IntMatrix(rows), rows), (IntMatrix._sparse(index), rows)]
+        # (block, its oracle rows)
         blocks = [(b, b.rows) for b in (random_sparse_matrix(rng, rng.randint(1, 4))
                                         for _ in range(rng.randint(0, 3)))]
         k, tau = rng.randint(1, 4), rng.randint(1, 3)
         blocks += [(cyclic_permutation(k), dense_realization_block("cycle", k)),
                    (_swap_shift_block(tau), dense_realization_block("swap", tau)),
-                   (IntMatrix._raw(rows), rows), (IntMatrix._sparse(index), rows)]
+                   (IntMatrix(rows), rows), (IntMatrix._sparse(index), rows)]
         rng.shuffle(blocks)
-        cases.append((block_diag([b for b, _ in blocks]), dense_direct_sum([r for _, r in blocks]), False))
-    for a, rows, built_dense in cases:
+        cases.append((block_diag([b for b, _ in blocks]), dense_direct_sum([r for _, r in blocks])))
+    for a, rows in cases:
         dense = tuple(map(tuple, rows))
         entries = [[(j, row[j]) for j in compress(range(len(row)), row)] for row in dense]
         assert a.dim == len(dense), a
-        if built_dense:
-            assert [list(r.items()) for r in a.nonzero] == entries and a.rows == dense, a
-        else:
-            assert a.rows == dense and [list(r.items()) for r in a.nonzero] == entries, a
-        assert a.rows is a.rows and a.nonzero is a.nonzero, a
+        assert [list(r.items()) for r in a.nonzero] == entries and a.rows == dense, a
+        assert a.nonzero is a.nonzero, a
 
 
 def random_sparse_matrix(rng: random.Random, dim: int) -> IntMatrix:
@@ -571,10 +566,11 @@ def test_charpoly_mod_on_sparse_transvection_conjugates():
         oracle = charpoly_by_faddeev_leverrier(a)
         assert charpoly(a) == oracle
         perm = rng.sample(range(dim), dim)
-        permuted = [[a.rows[i][j] for j in perm] for i in perm]
+        rows = a.rows
+        permuted = [[rows[i][j] for j in perm] for i in perm]
         for p in KERNEL_PRIMES:
             residues = [c % p for c in oracle.coeffs]
-            assert exactmat._charpoly_mod(a.rows, p) == residues, (dim, p)
+            assert exactmat._charpoly_mod(rows, p) == residues, (dim, p)
             assert exactmat._charpoly_mod(permuted, p) == residues, (dim, p)
 
 
@@ -598,7 +594,8 @@ def test_searched_blocks_reach_the_kernel_sparse_columns_first(monkeypatch):
     for g in (2, 3, 4, 5, 6, 8, 10, 12, 15, 18):
         a = sparse_transvection_conjugate(rng, g)
         perm = rng.sample(range(2 * g), 2 * g)
-        for m in a, IntMatrix([[a.rows[i][j] for j in perm] for i in perm]):
+        a_rows = a.rows
+        for m in a, IntMatrix([[a_rows[i][j] for j in perm] for i in perm]):
             rows, nonzero = m.rows, m.nonzero
             expected = []
             for component in exactmat._strong_components(nonzero, [False] * m.dim):

@@ -578,7 +578,8 @@ def permuted(draw, matrices):
     """P^T A P for a drawn matrix A and a drawn permutation P, the identity among them."""
     a = draw(matrices)
     perm = draw(st.permutations(range(a.dim)))
-    return IntMatrix([[a.rows[i][j] for j in perm] for i in perm])
+    rows = a.rows
+    return IntMatrix([[rows[i][j] for j in perm] for i in perm])
 
 
 @settings(FUZZ, max_examples=100)
