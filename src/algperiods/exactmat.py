@@ -9,8 +9,8 @@ cycle walk, the block search, the block polynomials and the report writer
 read only the index.  ``IntMatrix(rows)`` pays one O(n^2) scan of the dense
 rows it is given; the realization blocks, their direct sums and a loaded
 matrix file are built straight into the index, in O(n + nnz).  The dense
-``IntMatrix.rows`` are built from the index on each read and not kept;
-only equality, hashing and ``repr`` read them.
+rows, the property ``rows``, are built from the index on each read and not
+kept; only equality, hashing and ``repr`` read them.
 
 The form check builds neither A^T Omega A nor Omega.  It reads the
 product's entries above the diagonal off the pairs of nonzeros in rows k
