@@ -380,9 +380,8 @@ def _parse_json(text: str, source: str, pairs=None) -> object:
     number literal of more than 4,300 digits is refused in linear time rather
     than converted by the quadratic int(); integers written as strings have no
     such limit.  ``pairs`` is json's object_pairs_hook: None makes dicts."""
-    lifted = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    if lifted is not None:
-        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    lifted = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     try:
         return json.loads(text, object_pairs_hook=pairs)
     except json.JSONDecodeError as exc:
@@ -392,8 +391,7 @@ def _parse_json(text: str, source: str, pairs=None) -> object:
     except RecursionError:
         raise _InputError(f"{source} is nested too deeply") from None
     finally:
-        if lifted is not None:
-            sys.set_int_max_str_digits(lifted)
+        sys.set_int_max_str_digits(lifted)
 
 
 def _echo_path(path: str) -> str:
@@ -774,16 +772,16 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
-    Python 3.11+ refuses to convert integers of more than 4300 digits to or
-    from strings; the limit is lifted for the duration of the call (it is
-    process-wide) so that big integers stay bit-exact in input and output,
-    except for JSON number literals (see ``_parse_json``).  A closed or full
-    standard output ends the run with one line on stderr and exit 1.
+    CPython 3.10.7 and later refuse to convert integers of more than 4300
+    digits to or from strings; the limit is lifted for the duration of the
+    call (it is process-wide) so that big integers stay bit-exact in input
+    and output, except for JSON number literals (see ``_parse_json``).  A
+    closed or full standard output ends the run with one line on stderr and
+    exit 1.
     """
     parser = build_parser()
-    saved_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    if saved_limit is not None:
-        sys.set_int_max_str_digits(0)
+    saved_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         code = args.run(args)
@@ -799,8 +797,7 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
     finally:
-        if saved_limit is not None:
-            sys.set_int_max_str_digits(saved_limit)
+        sys.set_int_max_str_digits(saved_limit)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ read only the index.  ``IntMatrix(rows)`` pays one O(n^2) scan of the dense
 rows it is given; the realization blocks, their direct sums and a loaded
 matrix file are built straight into the index, in O(n + nnz).  The dense
 rows, the property ``rows``, are built from the index on each read and not
-kept; only equality, hashing and ``repr`` read them.
+kept; only ``repr`` reads them.  Equality and hashing read the index, in
+O(n + nnz).
 
 The form check builds neither A^T Omega A nor Omega.  It reads the
 product's entries above the diagonal off the pairs of nonzeros in rows k
@@ -27,15 +28,15 @@ chain's k entries.  One walk over ``a.nonzero`` peels all of them: from
 each vertex not yet walked it follows the single edges, collecting the
 entries, until it meets a walked vertex or a row without exactly one
 nonzero.  It visits each vertex once, so it costs O(n).  The vertices it
-leaves, the chains that do not close among them, go to Kosaraju's two
-passes: a depth-first pass lists them as they finish, and a pass over the
-reversed edges, from the last to finish, collects one component at a
-time.  The passes do not run when every vertex was peeled.  Their
-components come out in topological order and the peeled sinks after
-them, which puts A in block-triangular form, so det(xI - A) is the
-product of the components' characteristic polynomials;
-``charpoly_blocks`` returns them one by one, so that the analysis can
-factor each distinct block on its own, and ``charpoly`` multiplies them.
+leaves, the chains that do not close among them, go to Tarjan's single
+depth-first pass, which cuts each component off its path of open vertices
+in O(component size) and reads the peeled flags without writing them.  The
+pass does not run when every vertex was peeled.  Its components come out
+in topological order and the peeled sinks after them, which puts A in
+block-triangular form, so det(xI - A) is the product of the components'
+characteristic polynomials; ``charpoly_blocks`` returns them one by one,
+so that the analysis can factor each distinct block on its own, and
+``charpoly`` multiplies them.
 A one-vertex component of the search is x - a_ii.  Every larger one has
 its indices sorted by ascending column count, the number of its rows that
 are nonzero in the column, stably, so ties keep ascending index order.
@@ -57,7 +58,7 @@ For t <= 511 one prime larger than 2B is used, so the block costs one
 pass; a larger bound combines ceil(t/511) or fewer primes above 2^511 by
 the Chinese remainder theorem.  Either way the modulus exceeds 2B and the
 symmetric lift is exact by proof.  The total cost is O(n) for the walk,
-O(n + nnz) for the two passes over the vertices it leaves, and O(k^3) per
+O(n + nnz) for the pass over the vertices it leaves, and O(k^3) per
 prime on each block of the search with k > 1.  The realization matrices
 are direct sums of signed cycles (the cycles, the swap-shift blocks, their
 negated copies and the 1x1 identities) and at most one companion block, so
@@ -154,7 +155,7 @@ class IntMatrix(_Value):
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The dense rows, built from ``nonzero`` in O(n^2) on every read and not
-        kept; the library reads them only to compare, hash and print a matrix."""
+        kept; the library reads them only to print a matrix, in ``__repr__``."""
         rows, n = [], len(self._nonzero)
         for entries in self._nonzero:
             row = [0] * n
@@ -177,63 +178,66 @@ class IntMatrix(_Value):
     def dim(self) -> int:
         return len(self._nonzero)
 
-    def _key(self) -> tuple[tuple[int, ...], ...]:
-        return self.rows
+    def _key(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # The index is canonical (columns ascending, no zero), so its items are a key.
+        return tuple([tuple(r.items()) for r in self._nonzero])
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
 
 
-def _strong_components(succ, seen) -> list[list[int]]:
+def _strong_components(succ, skip) -> list[list[int]]:
     """Strongly connected components of the graph i -> j for j in succ[i],
-    leaving out the vertices whose flag in ``seen`` is set (the search sets and
-    clears the others' flags as it goes).
+    leaving out the vertices whose flag in ``skip`` is set; ``skip`` is read,
+    never written.
 
-    Kosaraju's two passes, each with an explicit stack, so a long chain cannot
-    exhaust the recursion limit.  A depth-first pass over succ lists the
-    vertices as they finish; a second pass over the predecessor lists, built
-    from the finished vertices' edges only, from the last vertex to finish,
-    collects the vertices that reach it and are not yet taken: its component.
-    The left-out vertices must be a union of sink components, as the cycles
-    that ``charpoly_blocks`` peels are; no finished vertex is then reached from
-    them, and the cost is O(n) plus the edges out of the searched vertices.
-    Components come out in topological order, each as a sorted list.
+    Tarjan's single depth-first pass (R. Tarjan, "Depth-first search and
+    linear graph algorithms", SIAM J. Comput. 1(2), 1972), with an explicit
+    work stack, so a long chain cannot exhaust the recursion limit.  The path
+    holds the vertices reached and not yet in a component, in the order they
+    were reached.  A vertex's low mark starts at its position on the path and
+    takes the least mark over its edges into the path and over its children as
+    they finish.  A vertex that finishes with its mark at its own position
+    roots a component, the path from it up, which is cut off the path in
+    O(component size); its vertices' marks become n, past every position, so
+    a later edge into them changes nothing.  The left-out vertices must be a
+    union of sink components, as the cycles that ``charpoly_blocks`` peels
+    are; the cost is then O(n) plus the edges out of the searched vertices.
+    The pass finds the components sinks first, so they are returned reversed,
+    in topological order, each as a sorted list.
     """
-    finished = []
-    for root in range(len(succ)):
-        if seen[root]:
+    n = len(succ)
+    low = [-1] * n  # -1 until reached; n once cut off the path
+    components = []
+    for root in range(n):
+        if skip[root] or low[root] >= 0:
             continue
-        seen[root] = True
-        work = [(root, iter(succ[root]))]
+        # Each earlier root left the path empty as it finished.
+        low[root], path, work = 0, [root], [(root, 0, iter(succ[root]))]
         while work:
-            v, edges = work[-1]
+            v, height, edges = work[-1]
             for w in edges:
-                if not seen[w]:
-                    seen[w] = True
-                    work.append((w, iter(succ[w])))
+                if skip[w]:
+                    continue
+                if low[w] < 0:
+                    low[w] = len(path)
+                    work.append((w, len(path), iter(succ[w])))
+                    path.append(w)
                     break
+                low[v] = min(low[v], low[w])
             else:
                 work.pop()
-                finished.append(v)
-    pred = {v: [] for v in finished}
-    for v in finished:
-        for w in succ[v]:
-            if w in pred:
-                pred[w].append(v)
-    components = []
-    for root in reversed(finished):
-        if seen[root]:  # not yet taken: the second pass clears seen as it takes vertices
-            seen[root] = False
-            component, stack = [], [root]
-            while stack:
-                v = stack.pop()
-                component.append(v)
-                for w in pred[v]:
-                    if seen[w]:
-                        seen[w] = False
-                        stack.append(w)
-            component.sort()
-            components.append(component)
+                if low[v] == height:  # v roots a component: cut it off the path
+                    component = path[height:]
+                    del path[height:]
+                    for w in component:
+                        low[w] = n
+                    component.sort()
+                    components.append(component)
+                else:  # v is not a root, so it has a parent on the work stack
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+    components.reverse()
     return components
 
 
@@ -420,10 +424,9 @@ def charpoly_blocks(a: IntMatrix) -> list[IntPolynomial]:
     meets a vertex walked before or a row without exactly one nonzero.  It
     visits each vertex once, so it costs O(n).  A chain that does not close
     stays for the strongly connected components of the other vertices, from
-    Kosaraju's two passes (a depth-first pass over the edges that lists the
-    vertices as they finish, then a pass over the reversed edges from the
-    last to finish), which do not run when every vertex was peeled.  Those
-    components come out in topological order and the peeled sinks after
+    Tarjan's single depth-first pass, which cuts each component off its path
+    in O(component size) and does not run when every vertex was peeled.
+    Those components come out in topological order and the peeled sinks after
     them, which puts A in block-triangular form, so det(xI - A) is the
     product of the listed polynomials, one per component in that order; the
     empty matrix has none.  A one-vertex component of the search is
@@ -437,7 +440,7 @@ def charpoly_blocks(a: IntMatrix) -> list[IntPolynomial]:
     from the nonzeros of its rows that fall inside the component, is reduced
     to Hessenberg form modulo proven primes whose product exceeds 2B for the
     block's Hadamard bound B, so the cost is O(n + nnz) for the walk and the
-    passes over ``a.nonzero`` plus O(k^3) operations per prime on each such
+    search over ``a.nonzero`` plus O(k^3) operations per prime on each such
     k-dim block: one prime while 2B has at most 511 bits, ceil(log2(2B)/511)
     or fewer above.  That route must give -trace as the x^(k-1) coefficient,
     or ArithmeticError is raised.  An irreducible matrix is a single block.

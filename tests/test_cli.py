@@ -14,6 +14,7 @@ import pytest
 
 from algperiods import (
     DoldClass,
+    HomologyModel,
     IntMatrix,
     Partition,
     SurfaceKind,
@@ -968,9 +969,6 @@ def test_certify_long_inline_dold(capsys):
     assert code == 1 and "cannot read" in err
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string limit to lift"
-)
 def test_big_integers_beyond_str_digit_limit(capsys, tmp_path):
     # A^8 for A = [[2, 1], [1, 1]]: its 1,500th Lefschetz number has 5,016 digits,
     # and its window stays under the output cap, where A's own 12,000 do not.
@@ -1110,8 +1108,10 @@ def test_loaded_matrices_build_no_dense_rows(capsys, tmp_path, monkeypatch):
     """analyze and certify --matrix read a matrix file straight into its nonzero
     index and then analyse and write it from that index: no dense row is read,
     in either format, for a quasi-unipotent matrix and for the Anosov matrix,
-    whose window bound reads the row sums.  Reading the rows of a loaded matrix
-    afterwards builds them, which shows that the wrapper sees the builds."""
+    whose window bound reads the row sums.  Loaded matrices, and the models
+    built on them, compare and hash from the index too.  Reading the rows of a
+    loaded matrix afterwards builds them, which shows that the wrapper sees
+    the builds."""
     reads = []
     rows = IntMatrix.rows.fget
 
@@ -1130,6 +1130,12 @@ def test_loaded_matrices_build_no_dense_rows(capsys, tmp_path, monkeypatch):
                 code, out, _ = run(capsys, argv)
                 assert code == exit_code and bool(out) == (command == "analyze" or not exit_code), argv
                 assert reads == [], argv
+    first, second, other = _load_matrix(rev), _load_matrix(rev), _load_matrix(anosov)
+    assert first == second and first != other and hash(first) == hash(second)
+    models = [HomologyModel(SurfaceKind.REVERSING, m, 2) for m in (first, second)]
+    assert models[0] == models[1] and hash(models[0]) == hash(models[1])
+    assert models[0] != HomologyModel(SurfaceKind.PRESERVING, other, 1)
+    assert len({first, second, other}) == 2 and reads == []
     assert _load_matrix(anosov).rows == ((2, 1), (1, 1)) and reads == [2]
 
 

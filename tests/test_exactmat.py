@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import compress
@@ -146,11 +147,12 @@ def _components_by_closure(succ) -> set[int]:
 
 def test_strong_components_match_mutual_reachability():
     """The components equal the classes of mutual reachability from the transitive
-    closure, each sorted, together a partition of range(n): about 300 seeded
+    closure, each sorted, together a partition of range(n), in topological order:
+    no edge runs from a later component into an earlier one.  About 300 seeded
     digraphs with n up to 40 and densities up to 0.5 (self-loops included),
     graphs with isolated vertices, single cycles, and the dim-2000 chain.  With
-    a random set of sink components flagged in ``seen`` beforehand, the search
-    returns exactly the other components."""
+    a random set of sink components flagged in ``skip`` beforehand, the search
+    returns exactly the other components, and ``skip`` is left as it was."""
     rng = random.Random(20241)
     graphs = []
     for _ in range(240):
@@ -172,15 +174,34 @@ def test_strong_components_match_mutual_reachability():
     graphs.append([[i + 1] for i in range(1999)] + [[]])
     for succ in graphs:
         n = len(succ)
-        components = exactmat._strong_components(succ, [False] * n)
+        skip = [False] * n
+        components = exactmat._strong_components(succ, skip)
+        assert skip == [False] * n, succ
         assert all(c == sorted(c) for c in components), succ
         assert sorted(v for c in components for v in c) == list(range(n)), succ
         assert {sum(1 << v for v in c) for c in components} == _components_by_closure(succ), succ
+        place = {v: i for i, c in enumerate(components) for v in c}
+        assert all(place[v] <= place[w] for v in range(n) for w in succ[v]), succ
         sinks = [c for c in components if all(w in c for v in c for w in succ[v])]
         left_out = [c for c in sinks if rng.random() < 0.5]
-        seen = [any(v in c for c in left_out) for v in range(n)]
-        rest = exactmat._strong_components(succ, seen)
+        skip = [any(v in c for c in left_out) for v in range(n)]
+        flags = list(skip)
+        rest = exactmat._strong_components(succ, skip)
+        assert skip == flags, succ
         assert sorted(rest) == sorted(c for c in components if c not in left_out), succ
+
+
+def test_strong_components_cut_a_long_path_in_linear_time():
+    """A 20,000-vertex chain 0 -> 1 -> ... puts every vertex on the search's path
+    at once, and each is then a component of its own: cutting each off the path
+    in O(component size) takes milliseconds, where a cut that searched the path
+    from its start for the component's root would take seconds."""
+    n = 20_000
+    succ = [[i + 1] for i in range(n - 1)] + [[]]
+    start = time.perf_counter()
+    components = exactmat._strong_components(succ, [False] * n)
+    assert time.perf_counter() - start < 1.0
+    assert components == [[i] for i in range(n)]
 
 
 def test_block_diag():

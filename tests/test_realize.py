@@ -304,8 +304,8 @@ def test_charpoly_of_realizations_splits_into_pieces(monkeypatch):
     for sm, dim, largest, expected, kernel_blocks in cases:
         dims, reached = [], []
 
-        def recording_split(succ, seen):
-            components = split(succ, seen)
+        def recording_split(succ, skip):
+            components = split(succ, skip)
             dims.extend(map(len, components))
             return components
 
