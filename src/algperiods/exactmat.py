@@ -200,31 +200,32 @@ def _strong_components(succ, skip) -> list[list[int]]:
     they finish.  A vertex that finishes with its mark at its own position
     roots a component, the path from it up, which is cut off the path in
     O(component size); its vertices' marks become n, past every position, so
-    a later edge into them changes nothing.  The left-out vertices must be a
-    union of sink components, as the cycles that ``charpoly_blocks`` peels
-    are; the cost is then O(n) plus the edges out of the searched vertices.
-    The pass finds the components sinks first, so they are returned reversed,
-    in topological order, each as a sorted list.
+    a later edge into them changes nothing.  The left-out vertices take the
+    mark n from the start, so ``skip`` is read once.  They must be a union of
+    sink components, as the cycles that ``charpoly_blocks`` peels are; the
+    cost is then O(n) plus the edges out of the searched vertices.  The pass
+    finds the components sinks first, so they are returned reversed, in
+    topological order, each as a sorted list.
     """
     n = len(succ)
-    low = [-1] * n  # -1 until reached; n once cut off the path
+    # -1 until reached, then the least path position found; n once cut off or skipped
+    low = [n if flag else -1 for flag in skip]
     components = []
     for root in range(n):
-        if skip[root] or low[root] >= 0:
+        if low[root] >= 0:
             continue
         # Each earlier root left the path empty as it finished.
         low[root], path, work = 0, [root], [(root, 0, iter(succ[root]))]
         while work:
             v, height, edges = work[-1]
             for w in edges:
-                if skip[w]:
-                    continue
                 if low[w] < 0:
                     low[w] = len(path)
                     work.append((w, len(path), iter(succ[w])))
                     path.append(w)
                     break
-                low[v] = min(low[v], low[w])
+                if low[w] < low[v]:
+                    low[v] = low[w]
             else:
                 work.pop()
                 if low[v] == height:  # v roots a component: cut it off the path
@@ -236,7 +237,8 @@ def _strong_components(succ, skip) -> list[list[int]]:
                     components.append(component)
                 else:  # v is not a root, so it has a parent on the work stack
                     u = work[-1][0]
-                    low[u] = min(low[u], low[v])
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     components.reverse()
     return components
 
