@@ -29,7 +29,7 @@ each vertex not yet walked it follows the single edges, collecting the
 entries, until it meets a walked vertex or a row without exactly one
 nonzero.  It visits each vertex once, so it costs O(n).  The vertices it
 leaves, the chains that do not close among them, go to Tarjan's single
-depth-first pass, which cuts each component off its path of open vertices
+depth-first pass, which cuts each component off its path of vertices
 in O(component size) and reads the peeled flags without writing them.  The
 pass does not run when every vertex was peeled.  Its components come out
 in topological order and the peeled sinks after them, which puts A in
