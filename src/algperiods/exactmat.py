@@ -48,11 +48,9 @@ Each reduction step pivots on the candidate row with the fewest nonzeros,
 the lowest on a tie.  With the sparse columns first, they are eliminated
 while many rows remain below them, so fewer rows are cleared per step and
 the fill-in comes later (Tinney and Walker's order): on the 482-vertex
-block of a genus-256 dense transvection conjugate one pass takes 0.59 s
-instead of 2.14 s.  A column-major copy of the block, kept equal to it,
-lists each column's nonzeros, so a step with #u nonzero multipliers u
-costs O(nnz(pivot row) * #u + sum over cleared i of nnz(column i) + k)
-operations mod p, and a block O(k^3) at worst.  Let B be the
+block of a genus-256 dense transvection conjugate one pass takes 1.05 s
+instead of 5.2 s.  ``_charpoly_mod`` states the cost of a step; a block
+costs O(k^3) operations mod p at worst.  Let B be the
 block's Hadamard bound on the coefficients and t the bit length of 2B.
 For t <= 511 one prime larger than 2B is used, so the block costs one
 pass; a larger bound combines ceil(t/511) or fewer primes above 2^511 by
@@ -317,28 +315,26 @@ def _charpoly_mod(rows, p: int) -> list[int]:
     ``charpoly_blocks`` passes its blocks with the indices in ascending order
     of column count, so the lowest i is the one of lowest column count, as
     far as the swaps of earlier steps left that order in place.
-    A column-major copy ``hc`` of H, written by every update and swap, lists
-    the candidates and each cleared column's nonzeros, so a step costs
-    O(nnz(pivot row) * #u + sum over cleared i of nnz(column i) + k)
-    operations mod p, at most O(k^2) on a dense block.
+    A step with #u nonzero multipliers u updates only the pivot row's
+    nonzeros in the rows it clears; its column update visits every row for
+    each cleared column but multiplies only that column's nonzeros.  So a
+    step costs O((nnz(pivot row) + k) * #u + k) operations mod p, and a
+    block O(k^3) at worst.
     """
     n = len(rows)
     h = [[x % p for x in row] for row in rows]
-    hc = [list(column) for column in zip(*h)]  # h by columns, kept equal to h
-    indices = range(n)
     for j in range(n - 2):
         col = j + 1
-        candidates = list(compress(range(col, n), hc[j][col:]))
+        candidates = [i for i in range(col, n) if h[i][j]]
         if not candidates:
             continue
         # Rows below j are zero left of column j, so the most zeros is the
         # fewest nonzeros; max keeps the first, lowest, row of a tie.
         pivot = max(candidates, key=lambda i: h[i].count(0))
         if pivot != col:
-            for m in h, hc:
-                m[pivot], m[col] = m[col], m[pivot]
-                for line in m:
-                    line[pivot], line[col] = line[col], line[pivot]
+            h[pivot], h[col] = h[col], h[pivot]
+            for line in h:
+                line[pivot], line[col] = line[col], line[pivot]
         if len(candidates) == 1:  # column j is already reduced
             continue
         top = h[col]
@@ -353,19 +349,15 @@ def _charpoly_mod(rows, p: int) -> list[int]:
                 continue
             u = row[j] * inverse % p
             for c in tail:
-                row[c] = hc[c][i] = (row[c] - u * top[c]) % p
-            row[j] = hc[j][i] = 0
+                row[c] = (row[c] - u * top[c]) % p
+            row[j] = 0
             cleared.append((i, u))
-        # Unreduced sums over the cleared columns' nonzeros; a row is touched
-        # exactly when its sum is positive.
-        sums = [0] * n
-        for i, u in cleared:
-            column = hc[i]
-            for r in compress(indices, column):
-                sums[r] += u * column[r]
-        target = hc[col]
-        for r in compress(indices, sums):
-            h[r][col] = target[r] = (target[r] + sums[r]) % p
+        for line in h:
+            total = line[col]
+            for i, u in cleared:
+                if line[i]:
+                    total += u * line[i]
+            line[col] = total % p
     polys = [[1]]
     for m in range(1, n + 1):
         prev = polys[-1]
@@ -437,7 +429,7 @@ def charpoly_blocks(a: IntMatrix) -> list[IntPolynomial]:
     in O(k log k + nnz) steps.  That permutation similarity P^T B P keeps the
     polynomial, the Hadamard bound and the trace, and puts the sparse columns
     first, which cuts the kernel's fill-in: a genus-256 dense transvection
-    conjugate is analyzed in 4.2 s instead of 18.9 s.  Its principal
+    conjugate is analyzed in 4.9 s instead of 28.0 s.  Its principal
     submatrix in that order, a k x k zero list filled in O(k + nnz) steps
     from the nonzeros of its rows that fall inside the component, is reduced
     to Hessenberg form modulo proven primes whose product exceeds 2B for the

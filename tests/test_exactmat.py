@@ -659,9 +659,9 @@ def test_charpoly_mod_pivot_and_update_cases():
         [[1, 2, 0, 1, 1], [2, 1, 1, 1, 1], [1, 1, 1, 0, 0], [-1, 0, 2, 1, 0], [3, 0, 0, 0, 0]],
         # Column 0 is zero below row 0: the step is skipped.
         [[1, 2, 3], [0, 4, 5], [0, 6, 7]],
-        # Row 1 clears row 2, and column 1 += column 2 makes h_31 = 1 + 2,
-        # zero mod 3: the column copy must record the zero, or step 1 would
-        # list row 3 and pivot on it.
+        # Row 1 clears row 2, and column 1 += column 2 makes h_31 = 1 + 2:
+        # the column update leaves h_31 = 0 mod 3, so step 1 must not list
+        # row 3 as a candidate.
         [[0, 1, 1, 1], [1, 0, 0, 0], [1, 1, 0, 1], [0, 1, 2, 0]],
         # Clearing row 2 with the pivot row 1 writes -2 into h_21, where row 2
         # was zero, so step 1 has two candidates in column 1 and must clear one.
