@@ -68,12 +68,26 @@ def _prime_exponents(n: int) -> dict[int, int]:
     return exponents
 
 
+def _moebius_terms(n: int) -> dict[int, int]:
+    """{n // s: mu(s)} over the squarefree divisors s of n >= 1: the nonzero
+    mu(n/k) by divisor k of n, 2^(number of primes of n) entries.
+
+    This is the library's one Moebius rule: ``moebius``, the Moebius inversion
+    below, the Dold class of ``lefschetz.analyze``, and the totient and
+    cyclotomic polynomials of ``polycyc`` all read it.  Each prime p of n
+    doubles the table: k with mu(s) gains k / p with -mu(s).
+    """
+    terms = {n: 1}
+    for p in _prime_exponents(n):
+        terms.update({k // p: -mu for k, mu in terms.items()})
+    return terms
+
+
 def moebius(n: int) -> int:
     """Moebius function: 0 if a square divides n, else (-1)^(number of prime factors)."""
     if n < 1:
         raise ValueError("moebius is defined for positive integers")
-    exponents = _prime_exponents(n).values()
-    return 0 if max(exponents, default=1) > 1 else (-1) ** len(exponents)
+    return _moebius_terms(n).get(1, 0)
 
 
 def divisors(n: int) -> list[int]:
@@ -186,7 +200,7 @@ def dold_coefficients(seq: LefschetzSequence) -> DoldClass:
     """
     coeffs = {}
     for n in seq:
-        total = sum(moebius(n // k) * seq[k] for k in divisors(n))
+        total = sum(mu * seq[k] for k, mu in _moebius_terms(n).items())
         a, rem = divmod(total, n)
         if rem:
             raise DoldViolation(
@@ -197,10 +211,11 @@ def dold_coefficients(seq: LefschetzSequence) -> DoldClass:
 
 
 def dold_congruence_check(seq: LefschetzSequence, n: int) -> bool:
-    """Whether n divides sum_{k | n} mu(n/k) * L_k."""
-    divs = divisors(n)
-    for k in divs:
-        if k not in seq:
-            raise ValueError(f"divisor {k} of {n} is outside the sequence domain")
-    total = sum(moebius(n // k) * seq[k] for k in divs)
-    return total % n == 0
+    """Whether n divides sum_{k | n} mu(n/k) * L_k.
+
+    n must lie in the sequence's domain, which then holds every divisor of n,
+    since the domain is divisor-closed; any other n raises ValueError.
+    """
+    if n not in seq:
+        raise ValueError(f"{n} is outside the sequence domain")
+    return sum(mu * seq[k] for k, mu in _moebius_terms(n).items()) % n == 0

@@ -685,8 +685,8 @@ def build_parser() -> _Parser:
         "--set",
         required=True,
         metavar="N1,N2,...",
-        help=f"target period set with distinct elements summing to <= {MAX_SET_SUM} (0.12 s and"
-        " 7 MB of JSON at the cap for --set 200 --kind reversing, a dim-802 matrix)",
+        help=f"target period set with distinct elements summing to <= {MAX_SET_SUM} (0.10 s and"
+        " 7.1 MB of JSON at the cap for --set 200 --kind reversing, a dim-802 matrix)",
     )
     realize_p.add_argument("--kind", required=True, choices=kinds)
     realize_p.add_argument(
@@ -742,7 +742,7 @@ def build_parser() -> _Parser:
 
     census_p = sub.add_parser("census", help="partition census at a given genus")
     census_p.add_argument(
-        "--genus", required=True, type=_size, help=f"genus G <= {MAX_GENUS} (1.4 s at the cap)"
+        "--genus", required=True, type=_size, help=f"genus G <= {MAX_GENUS} (0.9 s at the cap)"
     )
     census_p.add_argument(
         "--list-partitions",

@@ -25,19 +25,20 @@ class
 read off the factorization with one factorization of each order d
 (trial division, O(sqrt(d)) steps): mu(d/e) vanishes unless d/e is a
 squarefree s | d, where it is (-1)^(number of primes of s), so m_d mu(s) is
-subtracted at d / s for each of the 2^omega(d) such s, with no power sum and
-no Moebius inversion.  The factorization is taken block by block: the
-characteristic polynomial is the product of one polynomial per diagonal
-block of the matrix's block-triangular form, each distinct block
-polynomial is factored once (a degree-k block needs only the orders d with
-phi(d) <= k), and its multiplicities count once per block that shares it.
-Realization matrices repeat their blocks, and every block but the
-non-orientable pivot companion is a signed cycle, x^k - 1 or x^k + 1,
-which the factorizer reads off the divisors of 2k; so at most one small
-trial division is left in place of one of the full degree.  A block that
-is not a product of cyclotomics leaves a residual; the product of the block
-residuals is the cyclotomic-free part of the whole polynomial, which is
-unique, so it equals the residual of factoring the product.
+subtracted at d / s for each of the 2^omega(d) such s (the table of
+``arith._moebius_terms``), with no power sum and no Moebius inversion.  The
+factorization is taken block by block: the characteristic polynomial is the
+product of one polynomial per diagonal block of the matrix's
+block-triangular form, each distinct block polynomial is factored once (a
+degree-k block needs only the orders d with phi(d) <= k), and its
+multiplicities count once per block that shares it.  Realization matrices
+repeat their blocks, and every block but the non-orientable pivot
+companion is a signed cycle, x^k - 1 or x^k + 1, which the factorizer
+reads off the divisors of 2k; so at most one small trial division is left
+in place of one of the full degree.  A block that is not a product of
+cyclotomics leaves a residual; the product of the block residuals is the
+cyclotomic-free part of the whole polynomial, which is unique, so it
+equals the residual of factoring the product.
 
 Non-quasi-unipotent models have unbounded Lefschetz sequences and
 potentially infinite period sets, so they have no Dold class.  A window
@@ -53,7 +54,7 @@ import enum
 import operator
 from collections import Counter, namedtuple
 
-from .arith import DoldClass, _prime_exponents, _Value
+from .arith import DoldClass, _moebius_terms, _Value
 from .exactmat import (
     DimensionMismatch,
     IntMatrix,
@@ -221,11 +222,8 @@ def analyze(m: HomologyModel) -> Analysis:
     mults = dict(sorted(totals.items()))
     coeffs = dict(_KIND_TERMS[m.kind])
     for d, mult in mults.items():
-        terms = {d: -mult}  # -mult * mu(s) at d / s, for each squarefree s | d
-        for p in _prime_exponents(d):
-            terms.update({e // p: -c for e, c in terms.items()})
-        for e, c in terms.items():
-            coeffs[e] = coeffs.get(e, 0) + c
+        for e, mu in _moebius_terms(d).items():
+            coeffs[e] = coeffs.get(e, 0) - mult * mu
     return Analysis(m, cp, mults, None, DoldClass(coeffs))
 
 

@@ -11,8 +11,11 @@ of Phi_d over d | k, and x^k + 1, whose roots are the 2k-th roots of unity
 that are not k-th roots, the product over the d | 2k that do not divide k.
 Any other polynomial is decided by trial division by cyclotomic
 polynomials.  No floating point is involved.  The candidate orders d are
-bounded using phi(d) >= sqrt(d/2), so a residual of degree R can only have
-cyclotomic factors of order d <= 2*R^2.
+bounded using phi(d) >= sqrt(d), which holds for every d but 2 and 6: a
+single factor 2 costs sqrt(2), and any other prime factor makes up for it.
+So a residual of degree R can only have cyclotomic factors of order
+d <= max(6, R^2).  Each Phi_d is prod_{k | d} (x^k - 1)^mu(d/k), read off
+the Moebius table of ``arith``, which also gives the totient.
 
 Polynomials are multiplied in one place, the private ``_product``, which
 ``*`` and the characteristic polynomial and residual products of the
@@ -38,7 +41,7 @@ from functools import lru_cache
 from itertools import compress, repeat
 from math import prod
 
-from .arith import _prime_exponents, _Value, divisors
+from .arith import _moebius_terms, _Value, divisors
 
 __all__ = [
     "NonMonicInput",
@@ -228,22 +231,23 @@ def poly_divmod(p: IntPolynomial, q: IntPolynomial) -> tuple[IntPolynomial, IntP
 
 @lru_cache(maxsize=None)
 def cyclotomic(d: int) -> IntPolynomial:
-    """The d-th cyclotomic polynomial.
+    """The d-th cyclotomic polynomial, prod_{k | d} (x^k - 1)^mu(d/k).
 
-    Computed by dividing x^d - 1 by all lower-order cyclotomics, which is
-    exact and keeps everything in the integers.
+    The binomials with mu(d/k) = 1 and those with mu(d/k) = -1 are each
+    multiplied by one ``_product``, and the first product is divided by the
+    second, which divides it exactly; everything stays in the integers.
     """
     if d < 1:
         raise ValueError("cyclotomic order must be positive")
-    quo = x_pow_minus_one(d)
-    for e in divisors(d)[:-1]:
-        quo, _ = poly_divmod(quo, cyclotomic(e))
-    return quo
+    terms = _moebius_terms(d).items()
+    num, den = (_product(x_pow_minus_one(k) for k, mu in terms if mu == sign) for sign in (1, -1))
+    return poly_divmod(num, den)[0]
 
 
 @lru_cache(maxsize=None)
 def _totient(n: int) -> int:
-    return prod((p - 1) * p ** (e - 1) for p, e in _prime_exponents(n).items())
+    """Euler's phi(n), by Gauss's identity phi(n) = sum_{k | n} k mu(n/k)."""
+    return sum(k * mu for k, mu in _moebius_terms(n).items())
 
 
 def cyclotomic_factorization(p: IntPolynomial) -> dict[int, int]:
@@ -251,7 +255,9 @@ def cyclotomic_factorization(p: IntPolynomial) -> dict[int, int]:
 
     Succeeds exactly when every complex root of p is a root of unity;
     otherwise raises NotQuasiUnipotent carrying the residual factor.  The
-    orders come in ascending order; x^k -+ 1 takes no trial division.
+    orders come in ascending order; x^k -+ 1 takes no trial division.  Any
+    other residual of degree R is divided by Phi_d for the d <= max(6, R^2)
+    with phi(d) <= R, since phi(d) >= sqrt(d) for every d but 2 and 6.
     """
     if p.is_zero() or not p.is_monic():
         raise NonMonicInput("cyclotomic factorization requires a monic polynomial")
@@ -263,7 +269,7 @@ def cyclotomic_factorization(p: IntPolynomial) -> dict[int, int]:
     d = 0
     while residual.degree > 0:
         d += 1
-        if d > 2 * residual.degree * residual.degree:
+        if d > max(6, residual.degree * residual.degree):
             raise NotQuasiUnipotent(residual)
         if _totient(d) > residual.degree:
             continue

@@ -7,7 +7,10 @@ below are the independent oracles for the multi-modular Hessenberg
 characteristic polynomial, the schoolbook double loop is the oracle for the
 Kronecker-substitution polynomial product, one Moebius value per divisor of
 each cyclotomic order is the oracle for the Dold class read off the squarefree
-divisors, the matrix-power
+divisors, the division of x^d - 1 by every lower-order cyclotomic is the
+oracle for Phi_d as a quotient of binomial products, trial factoring is the
+oracle for the Moebius table and counting the k <= n prime to n the oracle for
+the totient read off it, the matrix-power
 Lefschetz loop below is the oracle for the Newton-trace route, the Newton
 window with Moebius inversion on the divisor-closed candidate set is the
 oracle for the Dold class read off the cyclotomic factorization, the
@@ -31,8 +34,9 @@ from __future__ import annotations
 import json
 import operator
 import random
+from functools import lru_cache
 from itertools import compress, islice
-from math import comb
+from math import comb, gcd
 from typing import Sequence
 
 from algperiods import (
@@ -58,8 +62,10 @@ from algperiods import (
     moebius,
     partition_to_dold_nonorientable,
     partition_to_dold_orientable,
+    poly_divmod,
     realize_target,
     trace_sequence_from_charpoly,
+    x_pow_minus_one,
 )
 from algperiods.cli import _text_lines
 from algperiods.exactmat import _prime
@@ -232,6 +238,35 @@ def dold_by_moebius_per_divisor(kind_terms: dict, mults: dict) -> DoldClass:
         for e in divisors(d):
             coeffs[e] = coeffs.get(e, 0) - mult * moebius(d // e)
     return DoldClass(coeffs)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(d: int) -> IntPolynomial:
+    """The d-th cyclotomic polynomial: x^d - 1 divided by the cyclotomic of every
+    proper divisor of d, each computed the same way."""
+    quo = x_pow_minus_one(d)
+    for e in divisors(d)[:-1]:
+        quo, _ = poly_divmod(quo, cyclotomic_by_division(e))
+    return quo
+
+
+def moebius_by_trial_factoring(n: int) -> int:
+    """mu(n) for n >= 1: 0 if some p^2 divides n, else (-1)^(number of primes),
+    from dividing out each trial divisor p = 2, 3, 4, ... in turn."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def totient_by_gcd_count(n: int) -> int:
+    """phi(n) for n >= 1: the number of 1 <= k <= n with gcd(k, n) = 1."""
+    return sum(gcd(k, n) == 1 for k in range(1, n + 1))
 
 
 def poly_mul_by_schoolbook(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:

@@ -11,9 +11,17 @@ from algperiods import (
     dold_congruence_check,
     moebius,
 )
+from algperiods.arith import _moebius_terms
 from algperiods.exactmat import IntMatrix
 
-from conftest import lefschetz_from_dold, mat_mul, random_matrix, reg, trace
+from conftest import (
+    lefschetz_from_dold,
+    mat_mul,
+    moebius_by_trial_factoring,
+    random_matrix,
+    reg,
+    trace,
+)
 
 
 def moebius_oracle(n: int) -> int:
@@ -32,6 +40,20 @@ def test_moebius_examples():
 def test_moebius_against_oracle():
     for n in range(1, 200):
         assert moebius(n) == moebius_oracle(n)
+
+
+def test_moebius_table_against_trial_factoring():
+    """For every n <= 5,000, ``_moebius_terms(n)`` is the nonzero {k: mu(n/k)} over
+    a sieve's divisors k of n, and ``moebius(n)`` is mu(n), with mu by trial factoring."""
+    limit = 5_000
+    mu = [0] + [moebius_by_trial_factoring(n) for n in range(1, limit + 1)]
+    sieve = [[] for _ in range(limit + 1)]
+    for k in range(1, limit + 1):
+        for n in range(k, limit + 1, k):
+            sieve[n].append(k)
+    for n in range(1, limit + 1):
+        assert _moebius_terms(n) == {k: mu[n // k] for k in sieve[n] if mu[n // k]}, n
+        assert moebius(n) == mu[n], n
 
 
 def test_moebius_divisor_sum_identity():
@@ -124,8 +146,10 @@ def test_round_trip_on_divisor_closed_domains():
 def test_congruence_check_examples():
     assert dold_congruence_check(LefschetzSequence({1: 3, 2: 5}), 2)
     assert not dold_congruence_check(LefschetzSequence({1: 0, 2: 1}), 2)
-    with pytest.raises(ValueError):
-        dold_congruence_check(LefschetzSequence({1: 0, 2: 1}), 4)
+    # An n outside the domain is refused, whether or not it is positive.
+    for n in (3, 4, 0, -2):
+        with pytest.raises(ValueError):
+            dold_congruence_check(LefschetzSequence({1: 0, 2: 1}), n)
 
 
 def test_congruence_holds_for_matrix_trace_powers():

@@ -14,7 +14,9 @@ from algperiods import (
     x_pow_minus_one,
 )
 
-from conftest import cyclotomic_root_sum, reg
+from algperiods.polycyc import _totient
+
+from conftest import cyclotomic_by_division, cyclotomic_root_sum, reg, totient_by_gcd_count
 
 X = IntPolynomial([0, 1])
 ONE = IntPolynomial([1])
@@ -72,6 +74,30 @@ def test_cyclotomic_small_table():
     assert cyclotomic(12) == IntPolynomial([1, 0, -1, 0, 1])
 
 
+def test_cyclotomic_matches_division_oracle():
+    """Phi_d as a quotient of two binomial products equals x^d - 1 divided by every
+    lower-order cyclotomic, for every d <= 600."""
+    for d in range(1, 601):
+        assert cyclotomic(d) == cyclotomic_by_division(d), d
+
+
+def test_totient_against_gcd_count():
+    for n in range(1, 1001):
+        assert _totient(n) == totient_by_gcd_count(n), n
+
+
+def test_totient_square_bound():
+    """phi(d)^2 >= d for every d <= 10^5 but 2 and 6, which bounds the orders that
+    ``cyclotomic_factorization`` tries by max(6, R^2); phi here comes from a sieve."""
+    limit = 10**5
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # p is prime: no smaller prime has touched it
+            for n in range(p, limit + 1, p):
+                phi[n] -= phi[n] // p
+    assert [d for d in range(1, limit + 1) if phi[d] ** 2 < d] == [2, 6]
+
+
 def test_cyclotomic_product_identity():
     from algperiods import divisors
 
@@ -91,6 +117,9 @@ def test_factorization_examples():
     assert cyclotomic_factorization(x_pow_minus_one(2) ** 2) == {1: 2, 2: 2}
     assert cyclotomic_factorization(x_pow_minus_one(3)) == {1: 1, 3: 1}
     assert cyclotomic_factorization(ONE) == {}
+    # Phi_6 left as a degree-2 residual: 6 lies above R^2 = 4, and phi(6)^2 < 6.
+    assert cyclotomic_factorization(cyclotomic(6)) == {6: 1}
+    assert cyclotomic_factorization(cyclotomic(3) * cyclotomic(6)) == {3: 1, 6: 1}
     with pytest.raises(NotQuasiUnipotent) as exc:
         cyclotomic_factorization(IntPolynomial([1, -3, 1]))
     assert exc.value.residual == IntPolynomial([1, -3, 1])

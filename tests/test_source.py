@@ -67,6 +67,13 @@ def test_fresh_cli_import_loads_no_unused_module():
     assert (result.returncode, result.stderr, result.stdout) == (0, "", "[]\n")
 
 
+def _name(node):
+    """The name a Name, Attribute or import alias node spells, else None."""
+    return (getattr(node, "id", None) if isinstance(node, ast.Name)
+            else getattr(node, "attr", None) if isinstance(node, ast.Attribute)
+            else getattr(node, "name", None) if isinstance(node, ast.alias) else None)
+
+
 VALUE_CLASSES = {
     "arith.DoldClass", "arith.LefschetzSequence", "census.Partition", "exactmat.IntMatrix",
     "lefschetz.HomologyModel", "polycyc.IntPolynomial", "zeta.ZetaFactorization",
@@ -95,15 +102,34 @@ def test_one_equality_rule():
                     rules.append(where)
                 if "_key" in defined:
                     keyed[where] = [ast.unparse(base) for base in node.bases]
-            name = (getattr(node, "id", None) if isinstance(node, ast.Name)
-                    else getattr(node, "attr", None) if isinstance(node, ast.Attribute)
-                    else getattr(node, "name", None) if isinstance(node, ast.alias) else None)
-            if name == "cached_property":
+            if _name(node) == "cached_property":
                 cached.append(f"{path.name}:{node.lineno}")
     assert rules == ["arith._Value"]
     assert keyed.keys() == VALUE_CLASSES
     assert {where: bases for where, bases in keyed.items() if "_Value" not in bases} == {}
     assert cached == []
+
+
+def test_one_moebius_table():
+    """``arith._moebius_terms`` is the library's one Moebius rule: only ``arith``
+    names ``_prime_exponents``, each function that needs mu or phi names
+    ``_moebius_terms``, and ``polycyc.cyclotomic`` does not call itself."""
+    paths = sorted(Path(algperiods.__file__).parent.glob("*.py"))
+    factoring, readers, cyclotomic_calls = set(), set(), None
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if _name(node) == "_prime_exponents":
+                factoring.add(path.name)
+            if isinstance(node, ast.FunctionDef):
+                where = f"{path.stem}.{node.name}"
+                if "_moebius_terms" in map(_name, ast.walk(node)):
+                    readers.add(where)
+                if where == "polycyc.cyclotomic":
+                    cyclotomic_calls = [_name(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)]
+    assert factoring == {"arith.py"}
+    assert {"arith.moebius", "arith.dold_coefficients", "arith.dold_congruence_check",
+            "lefschetz.analyze", "polycyc._totient", "polycyc.cyclotomic"} <= readers
+    assert cyclotomic_calls is not None and "cyclotomic" not in cyclotomic_calls
 
 
 def _defined(owner, module):
